@@ -4,21 +4,17 @@ A "matrix" throughout this package is a C-contiguous 2-D float64 numpy
 array. Entries must be finite at API boundaries; helpers here validate
 that and name the offending index on failure.
 
-The SVD is a one-sided cyclic Jacobi with a fixed round-robin pair
-ordering, so results are bit-deterministic for identical input. Target
-sizes are small (p, q <= 1024); no attempt is made at blocked or
-randomized algorithms.
+The SVD is LAPACK's divide-and-conquer gesdd (through numpy) with a
+fixed sign convention, so results are bit-identical for identical input
+on the same machine and BLAS build. Target sizes are small
+(p, q <= 1024); no attempt is made at randomized algorithms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 60
 
 
 class NonFiniteError(ValueError):
@@ -58,125 +54,20 @@ class SvdResult:
     v: np.ndarray
 
 
-@lru_cache(maxsize=32)
-def _round_robin_rounds(n: int) -> tuple:
-    """Fixed round-robin ordering: n-1 rounds of disjoint column pairs."""
-    m = n if n % 2 == 0 else n + 1
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = []
-        for k in range(m // 2):
-            a, b = players[k], players[m - 1 - k]
-            if a < n and b < n:
-                pairs.append((min(a, b), max(a, b)))
-        if pairs:
-            rounds.append((np.array([i for i, _ in pairs]), np.array([j for _, j in pairs])))
-        players = [players[0]] + [players[-1]] + players[1:-1]
-    return tuple(rounds)
-
-
-def _orthonormal_complete(u: np.ndarray, cols: np.ndarray) -> None:
-    # Fill exactly-zero singular directions with canonical basis vectors,
-    # Gram-Schmidt'ed against the existing columns. Deterministic.
-    m = u.shape[0]
-    for j in cols:
-        for k in range(m):
-            cand = np.zeros(m)
-            cand[k] = 1.0
-            cand -= u @ (u.T @ cand)
-            cand -= u @ (u.T @ cand)
-            nrm = float(np.linalg.norm(cand))
-            if nrm > 0.5:
-                u[:, j] = cand / nrm
-                break
-
-
 def svd(a) -> SvdResult:
-    """Deterministic thin SVD via one-sided cyclic Jacobi.
+    """Thin SVD via LAPACK (gesdd, through numpy) plus the sign convention.
 
-    Works on the taller orientation (transposes when cols > rows).
-    Rotations are applied whenever a column pair is not numerically
-    orthogonal; sweeps stop once every pair's relative off-diagonal
-    falls below 1e-12, capped at 60 sweeps.
+    Columns whose singular value is exactly zero still come back
+    orthonormal. Each U column is flipped, together with its V column, so
+    that its largest-magnitude entry is positive (lowest row wins ties).
+    Results are bit-identical for identical input on the same machine and
+    BLAS build.
     """
     a = as_matrix(a, "svd input")
-    transposed = a.shape[1] > a.shape[0]
-    w = (a.T if transposed else a).copy()
-    n = w.shape[1]
-    v = np.eye(n)
-    rotate_tol = 1e-15
-    if n > 1:
-        rounds = _round_robin_rounds(n)
-        for _ in range(JACOBI_MAX_SWEEPS):
-            # exact squared column norms at sweep start; updated incrementally
-            # (and clamped at zero) within the sweep
-            norms = np.einsum("ij,ij->j", w, w)
-            sweep_max = 0.0
-            for ii, jj in rounds:
-                aa = norms[ii]
-                bb = norms[jj]
-                cc = np.einsum("ij,ij->j", w[:, ii], w[:, jj])
-                denom = np.sqrt(aa * bb)
-                rel = np.abs(cc) / np.where(denom > 0.0, denom, 1.0)
-                rel[denom == 0.0] = 0.0
-                m = float(rel.max()) if rel.size else 0.0
-                if m > sweep_max:
-                    sweep_max = m
-                active = rel > rotate_tol
-                if not active.any():
-                    continue
-                ia = ii[active]
-                ja = jj[active]
-                aa = aa[active]
-                bb = bb[active]
-                cc = cc[active]
-                zeta = (bb - aa) / (2.0 * cc)
-                big = np.abs(zeta) > 1e150  # avoid overflow in zeta**2; limit is 1/(2 zeta)
-                safe = np.where(big, 0.0, zeta)
-                t = np.where(
-                    big,
-                    0.5 / np.where(big, zeta, 1.0),
-                    np.where(zeta == 0.0, 1.0, np.sign(zeta) / (np.abs(zeta) + np.sqrt(1.0 + safe * safe))),
-                )
-                cs = 1.0 / np.sqrt(1.0 + t * t)
-                sn = cs * t
-                wi = w[:, ia]
-                wj = w[:, ja]
-                w[:, ia] = wi * cs - wj * sn
-                w[:, ja] = wi * sn + wj * cs
-                vi = v[:, ia]
-                vj = v[:, ja]
-                v[:, ia] = vi * cs - vj * sn
-                v[:, ja] = vi * sn + vj * cs
-                cross = 2.0 * cs * sn * cc
-                norms[ia] = np.maximum(cs * cs * aa + sn * sn * bb - cross, 0.0)
-                norms[ja] = np.maximum(sn * sn * aa + cs * cs * bb + cross, 0.0)
-            if sweep_max <= JACOBI_TOL:
-                break
-    s = np.sqrt(np.einsum("ij,ij->j", w, w))
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
-    w = w[:, order]
-    v = v[:, order]
-    u = np.zeros_like(w)
-    nz = s > 0.0
-    u[:, nz] = w[:, nz] / s[nz]
-    zero_cols = np.where(~nz)[0]
-    if zero_cols.size:
-        _orthonormal_complete(u, zero_cols)
-    for j in range(n):
-        idx = int(np.argmax(np.abs(u[:, j])))
-        if u[idx, j] < 0.0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-    if transposed:
-        return SvdResult(u=np.ascontiguousarray(v), s=s, v=np.ascontiguousarray(u))
-    return SvdResult(u=np.ascontiguousarray(u), s=s, v=np.ascontiguousarray(v))
-
-
-def singular_values(a) -> np.ndarray:
-    return svd(a).s
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    lead = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    signs = np.where(lead < 0.0, -1.0, 1.0)
+    return SvdResult(u=u * signs, s=s, v=np.ascontiguousarray(vt.T * signs))
 
 
 def spectral_norm(a) -> float:

@@ -217,7 +217,7 @@ def test_criterion_05_global_stagnation():
     loss_none = final_loss(recs_none)
     loss_full = final_loss(recs_full)
     assert loss_none > loss_full
-    assert elapsed < 60.0, f"runtime {elapsed:.1f}s exceeds 60s"
+    assert elapsed < 10.0, f"runtime {elapsed:.1f}s exceeds 10s"
     report(
         5,
         f"global no-QHM stagnates (MSSV=1, sin-theta<1e-6 on {len(updates)-1} updates) and loses to "
@@ -309,7 +309,7 @@ def test_criterion_08_instability_scaling():
         r_means.append(float(np.mean(vals)))
     assert all(r_means[i] <= r_means[i + 1] + 1e-12 for i in range(len(r_means) - 1)), r_means
     elapsed = time.perf_counter() - started
-    assert elapsed < 120.0, f"runtime {elapsed:.1f}s exceeds 120s"
+    assert elapsed < 10.0, f"runtime {elapsed:.1f}s exceeds 10s"
     report(8, f"log-log slope {slope:.3f} within -0.5 +/- 0.1; sin-theta non-decreasing in rank ({elapsed:.1f}s)")
 
 

@@ -87,11 +87,12 @@ def test_svd_bit_deterministic():
     assert r1.v.tobytes() == r2.v.tobytes()
 
 
-def test_svd_sign_convention():
+@pytest.mark.parametrize("shape", [(9, 9), (5, 9), (9, 5)])
+def test_svd_sign_convention(shape):
     rng = np.random.default_rng(11)
-    a = rng.standard_normal((9, 9))
+    a = rng.standard_normal(shape)
     res = svd(a)
-    for j in range(9):
+    for j in range(min(shape)):
         col = res.u[:, j]
         assert col[np.argmax(np.abs(col))] > 0.0
 
