@@ -229,10 +229,10 @@ class Engine:
         metrics = subspace_metrics_from_update(new_proj, state.proj, sig_s)
         r_mat = rotation_matrix(new_proj, state.proj)
         if self.cfg.flags.rotate_moments and state.step > 0:
-            state.u = rotate_first_moment(r_mat, state.u)
             state.v = rotate_second_moment(
                 r_mat, state.u, state.v, self.hp.beta1, self.hp.beta2, state.step
             )
+            state.u = rotate_first_moment(r_mat, state.u)
         state.proj = new_proj
         worker.pending_metrics.append((li, metrics))
 
@@ -319,10 +319,10 @@ class Engine:
         for w in self.workers:
             state = w.opt[li]
             if self.cfg.flags.rotate_moments and state.step > 0:
-                state.u = rotate_first_moment(r_mat, state.u)
                 state.v = rotate_second_moment(
                     r_mat, state.u, state.v, self.hp.beta1, self.hp.beta2, state.step
                 )
+                state.u = rotate_first_moment(r_mat, state.u)
             state.proj = new_proj
         return {
             "mssv": metrics.mssv,

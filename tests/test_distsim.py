@@ -222,14 +222,42 @@ def test_engine_matches_straightline_low_rank_reference():
         x = anchor + delta
         new_proj = compute_projection(delta, rank, step=t)
         r_mat = rotation_matrix(new_proj, state.proj)
-        state.u = rotate_first_moment(r_mat, state.u)
         state.v = rotate_second_moment(r_mat, state.u, state.v, hp.beta1, hp.beta2, state.step)
+        state.u = rotate_first_moment(r_mat, state.u)
         state.proj = new_proj
         anchor = x.copy()
         eval_batch = prob.sample_batch(0, 5, rng)
         losses.append(prob.loss(x, eval_batch))
     np.testing.assert_allclose(engine_final, x, atol=1e-12)
     np.testing.assert_allclose([r.mean_loss for r in engine_records], losses, atol=1e-12)
+
+
+@pytest.mark.parametrize("strategy", ["global", "local"])
+def test_engine_refresh_rotates_zero_variance_second_moment_exactly(strategy):
+    # With vh = uh^2 the variance term of the rotation rule vanishes, so the
+    # refreshed second moment must equal (1-beta2^t) (R uh)^2 computed from
+    # the old-basis first moment.
+    cfg = from_dict(cfg_dict(workers=1, projection={"strategy": strategy}))
+    engine = Engine(cfg)
+    worker = engine.workers[0]
+    state = worker.opt[0]
+    hp = engine.hp
+    t = 5
+    rng = np.random.default_rng(23)
+    state.step = t
+    state.u = rng.standard_normal(state.u.shape)
+    uh = state.u / (1.0 - hp.beta1**t)
+    state.v = (1.0 - hp.beta2**t) * uh * uh
+    old_proj, old_u = state.proj, state.u.copy()
+    signal = rng.standard_normal((16, 12))
+    if strategy == "global":
+        engine._refresh_global_projection(0, signal, t)
+    else:
+        engine._refresh_worker_projection(worker, 0, signal, t)
+    assert sin_theta_distance(state.proj, old_proj) > 0.1
+    r_mat = rotation_matrix(state.proj, old_proj)
+    np.testing.assert_allclose(state.v, (1.0 - hp.beta2**t) * (r_mat @ uh) ** 2, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(state.u, r_mat @ old_u, rtol=0, atol=1e-14)
 
 
 # ---- determinism -------------------------------------------------------------

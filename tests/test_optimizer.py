@@ -215,8 +215,8 @@ def test_v_nonnegative_across_rotations():
         if (t + 1) % 25 == 0:
             new_proj = compute_projection(rng.standard_normal((9, 4)), 3, step=t)
             r_mat = rotation_matrix(new_proj, state.proj)
-            state.u = rotate_first_moment(r_mat, state.u)
             state.v = rotate_second_moment(r_mat, state.u, state.v, hp.beta1, hp.beta2, state.step)
+            state.u = rotate_first_moment(r_mat, state.u)
             state.proj = new_proj
             assert np.all(state.v >= 0.0)
 
