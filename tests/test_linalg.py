@@ -87,14 +87,13 @@ def test_svd_bit_deterministic():
     assert r1.v.tobytes() == r2.v.tobytes()
 
 
-@pytest.mark.parametrize("shape", [(9, 9), (5, 9), (9, 5)])
-def test_svd_sign_convention(shape):
+def test_svd_sign_convention():
     rng = np.random.default_rng(11)
-    a = rng.standard_normal(shape)
-    res = svd(a)
-    for j in range(min(shape)):
-        col = res.u[:, j]
-        assert col[np.argmax(np.abs(col))] > 0.0
+    for shape in [(9, 9), (5, 9), (9, 5)]:
+        res = svd(rng.standard_normal(shape))
+        for j in range(min(shape)):
+            col = res.u[:, j]
+            assert col[np.argmax(np.abs(col))] > 0.0, (shape, j)
 
 
 def test_spectral_norm_cases():
