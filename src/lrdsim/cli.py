@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import costs as costs_mod
-from .config import ConfigError, RunConfig, load_file
+from .config import ConfigError, RunConfig, load_file, validate
 from .distsim import Engine
 from .logio import LogFormatError, read_log, write_log
 
@@ -34,6 +34,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid positive integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+THREADS_HELP = "accepted for compatibility; does not change output"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lrdsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -41,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one experiment and write a metric log")
     p_run.add_argument("--config", required=True, help="YAML config path")
     p_run.add_argument("--out", required=True, help="output log path")
-    p_run.add_argument("--threads", type=int, default=None, help="worker threads (default: workers)")
+    p_run.add_argument("--threads", type=_positive_int, default=None, help=THREADS_HELP)
     p_run.add_argument("--seed", type=int, default=None, help="override master_seed")
 
     p_sweep = sub.add_parser("sweep", help="run one config across an axis of values")
@@ -49,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
     p_sweep.add_argument("--out-dir", required=True, help="directory for per-point logs and summary.csv")
-    p_sweep.add_argument("--threads", type=int, default=None)
-    p_sweep.add_argument("--parallel", type=int, default=1, help="sweep points run concurrently")
+    p_sweep.add_argument("--threads", type=_positive_int, default=None, help=THREADS_HELP)
+    p_sweep.add_argument("--parallel", type=_positive_int, default=1, help="sweep points run concurrently")
     p_sweep.add_argument("--seed", type=int, default=None, help="override master_seed for every point")
 
     p_costs = sub.add_parser("costs", help="print per-variant payload/memory counts and reduction ratios")
@@ -70,7 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_seed(cfg: RunConfig, seed) -> RunConfig:
     if seed is None:
         return cfg
-    return dataclasses.replace(cfg, master_seed=seed)
+    cfg = dataclasses.replace(cfg, master_seed=seed)
+    validate(cfg)
+    return cfg
 
 
 def cmd_run(args) -> int:
@@ -79,7 +94,7 @@ def cmd_run(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    engine = Engine(cfg, threads=args.threads)
+    engine = Engine(cfg)
     summary = write_log(args.out, cfg, engine.basis_inconsistent, engine.records())
     if summary["diverged"]:
         print(f"run diverged after {summary['steps']} steps; log at {args.out}", file=sys.stderr)
@@ -116,8 +131,6 @@ def _sweep_config(base: RunConfig, axis: str, raw_value: str) -> tuple[RunConfig
 
 
 def cmd_sweep(args) -> int:
-    from .config import validate
-
     try:
         base = _apply_seed(load_file(args.config), args.seed)
         values = [v.strip() for v in args.values.split(",") if v.strip()]
@@ -137,11 +150,9 @@ def cmd_sweep(args) -> int:
     def run_point(point):
         raw, cfg, label = point
         path = out_dir / f"{label}.log"
-        engine = Engine(cfg, threads=args.threads)
+        engine = Engine(cfg)
         summary = write_log(str(path), cfg, engine.basis_inconsistent, engine.records())
-        _, steps = read_log(str(path))
-        final = steps[-1]["mean_loss"] if steps else None
-        return raw, str(path), final, summary["diverged"]
+        return raw, str(path), summary["mean_loss"], summary["diverged"]
 
     if args.parallel > 1:
         with ThreadPoolExecutor(max_workers=args.parallel) as pool:
@@ -218,27 +229,18 @@ def cmd_analyze(args) -> int:
         return 1
     final = steps[-1]
     diverged = any(s.get("diverged") for s in steps)
-    layer_mssv: dict[int, list] = {}
-    layer_sr: list = []
-    for s in steps:
-        sub = s.get("subspace")
-        if not sub:
-            continue
-        for li, metrics in enumerate(sub):
-            if metrics is None:
-                continue
-            layer_mssv.setdefault(li, []).append(metrics["mssv"])
-            layer_sr.append(metrics["stable_rank"])
+    # the engine models one parameter tensor, so each subspace list holds one entry
+    updates = [s["subspace"][0] for s in steps if s.get("subspace") and s["subspace"][0]]
     print(f"steps: {len(steps)}")
     print(f"final mean loss: {final['mean_loss']}")
     print(f"diverged: {str(diverged).lower()}")
     if header.get("basis_inconsistent"):
         print("note: moments averaged across inconsistent worker bases")
-    if layer_mssv:
-        for li in sorted(layer_mssv):
-            vals = layer_mssv[li]
-            print(f"layer {li}: mean MSSV at projection updates: {np.mean(vals):.6f} ({len(vals)} updates)")
-        print(f"stable rank of projection signals: min {min(layer_sr):.3f}, max {max(layer_sr):.3f}")
+    if updates:
+        mssv = [m["mssv"] for m in updates]
+        ranks = [m["stable_rank"] for m in updates]
+        print(f"layer 0: mean MSSV at projection updates: {np.mean(mssv):.6f} ({len(mssv)} updates)")
+        print(f"stable rank of projection signals: min {min(ranks):.3f}, max {max(ranks):.3f}")
     else:
         print("no projection updates logged")
     return 0

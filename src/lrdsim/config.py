@@ -8,8 +8,9 @@ re-validates and reproduces the run exactly.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, get_args, get_type_hints
 
 from .costs import STRATEGY_GLOBAL, STRATEGY_LOCAL
 from .optimizer import MU_PER_COLUMN, MU_SCALAR, QHM_MODES, QHM_NONE, HyperParams
@@ -136,6 +137,26 @@ _SECTIONS = {
 _SCALAR_FIELDS = {"master_seed", "workers", "steps", "rank"}
 
 
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _check_type(path: str, value: Any, hint) -> None:
+    """Reject a value unlike its annotation: bool is no int, ints pass as floats, floats are finite."""
+    args = get_args(hint)  # Optional[X] -> (X, NoneType)
+    if value is None and type(None) in args:
+        return
+    kind = args[0] if args else hint
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float:
+        ok = number and abs(value) <= sys.float_info.max  # False for inf and nan
+    elif kind is int:
+        ok = number and isinstance(value, int)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{path} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
+
 def _build_section(name: str, cls, data: Any):
     if not isinstance(data, dict):
         raise ConfigError(f"section '{name}' must be a mapping, got {type(data).__name__}")
@@ -143,10 +164,10 @@ def _build_section(name: str, cls, data: Any):
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown key '{name}.{sorted(unknown)[0]}'")
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"invalid section '{name}': {exc}") from exc
+    hints = get_type_hints(cls)
+    for key, value in data.items():
+        _check_type(f"{name}.{key}", value, hints[key])
+    return cls(**data)
 
 
 def from_dict(data: dict) -> RunConfig:
@@ -157,6 +178,9 @@ def from_dict(data: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown key '{sorted(unknown)[0]}'")
     kwargs = {k: data[k] for k in _SCALAR_FIELDS if k in data}
+    hints = get_type_hints(RunConfig)
+    for key, value in kwargs.items():
+        _check_type(key, value, hints[key])
     for name, cls in _SECTIONS.items():
         if name in data:
             kwargs[name] = _build_section(name, cls, data[name])
@@ -198,7 +222,6 @@ def validate(cfg: RunConfig) -> None:
     _check(cfg.projection.strategy in (STRATEGY_GLOBAL, STRATEGY_LOCAL),
            f"projection.strategy must be '{STRATEGY_GLOBAL}' or '{STRATEGY_LOCAL}'")
     _check(cfg.projection.init in PROJECTION_INITS, f"projection.init must be one of {PROJECTION_INITS}")
-    _check(isinstance(cfg.projection.refresh, bool), "projection.refresh must be a boolean")
     _check(cfg.qhm.mode in QHM_MODES, f"qhm.mode must be one of {QHM_MODES}")
     if cfg.qhm.mode == QHM_NONE:
         _check(cfg.qhm.omega is None, "qhm.omega must be omitted when qhm.mode is 'none'")
@@ -218,8 +241,6 @@ def validate(cfg: RunConfig) -> None:
     _check(o.outer_lr > 0.0, "outer.outer_lr must be positive")
     _check(0.0 <= o.outer_momentum < 1.0, "outer.outer_momentum must lie in [0, 1)")
     f = cfg.flags
-    _check(isinstance(f.rotate_moments, bool), "flags.rotate_moments must be a boolean")
-    _check(isinstance(f.error_feedback, bool), "flags.error_feedback must be a boolean")
     _check(0.0 < f.sparsify_keep <= 1.0, "flags.sparsify_keep must lie in (0, 1]")
     _check(f.mu_semantics in (MU_PER_COLUMN, MU_SCALAR),
            f"flags.mu_semantics must be '{MU_PER_COLUMN}' or '{MU_SCALAR}'")

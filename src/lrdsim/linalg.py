@@ -28,16 +28,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{name} must have positive dimensions, got {arr.shape}")
-    require_finite(arr, name)
-    return np.ascontiguousarray(arr)
-
-
-def require_finite(a: np.ndarray, name: str = "matrix") -> None:
-    finite = np.isfinite(a)
+    finite = np.isfinite(arr)
     if not finite.all():
-        idx = np.argwhere(~finite)[0]
-        bad = a[tuple(idx)]
-        raise NonFiniteError(f"{name} has non-finite entry {bad!r} at index {tuple(int(i) for i in idx)}")
+        idx = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise NonFiniteError(f"{name} has non-finite entry {arr[idx]!r} at index {idx}")
+    return np.ascontiguousarray(arr)
 
 
 @dataclass(frozen=True)
@@ -83,15 +78,18 @@ def frobenius_norm(a) -> float:
     return float(np.sqrt(np.sum(a * a)))
 
 
-def clip_frobenius(g, radius: float) -> np.ndarray:
-    """Scale `g` onto the Frobenius ball of the given radius if it lies outside."""
+def clip_frobenius(g, radius: float, out=None) -> np.ndarray:
+    """Scale `g` onto the Frobenius ball of the given radius if it lies outside.
+
+    Each trailing 2-D matrix is clipped on its own; the result goes to
+    `out` when given (which may be `g` itself).
+    """
     if radius <= 0:
         raise ValueError(f"clip radius must be positive, got {radius}")
-    g = as_matrix(g, "clip input")
-    norm = frobenius_norm(g)
-    if norm <= radius:
-        return g
-    return g * (radius / norm)
+    g = np.asarray(g, dtype=np.float64)
+    norm = np.sqrt(np.sum(g * g, axis=(-2, -1), keepdims=True))
+    # radius / max(norm, radius) is exactly 1 inside the ball
+    return np.multiply(g, radius / np.maximum(norm, radius), out=out)
 
 
 def numerical_rank(a, rel_tol: float = 1e-10) -> int:

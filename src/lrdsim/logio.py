@@ -12,7 +12,7 @@ import json
 from typing import Iterable
 
 from . import __version__
-from .config import RunConfig, from_dict
+from .config import RunConfig
 from .distsim import StepRecord
 
 
@@ -34,16 +34,21 @@ def dump_line(record: dict) -> str:
 
 
 def write_log(path: str, config: RunConfig, basis_inconsistent: bool, records: Iterable[StepRecord]) -> dict:
-    """Stream records to `path`; returns summary {steps, diverged}."""
+    """Stream records to `path`; returns summary {steps, diverged, mean_loss}.
+
+    `mean_loss` is the final record's (None when it diverged or no step ran).
+    """
     steps = 0
     diverged = False
+    mean_loss = None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dump_line(header_record(config, basis_inconsistent)) + "\n")
         for rec in records:
             fh.write(dump_line(rec.to_json_dict()) + "\n")
             steps += 1
             diverged = diverged or rec.diverged
-    return {"steps": steps, "diverged": diverged}
+            mean_loss = rec.mean_loss
+    return {"steps": steps, "diverged": diverged, "mean_loss": mean_loss}
 
 
 def read_log(path: str) -> tuple[dict, list]:
@@ -70,8 +75,3 @@ def read_log(path: str) -> tuple[dict, list]:
     if header is None:
         raise LogFormatError("line 1: log is empty")
     return header, steps
-
-
-def config_from_header(header: dict) -> RunConfig:
-    """Re-validate the config echoed in a log header."""
-    return from_dict(header["config"])

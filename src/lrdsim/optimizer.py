@@ -79,6 +79,10 @@ class LowRankOptState:
     proj: Projection
     step: int = 0
 
+    @property
+    def basis(self) -> np.ndarray:
+        return self.proj.q
+
     @classmethod
     def fresh(cls, p: int, q: int, proj: Projection) -> "LowRankOptState":
         if proj.dim != p:
@@ -87,26 +91,27 @@ class LowRankOptState:
         return cls(u=np.zeros((r, q)), v=np.zeros((r, q)), error=np.zeros((p, q)), proj=proj)
 
 
-def compress_gradient(grad: np.ndarray, state: LowRankOptState) -> tuple[np.ndarray, np.ndarray]:
-    """Project grad + error into the current basis; return (g, new_error).
+def compress_gradient(
+    grad: np.ndarray, error: np.ndarray, basis: np.ndarray, out=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project grad + error into `basis` (p x r); return (g, new_error).
 
-    The reconstruction identity grad + error_prev == Q g + error_new holds
+    The reconstruction identity grad + error == basis g + new_error holds
     by construction (the residual is computed from the same sum).
+    `new_error` is written into `out` when given (which may be `error`).
     """
-    grad = as_matrix(grad, "gradient")
-    q_mat = state.proj.q
-    if grad.shape[0] != q_mat.shape[0] or grad.shape != state.error.shape:
+    if grad.shape[0] != basis.shape[0] or grad.shape != error.shape:
         raise ValueError(
-            f"gradient {grad.shape} incompatible with projection {q_mat.shape} / error {state.error.shape}"
+            f"gradient {grad.shape} incompatible with projection {basis.shape} / error {error.shape}"
         )
-    carried = grad + state.error
-    g = q_mat.T @ carried
-    new_error = carried - q_mat @ g
-    return g, new_error
+    carried = np.add(grad, error, out=out)
+    g = basis.T @ carried
+    carried -= basis @ g
+    return g, carried
 
 
-def update_moments(state: LowRankOptState, g: np.ndarray, beta1: float, beta2: float) -> LowRankOptState:
-    """EMA update of both moments; increments the step counter."""
+def update_moments(state, g: np.ndarray, beta1: float, beta2: float):
+    """EMA update of both moments (over any leading worker axis); increments the step counter."""
     if g.shape != state.u.shape:
         raise ValueError(f"compressed gradient {g.shape} does not match moments {state.u.shape}")
     state.u = beta1 * state.u + (1.0 - beta1) * g
@@ -116,14 +121,20 @@ def update_moments(state: LowRankOptState, g: np.ndarray, beta1: float, beta2: f
 
 
 def compute_update(
-    state: LowRankOptState,
+    state,
     grad: np.ndarray,
     g: np.ndarray,
     mode: str,
     hp: HyperParams,
     mu_semantics: str = MU_PER_COLUMN,
+    out=None,
 ) -> np.ndarray:
-    """Full-rank update direction for the current step (caller applies -lr)."""
+    """Full-rank update direction for the current step (caller applies -lr).
+
+    `state` needs `u`, `v`, `step` and `basis`; a stacked state with
+    (M, r, q) moments and an (M, p, r) basis gives M updates at once. The
+    update goes to `out` when given (which may be `grad`).
+    """
     if mode not in QHM_MODES:
         raise ValueError(f"unknown QHM mode {mode!r}")
     if mode != QHM_NONE:
@@ -135,19 +146,25 @@ def compute_update(
     uh = state.u / (1.0 - hp.beta1**t)
     vh = state.v / (1.0 - hp.beta2**t)
     denom = np.sqrt(vh) + hp.eps
-    q_mat = state.proj.q
+    q_mat = state.basis
     if mode == QHM_NONE:
-        return q_mat @ (uh / denom)
+        return np.matmul(q_mat, uh / denom, out=out)
     omega = hp.omega
     if mode == QHM_LOW_RANK:
-        return q_mat @ ((omega * uh + (1.0 - omega) * g) / denom)
+        return np.matmul(q_mat, (omega * uh + (1.0 - omega) * g) / denom, out=out)
     if mu_semantics == MU_PER_COLUMN:
-        scale = denom.mean(axis=0, keepdims=True)
+        scale = denom.mean(axis=-2, keepdims=True)
     elif mu_semantics == MU_SCALAR:
-        scale = float(denom.mean())
+        scale = denom.mean(axis=(-2, -1), keepdims=True)
     else:
         raise ValueError(f"unknown mu semantics {mu_semantics!r}")
-    return (1.0 - omega) * grad / scale + omega * (q_mat @ (uh / denom))
+    # (1 - omega) G / mu + omega Q (uh / denom), in place on the full-size arrays
+    full = np.multiply(grad, 1.0 - omega, out=out)
+    full /= scale
+    low = q_mat @ (uh / denom)
+    low *= omega
+    full += low
+    return full
 
 
 def adam_reference_step(

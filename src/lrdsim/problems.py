@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix
-
 SHARD_IID = "iid"
 SHARD_FEATURE_BLOCKS = "feature_blocks"
 SHARD_POLICIES = (SHARD_IID, SHARD_FEATURE_BLOCKS)
@@ -119,19 +117,20 @@ class MatrixRegression:
         return Batch(worker_id=worker_id, indices=np.arange(self.rows_per_shard))
 
     def loss(self, x: np.ndarray, batch: Batch) -> float:
-        x = as_matrix(x, "parameters")
         a, y = self.shard(batch.worker_id)
         ab = a[batch.indices]
         yb = y[batch.indices]
         resid = ab @ x - yb
         return float(0.5 * np.sum(resid * resid) / batch.size)
 
-    def stoch_gradient(self, x: np.ndarray, batch: Batch) -> np.ndarray:
-        x = as_matrix(x, "parameters")
+    def stoch_gradient(self, x: np.ndarray, batch: Batch, out=None) -> np.ndarray:
+        """A_b^T (A_b X - Y_b) / B, written into `out` when given."""
         a, y = self.shard(batch.worker_id)
         ab = a[batch.indices]
         yb = y[batch.indices]
-        return ab.T @ (ab @ x - yb) / batch.size
+        grad = np.matmul(ab.T, ab @ x - yb, out=out)
+        grad /= batch.size
+        return grad
 
     def init_params(self) -> np.ndarray:
         return np.zeros((self.p, self.q))

@@ -173,9 +173,8 @@ def sin_theta_distance(q1: Projection, q2: Projection) -> float:
 
 
 def rotate_first_moment(r_mat, u) -> np.ndarray:
-    r_mat = as_matrix(r_mat, "rotation matrix")
-    u = as_matrix(u, "first moment")
-    if r_mat.shape[1] != u.shape[0]:
+    """R u; `u` may carry leading batch axes."""
+    if r_mat.shape[1] != u.shape[-2]:
         raise ValueError(f"rotation {r_mat.shape} incompatible with moment {u.shape}")
     return r_mat @ u
 
@@ -190,16 +189,14 @@ def rotate_second_moment(r_mat, u, v, beta1: float, beta2: float, step: int) -> 
         (1 - beta2^t) * | (R o R)(vh - uh o uh) + (R uh) o (R uh) |
 
     where (R o R) is the entrywise-squared rotation applied by matrix
-    multiplication. Output is entrywise non-negative.
+    multiplication. Output is entrywise non-negative. `u` and `v` may
+    carry leading batch axes.
     """
-    r_mat = as_matrix(r_mat, "rotation matrix")
-    u = as_matrix(u, "first moment")
-    v = as_matrix(v, "second moment")
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     if not (0.0 <= beta1 < 1.0) or not (0.0 <= beta2 < 1.0):
         raise ValueError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-    if u.shape != v.shape or r_mat.shape[1] != u.shape[0]:
+    if u.shape != v.shape or r_mat.shape[1] != u.shape[-2]:
         raise ValueError(
             f"shape mismatch: rotation {r_mat.shape}, u {u.shape}, v {v.shape}"
         )

@@ -107,7 +107,7 @@ def test_criterion_01_adam_degeneracy():
     engine = Engine(cfg)
     for _ in engine.records():
         pass
-    x_engine = engine.workers[0].params[0]
+    x_engine = engine.stack.x[0]
 
     prob = MatrixRegression(p=p, q=q, n_rows=512, workers=1, noise_std=0.1, seed=0)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(1, 0)))
@@ -140,7 +140,7 @@ def test_criterion_02_qhm_endpoints_bitwise():
             d["qhm"] = {"mode": mode, "omega": omega}
         engine = Engine(from_dict(d))
         recs = list(engine.records())
-        return recs, engine.workers[0].params[0]
+        return recs, engine.stack.x[0]
 
     base, x_base = run_mode("none", None)
     low, x_low = run_mode("low_rank", 1.0)
@@ -166,7 +166,7 @@ def test_criterion_03_error_feedback_exactness():
         for _ in range(window):
             grad = rng.standard_normal((p, q))
             prev_error = state.error
-            g, new_error = compress_gradient(grad, state)
+            g, new_error = compress_gradient(grad, state.error, state.basis)
             assert np.max(np.abs((grad + prev_error) - (state.proj.q @ g + new_error))) < 1e-12
             state.error = new_error
             grads.append(grad)
@@ -230,12 +230,12 @@ def test_criterion_06_exploration_restoration():
     # injection
     cfg = build({"steps": 256, "qhm": {"mode": "full_rank", "omega": 0.95}})
     engine = Engine(cfg)
-    prev_anchor = engine.workers[0].anchor[0].copy()
+    prev_anchor = engine.stack.anchor[0].copy()
     ranks = []
     mssvs = []
     for rec in engine.records():
         if (rec.step + 1) % 32 == 0:
-            anchor = engine.workers[0].anchor[0]
+            anchor = engine.stack.anchor[0]
             ranks.append(numerical_rank(anchor - prev_anchor))
             prev_anchor = anchor.copy()
             if rec.subspace is not None:
@@ -266,17 +266,17 @@ def test_criterion_07_local_full_rank_recovery():
         }
     )
     engine = Engine(cfg)
-    prev = engine.workers[0].anchor[0].copy()
+    prev = engine.stack.anchor[0].copy()
     delta = None
     for rec in engine.records():
         if (rec.step + 1) % 16 == 0:
-            delta = engine.workers[0].anchor[0] - prev
+            delta = engine.stack.anchor[0] - prev
     rank = numerical_rank(delta, rel_tol=1e-10)
     bound = min(4 * 8, 64) - 1
     assert rank >= bound, f"rank {rank} below {bound}"
     # the per-worker bases really are mutually orthogonal
-    q0 = engine.workers[0].opt[0].proj
-    q1 = engine.workers[1].opt[0].proj
+    q0 = engine.stack.projs[0]
+    q1 = engine.stack.projs[1]
     assert sin_theta_distance(q0, q1) == pytest.approx(np.sqrt(8.0), abs=1e-8)
     report(7, f"orthogonal-block construction recovers pseudo-gradient rank {rank} >= {bound}")
 

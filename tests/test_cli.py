@@ -58,6 +58,48 @@ def test_run_threads_do_not_change_bytes(cfg_path, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_run_threads_must_be_positive(cfg_path, tmp_path, capsys, threads):
+    out = tmp_path / "x.log"
+    assert main(["run", "--config", cfg_path(), "--out", str(out), "--threads", threads]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and "--threads" in err
+    assert not out.exists()
+
+
+def test_negative_seed_override_exit_one(cfg_path, tmp_path, capsys):
+    assert main(["run", "--config", cfg_path(), "--out", str(tmp_path / "x.log"), "--seed", "-1"]) == 1
+    assert "master_seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"workers": True}, "workers"),  # a bool would silently run one worker
+        ({"schedule": {"k_x": 2.5}}, "schedule.k_x"),
+        ({"problem": {"batch_size": 32.0}}, "problem.batch_size"),
+        ({"hyperparams": {"clip_radius": float("inf")}}, "hyperparams.clip_radius"),
+        ({"problem": {"rows": "64"}}, "problem.rows"),
+        ({"hyperparams": {"lr": "fast"}}, "hyperparams.lr"),
+    ],
+)
+def test_mistyped_config_value_exit_one_naming_key(cfg_path, tmp_path, capsys, overrides, key):
+    bad = cfg_path(overrides, name="typed.yaml")
+    out = tmp_path / "x.log"
+    assert main(["run", "--config", bad, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"config error: {key} must be ")
+    assert not out.exists()
+
+
+def test_int_accepted_for_float_field(cfg_path, tmp_path):
+    out = tmp_path / "x.log"
+    assert main(["run", "--config", cfg_path({"hyperparams": {"lr": 1}}), "--out", str(out)]) == 0
+    header, _ = read_log(str(out))
+    assert header["config"]["hyperparams"]["lr"] == 1
+
+
 def test_header_config_reproduces_run(cfg_path, tmp_path):
     first = tmp_path / "first.log"
     assert main(["run", "--config", cfg_path(), "--out", str(first)]) == 0

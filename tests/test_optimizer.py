@@ -33,14 +33,14 @@ def test_compress_lossless_when_square():
     rng = np.random.default_rng(2)
     grad = rng.standard_normal((5, 4))
     state.error = rng.standard_normal((5, 4))
-    g, new_e = compress_gradient(grad, state)
+    g, new_e = compress_gradient(grad, state.error, state.basis)
     np.testing.assert_allclose(new_e, np.zeros((5, 4)), atol=1e-12)
     np.testing.assert_allclose(g, state.proj.q.T @ (grad + state.error), atol=1e-15)
 
 
 def test_compress_coordinate_projection():
     state = LowRankOptState.fresh(2, 1, identity_projection(2, 1))
-    g, new_e = compress_gradient(np.array([[1.0], [2.0]]), state)
+    g, new_e = compress_gradient(np.array([[1.0], [2.0]]), state.error, state.basis)
     np.testing.assert_array_equal(g, [[1.0]])
     np.testing.assert_array_equal(new_e, [[0.0], [2.0]])
 
@@ -48,7 +48,7 @@ def test_compress_coordinate_projection():
 def test_compress_error_persists_on_zero_gradient():
     state = make_state(6, 3, 2, seed=3)
     state.error = np.random.default_rng(4).standard_normal((6, 3))
-    g, new_e = compress_gradient(np.zeros((6, 3)), state)
+    g, new_e = compress_gradient(np.zeros((6, 3)), state.error, state.basis)
     np.testing.assert_allclose(g, state.proj.q.T @ state.error, atol=1e-15)
     # residual re-enters next step
     assert np.linalg.norm(new_e) > 0
@@ -60,7 +60,7 @@ def test_reconstruction_identity_500_steps():
     for t in range(500):
         grad = rng.standard_normal((12, 7))
         prev_error = state.error
-        g, new_e = compress_gradient(grad, state)
+        g, new_e = compress_gradient(grad, state.error, state.basis)
         lhs = grad + prev_error
         rhs = state.proj.q @ g + new_e
         assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -79,7 +79,7 @@ def test_error_feedback_telescoping_constant_q_windows():
         e_initial = state.error.copy()
         for _ in range(window):
             grad = rng.standard_normal((10, 6))
-            g, new_e = compress_gradient(grad, state)
+            g, new_e = compress_gradient(grad, state.error, state.basis)
             state.error = new_e
             grads.append(grad)
             gs.append(g)
@@ -111,7 +111,7 @@ def test_qhm_omega_one_matches_no_qhm_bitwise():
     hp = HyperParams(beta1=0.9, beta2=0.99, omega=1.0, lr=0.1)
     state = make_state(6, 4, 3, seed=8)
     grad = rng.standard_normal((6, 4))
-    g, state.error = compress_gradient(grad, state)
+    g, state.error = compress_gradient(grad, state.error, state.basis)
     update_moments(state, g, hp.beta1, hp.beta2)
     base = compute_update(state, grad, g, QHM_NONE, hp)
     low = compute_update(state, grad, g, QHM_LOW_RANK, hp)
@@ -140,7 +140,7 @@ def test_update_rank_bounds():
     p, q, r = 16, 12, 3
     state = make_state(p, q, r, seed=12)
     grad = rng.standard_normal((p, q))
-    g, state.error = compress_gradient(grad, state)
+    g, state.error = compress_gradient(grad, state.error, state.basis)
     update_moments(state, g, hp.beta1, hp.beta2)
     for mode in (QHM_NONE, QHM_LOW_RANK):
         upd = compute_update(state, grad, g, mode, hp)
@@ -161,7 +161,7 @@ def test_full_rank_equivalence_with_identity_projection():
     v_ref = np.zeros((p, q))
     for t in range(100):
         grad = rng.standard_normal((p, q))
-        g, state.error = compress_gradient(grad, state)
+        g, state.error = compress_gradient(grad, state.error, state.basis)
         update_moments(state, g, hp.beta1, hp.beta2)
         upd = compute_update(state, grad, g, QHM_NONE, hp)
         x_low = x_low - hp.lr_at(t) * upd
@@ -209,7 +209,7 @@ def test_v_nonnegative_across_rotations():
     state = make_state(9, 4, 3, seed=41)
     for t in range(200):
         grad = rng.standard_normal((9, 4))
-        g, state.error = compress_gradient(grad, state)
+        g, state.error = compress_gradient(grad, state.error, state.basis)
         update_moments(state, g, hp.beta1, hp.beta2)
         assert np.all(state.v >= 0.0)
         if (t + 1) % 25 == 0:
@@ -254,6 +254,6 @@ def test_clip_then_compress_order_matches_alg():
     state.error = rng.standard_normal((5, 5))
     raw = 10.0 * rng.standard_normal((5, 5))
     clipped = clip_frobenius(raw, 1.0)
-    g, _ = compress_gradient(clipped, state)
+    g, _ = compress_gradient(clipped, state.error, state.basis)
     expected = state.proj.q.T @ (clipped + state.error)
     np.testing.assert_allclose(g, expected, atol=1e-15)
