@@ -8,9 +8,7 @@ from .linalg import SvdResult, clip_frobenius, frobenius_norm, spectral_norm, sv
 from .optimizer import HyperParams, LowRankOptState, adam_reference_step  # noqa: F401
 from .problems import Batch, MatrixRegression, PowerLawOracle, gen_powerlaw_matrix  # noqa: F401
 from .projection import (  # noqa: F401
-    Projection,
     SubspaceMetrics,
-    compute_projection,
     mssv,
     predicted_instability,
     sin_theta_distance,

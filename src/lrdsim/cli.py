@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
     p_sweep.add_argument("--out-dir", required=True, help="directory for per-point logs and summary.csv")
     p_sweep.add_argument("--threads", type=_positive_int, default=None, help=THREADS_HELP)
-    p_sweep.add_argument("--parallel", type=_positive_int, default=1, help="sweep points run concurrently")
+    p_sweep.add_argument("--parallel", type=_positive_int, default=None, help=THREADS_HELP)
     p_sweep.add_argument("--seed", type=int, default=None, help="override master_seed for every point")
 
     p_costs = sub.add_parser("costs", help="print per-variant payload/memory counts and reduction ratios")
@@ -146,19 +145,12 @@ def cmd_sweep(args) -> int:
         return 1
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def run_point(point):
-        raw, cfg, label = point
+    rows = []
+    for raw, cfg, label in points:
         path = out_dir / f"{label}.log"
         engine = Engine(cfg)
         summary = write_log(str(path), cfg, engine.basis_inconsistent, engine.records())
-        return raw, str(path), summary["mean_loss"], summary["diverged"]
-
-    if args.parallel > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            rows = list(pool.map(run_point, points))
-    else:
-        rows = [run_point(p) for p in points]
+        rows.append((raw, str(path), summary["mean_loss"], summary["diverged"]))
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("axis,value,final_loss,diverged,log\n")
@@ -221,7 +213,7 @@ def cmd_costs(args) -> int:
 def cmd_analyze(args) -> int:
     try:
         header, steps = read_log(args.log)
-    except (LogFormatError, OSError) as exc:
+    except (LogFormatError, OSError, UnicodeDecodeError, RecursionError) as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 1
     if not steps:

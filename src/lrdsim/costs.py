@@ -1,8 +1,8 @@
 """Closed-form communication payloads, reduction ratios, and memory overheads.
 
 Element counts implement the per-payload tables with unit constants per
-term; byte conversion multiplies by element_size. Uplink/downlink are
-per link (server <-> one worker). The simulator stamps these counts on
+term. Uplink/downlink are per link (server <-> one worker). The
+simulator stamps these counts, times `distsim.ELEMENT_SIZE` bytes, on
 step records at each sync event, so summed run totals match the
 analytic formulas exactly.
 """
@@ -17,10 +17,6 @@ BASELINE_LOCAL_ADAM = "local_adam"
 BASELINE_DDP = "ddp"
 VARIANTS = (STRATEGY_GLOBAL, STRATEGY_LOCAL, BASELINE_LOCAL_ADAM, BASELINE_DDP)
 
-EF_SEPARATE = "separate_buffer"
-EF_IN_GRADIENT = "in_gradient"
-
-
 @dataclass(frozen=True)
 class CostInputs:
     p: int
@@ -29,8 +25,6 @@ class CostInputs:
     k_x: int = 1
     k_u: int = 1
     k_v: int = 1
-    workers: int = 1
-    element_size: int = 8
 
     def __post_init__(self):
         if min(self.p, self.q, self.r) < 1:
@@ -39,8 +33,6 @@ class CostInputs:
             raise ValueError(f"rank {self.r} exceeds min(p, q) = {min(self.p, self.q)}")
         if min(self.k_x, self.k_u, self.k_v) < 1:
             raise ValueError("sync periods must be >= 1")
-        if self.workers < 1 or self.element_size < 1:
-            raise ValueError("workers and element_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -138,7 +130,6 @@ def memory_overhead(
     strategy: str,
     qhm_mode: str,
     inputs: CostInputs,
-    ef_layout: str = EF_SEPARATE,
     uplink_buffer: bool = False,
 ) -> int:
     """Worker memory overhead in elements for a low-rank variant.
@@ -148,16 +139,11 @@ def memory_overhead(
     optional rq uplink accumulation buffer. The full-rank branch stores
     the error buffer on the full-rank gradient staging, and cannot keep
     an uplink buffer (its pseudo-gradient is not low-rank decomposable).
-    ef_layout=in_gradient changes no counts; it records that the error
-    buffer shares the gradient variable, which forfeits gradient
-    accumulation.
     """
     if strategy not in (STRATEGY_GLOBAL, STRATEGY_LOCAL):
         raise ValueError(f"unknown strategy {strategy!r}")
     if qhm_mode not in ("none", "low_rank", "full_rank"):
         raise ValueError(f"unknown QHM mode {qhm_mode!r}")
-    if ef_layout not in (EF_SEPARATE, EF_IN_GRADIENT):
-        raise ValueError(f"unknown error-feedback layout {ef_layout!r}")
     p, q, r = inputs.p, inputs.q, inputs.r
     pq, rq, pr = p * q, r * q, p * r
     if qhm_mode == "full_rank":

@@ -5,10 +5,12 @@ Workers run local low-rank Adam steps between barriers. At step t
 (t+1) % K_v == 0, and parameters when (t+1) % K_x == 0. A parameter
 sync averages pseudo-gradients (optionally Top-K sparsified per worker),
 applies the outer optimizer on the shared anchor, and, for the global
-strategy, recomputes the shared projection from the aggregated
+strategy, recomputes the shared basis from the aggregated
 pseudo-gradient and rotates every worker's moments. The local strategy
-instead refreshes each worker's own projection from its clipped
-gradient plus error buffer at steps with (t-1) % K_x == 0.
+instead refreshes each worker's own basis from its clipped gradient
+plus error buffer at steps with (t-1) % K_x == 0. A refresh forms the
+rotation R = Q_new^T Q_old once, rotates the moments with it, and
+derives the logged MSSV and sin-theta from it.
 
 The M workers are stacked: parameters, anchors and error buffers are one
 (M, p, q) array, moments one (M, r, q) array and bases one (M, p, r)
@@ -20,7 +22,6 @@ mix, and batches, gradients and compression stay per worker.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass
 from typing import Iterator, Optional
 
@@ -33,8 +34,6 @@ from .linalg import clip_frobenius
 from .optimizer import QHM_NONE, HyperParams, compress_gradient, compute_update, update_moments
 from .problems import MatrixRegression
 from .projection import (
-    SOURCE_AGGREGATED,
-    SOURCE_LOCAL_EF,
     DegenerateSignalError,
     identity_projection,
     projection_with_spectrum,
@@ -50,11 +49,7 @@ ELEMENT_SIZE = 8  # bytes per float64 scalar on the wire
 
 @dataclass
 class StepRecord:
-    """One logged row per optimization step.
-
-    `duration_s` is informational only and never serialized (logs must
-    be byte-identical across invocations).
-    """
+    """One logged row per optimization step."""
 
     step: int
     worker_losses: list
@@ -63,7 +58,6 @@ class StepRecord:
     bytes_downlink: int
     subspace: Optional[list]
     diverged: bool = False
-    duration_s: float = 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -82,8 +76,8 @@ class StepRecord:
 class WorkerStack:
     """Everything the M workers own between barriers, stacked on axis 0.
 
-    `basis[m]` is `projs[m].q`; every worker takes a moment update each
-    step, so one step counter serves all of them.
+    Every worker takes a moment update each step, so one step counter
+    serves all of them.
     """
 
     x: np.ndarray  # (M, p, q) parameters
@@ -91,8 +85,7 @@ class WorkerStack:
     error: np.ndarray  # (M, p, q) error-feedback buffers
     u: np.ndarray  # (M, r, q) first moments
     v: np.ndarray  # (M, r, q) second moments
-    basis: np.ndarray  # (M, p, r)
-    projs: list
+    basis: np.ndarray  # (M, p, r) column-orthonormal bases
     rngs: list
     step: int = 0
 
@@ -134,10 +127,10 @@ class Engine:
         self.rank = config.rank
         m_count = config.workers
         if config.projection_init() == PROJECTION_INIT_IDENTITY:
-            proj = identity_projection(pc.rows, self.rank)
+            basis = identity_projection(pc.rows, self.rank)
         else:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=config.master_seed, spawn_key=(2, 0)))
-            proj = random_projection(pc.rows, self.rank, rng)
+            basis = random_projection(pc.rows, self.rank, rng)
         x = np.stack([self.problem.init_params() for _ in range(m_count)])
         self.stack = WorkerStack(
             x=x,
@@ -145,8 +138,7 @@ class Engine:
             error=np.zeros_like(x),
             u=np.zeros((m_count, self.rank, pc.cols)),
             v=np.zeros((m_count, self.rank, pc.cols)),
-            basis=np.stack([proj.q] * m_count),
-            projs=[proj] * m_count,
+            basis=np.stack([basis] * m_count),
             rngs=[
                 np.random.default_rng(np.random.SeedSequence(entropy=config.master_seed, spawn_key=(1, m)))
                 for m in range(m_count)
@@ -159,13 +151,13 @@ class Engine:
         self._payload = costs.per_payload(
             config.projection.strategy,
             config.qhm.mode,
-            CostInputs(p=pc.rows, q=pc.cols, r=self.rank, workers=config.workers),
+            CostInputs(p=pc.rows, q=pc.cols, r=self.rank),
         )
-        self._pending_metrics: list = []  # this step's local refreshes, in worker order
 
     # ---- per-step phases -------------------------------------------------
 
-    def _local_step(self, t: int) -> None:
+    def _local_step(self, t: int) -> list:
+        """One step on every worker; returns this step's local-refresh metrics in worker order."""
         cfg = self.cfg
         s = self.stack
         ef = cfg.flags.error_feedback
@@ -175,16 +167,16 @@ class Engine:
             batch = self.problem.sample_batch(m, cfg.problem.batch_size, rng)
             self.problem.stoch_gradient(s.x[m], batch, out=grad[m])
         clip_frobenius(grad, self.hp.clip_radius, out=grad)
-        self._pending_metrics = []
+        refreshed = []
         if (
             cfg.projection.strategy == STRATEGY_LOCAL
             and cfg.projection.refresh
             and (t - 1) % cfg.schedule.k_x == 0
         ):
             for m in range(cfg.workers):
-                metrics = self._refresh_projection(grad[m] + s.error[m] if ef else grad[m], t, m)
+                metrics = self._refresh_projection(grad[m] + s.error[m] if ef else grad[m], m)
                 if metrics is not None:
-                    self._pending_metrics.append(metrics)
+                    refreshed.append(metrics)
         g = np.empty_like(s.u)
         for m in range(cfg.workers):
             g[m], _ = compress_gradient(grad[m], s.error[m], s.basis[m], out=s.error[m] if ef else None)
@@ -193,30 +185,33 @@ class Engine:
         upd = compute_update(s, grad, g, mode, self.hp, cfg.flags.mu_semantics, out=grad)
         upd *= self.hp.lr_at(t)
         s.x -= upd
+        return refreshed
 
-    def _refresh_projection(self, signal: np.ndarray, t: int, m: Optional[int] = None):
+    def _refresh_projection(self, signal: np.ndarray, m: Optional[int] = None):
         """Move worker m (every worker when None) to the basis of `signal`; return its metrics.
 
         A degenerate signal keeps the stale basis and returns None.
         """
         s = self.stack
         rows = slice(None) if m is None else slice(m, m + 1)
-        old = s.projs[rows][0]
-        source = SOURCE_AGGREGATED if m is None else SOURCE_LOCAL_EF
         try:
-            new_proj, sig_s = projection_with_spectrum(signal, self.rank, step=t, source=source)
+            new, sig_s = projection_with_spectrum(signal, self.rank)
         except DegenerateSignalError:
             return None
-        r_mat = rotation_matrix(new_proj, old)
+        # the global strategy holds one basis on every worker, so row 0 serves
+        old = s.basis[0 if m is None else m]
+        r_mat = rotation_matrix(new, old)
         if self.cfg.flags.rotate_moments and s.step > 0:
             hp = self.hp
             s.v[rows] = rotate_second_moment(r_mat, s.u[rows], s.v[rows], hp.beta1, hp.beta2, s.step)
             s.u[rows] = rotate_first_moment(r_mat, s.u[rows])
-        s.basis[rows] = new_proj.q
-        s.projs[rows] = [new_proj] * len(s.projs[rows])
-        return subspace_metrics_from_update(new_proj, old, sig_s)
+        # `old` is a view into the stack: measure before the new basis overwrites it
+        metrics = subspace_metrics_from_update(new, old, r_mat, sig_s)
+        s.basis[rows] = new
+        return metrics
 
-    def _sync_phase(self, t: int) -> tuple[int, int, Optional[list]]:
+    def _sync_phase(self, t: int, refreshed: list) -> tuple[int, int, Optional[list]]:
+        """Fire the syncs due after step t; `refreshed` holds the step's local-refresh metrics."""
         cfg = self.cfg
         sched = cfg.schedule
         s = self.stack
@@ -235,9 +230,8 @@ class Engine:
             subspace = self._sync_params(t)
             uplink += pay.up_params + pay.up_projection
             downlink += pay.down_params + pay.down_projection
-        if cfg.projection.strategy == STRATEGY_LOCAL and self._pending_metrics:
-            items = self._pending_metrics
-            subspace = [{key: float(np.mean([getattr(x, key) for x in items])) for key in asdict(items[0])}]
+        if refreshed:  # local refreshes: log their worker mean
+            subspace = [{key: float(np.mean([getattr(x, key) for x in refreshed])) for key in asdict(refreshed[0])}]
         return uplink * ELEMENT_SIZE, downlink * ELEMENT_SIZE, subspace
 
     def _sync_params(self, t: int) -> Optional[list]:
@@ -262,7 +256,7 @@ class Engine:
             x_new = s.anchor[0] + delta
         metrics = None
         if cfg.projection.strategy == STRATEGY_GLOBAL and cfg.projection.refresh:
-            metrics = self._refresh_projection(delta, t)
+            metrics = self._refresh_projection(delta)
         s.x[:] = x_new
         s.anchor[:] = x_new
         return None if metrics is None else [asdict(metrics)]
@@ -271,9 +265,8 @@ class Engine:
 
     def records(self) -> Iterator[StepRecord]:
         for t in range(self.cfg.steps):
-            started = time.perf_counter()
-            self._local_step(t)
-            uplink, downlink, subspace = self._sync_phase(t)
+            refreshed = self._local_step(t)
+            uplink, downlink, subspace = self._sync_phase(t, refreshed)
             # held-out evaluation: a fresh batch from each worker's stream,
             # drawn after the step's training batch
             s = self.stack
@@ -290,7 +283,6 @@ class Engine:
                 bytes_downlink=downlink,
                 subspace=subspace,
                 diverged=diverged,
-                duration_s=time.perf_counter() - started,
             )
             if diverged:
                 return

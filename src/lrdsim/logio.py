@@ -51,6 +51,31 @@ def write_log(path: str, config: RunConfig, basis_inconsistent: bool, records: I
     return {"steps": steps, "diverged": diverged, "mean_loss": mean_loss}
 
 
+def _is_number(value) -> bool:
+    """A JSON number that converts to a float; booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def _check_step(obj: dict, lineno: int) -> None:
+    """Check the step fields that `lrdsim analyze` reads."""
+    if "mean_loss" not in obj or not (obj["mean_loss"] is None or _is_number(obj["mean_loss"])):
+        raise LogFormatError(f"line {lineno}: mean_loss must be a number or null")
+    subspace = obj.get("subspace")
+    if subspace is not None and not isinstance(subspace, list):
+        raise LogFormatError(f"line {lineno}: subspace must be a list or null")
+    entry = subspace[0] if subspace else None
+    if entry is not None and not (
+        isinstance(entry, dict) and _is_number(entry.get("mssv")) and _is_number(entry.get("stable_rank"))
+    ):
+        raise LogFormatError(f"line {lineno}: subspace entry needs numeric mssv and stable_rank")
+
+
 def read_log(path: str) -> tuple[dict, list]:
     """Parse a log file into (header, step dicts). Validates structure."""
     header = None
@@ -71,6 +96,7 @@ def read_log(path: str) -> tuple[dict, list]:
             else:
                 if not isinstance(obj, dict) or obj.get("kind") != "step":
                     raise LogFormatError(f"line {lineno}: expected a step record")
+                _check_step(obj, lineno)
                 steps.append(obj)
     if header is None:
         raise LogFormatError("line 1: log is empty")

@@ -1,7 +1,7 @@
 """Per-tensor low-rank Adam kernel with error feedback and QHM branches.
 
 The kernel keeps first/second moments in a rank-r basis, compresses
-gradients through the current projection with an error-feedback buffer,
+gradients through the current basis with an error-feedback buffer,
 and forms updates in one of three quasi-hyperbolic flavors:
 
   none      Q (uh / (sqrt(vh) + eps))
@@ -23,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from .linalg import as_matrix
-from .projection import Projection
 
 QHM_NONE = "none"
 QHM_LOW_RANK = "low_rank"
@@ -76,19 +75,15 @@ class LowRankOptState:
     u: np.ndarray
     v: np.ndarray
     error: np.ndarray
-    proj: Projection
+    basis: np.ndarray  # (p, r), column-orthonormal
     step: int = 0
 
-    @property
-    def basis(self) -> np.ndarray:
-        return self.proj.q
-
     @classmethod
-    def fresh(cls, p: int, q: int, proj: Projection) -> "LowRankOptState":
-        if proj.dim != p:
-            raise ValueError(f"projection dimension {proj.dim} does not match p={p}")
-        r = proj.rank
-        return cls(u=np.zeros((r, q)), v=np.zeros((r, q)), error=np.zeros((p, q)), proj=proj)
+    def fresh(cls, p: int, q: int, basis: np.ndarray) -> "LowRankOptState":
+        if basis.shape[0] != p:
+            raise ValueError(f"basis dimension {basis.shape[0]} does not match p={p}")
+        r = basis.shape[1]
+        return cls(u=np.zeros((r, q)), v=np.zeros((r, q)), error=np.zeros((p, q)), basis=basis)
 
 
 def compress_gradient(

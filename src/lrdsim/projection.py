@@ -1,9 +1,10 @@
-"""Truncated projections, moment rotation, and subspace diagnostics.
+"""Truncated projection bases, moment rotation, and subspace diagnostics.
 
-A projection is a column-orthonormal basis Q (p x r) mapping full-rank
+A basis is a column-orthonormal (p, r) array Q mapping full-rank
 gradients into a rank-r subspace (g = Q^T G) and back (Q g). New bases
 come from the thin SVD of a signal matrix; moments are re-expressed in
-the new basis through the rotation R = Q_new^T Q_old.
+the new basis through the rotation R = Q_new^T Q_old, and the subspace
+diagnostics (MSSV, sin-theta) of a refresh derive from that same R.
 """
 
 from __future__ import annotations
@@ -15,43 +16,11 @@ import numpy as np
 
 from .linalg import as_matrix, frobenius_norm, spectral_norm, svd
 
-SOURCE_AGGREGATED = "aggregated_pseudo_gradient"
-SOURCE_LOCAL_EF = "local_gradient_with_ef"
-SOURCE_RANDOM = "random_init"
-SOURCE_IDENTITY = "identity"
-SOURCES = (SOURCE_AGGREGATED, SOURCE_LOCAL_EF, SOURCE_RANDOM, SOURCE_IDENTITY)
-
 ORTHO_TOL = 1e-10
 
 
 class DegenerateSignalError(ValueError):
     """Signal is zero or rank-deficient below the requested rank."""
-
-
-@dataclass(frozen=True)
-class Projection:
-    """Column-orthonormal basis plus provenance metadata."""
-
-    q: np.ndarray
-    rank: int
-    computed_at_step: int
-    source: str
-
-    def __post_init__(self):
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown projection source {self.source!r}")
-        p, r = self.q.shape
-        if not (1 <= r <= p):
-            raise ValueError(f"rank must satisfy 1 <= r <= p, got r={r}, p={p}")
-        if r != self.rank:
-            raise ValueError(f"rank field {self.rank} does not match basis shape {self.q.shape}")
-        err = np.linalg.norm(self.q.T @ self.q - np.eye(r))
-        if err > ORTHO_TOL:
-            raise ValueError(f"basis is not orthonormal (deviation {err:.2e})")
-
-    @property
-    def dim(self) -> int:
-        return self.q.shape[0]
 
 
 @dataclass(frozen=True)
@@ -64,21 +33,21 @@ class SubspaceMetrics:
     sin_theta: float
 
 
-def compute_projection(signal, rank: int, step: int = 0, source: str = SOURCE_AGGREGATED) -> Projection:
-    """First `rank` left singular vectors of the signal.
+def _orthonormal(q: np.ndarray) -> np.ndarray:
+    """Return `q` after checking ||Q^T Q - I||_F <= ORTHO_TOL."""
+    err = np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
+    if err > ORTHO_TOL:
+        raise ValueError(f"basis is not orthonormal (deviation {err:.2e})")
+    return q
+
+
+def projection_with_spectrum(signal, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """First `rank` left singular vectors of the signal, and its singular values.
 
     Raises DegenerateSignalError when the signal is zero or its rank is
     numerically below the requested rank; callers keep the previous
-    projection in that case.
+    basis in that case.
     """
-    proj, _ = projection_with_spectrum(signal, rank, step=step, source=source)
-    return proj
-
-
-def projection_with_spectrum(
-    signal, rank: int, step: int = 0, source: str = SOURCE_AGGREGATED
-) -> tuple[Projection, np.ndarray]:
-    """Like compute_projection but also returns the signal's singular values."""
     signal = as_matrix(signal, "projection signal")
     p, q = signal.shape
     if not (1 <= rank <= min(p, q)):
@@ -89,27 +58,24 @@ def projection_with_spectrum(
             f"degenerate signal: singular value {rank} is {res.s[rank - 1]:.3e} "
             f"against leading {res.s[0]:.3e}"
         )
-    proj = Projection(
-        q=np.ascontiguousarray(res.u[:, :rank]), rank=rank, computed_at_step=step, source=source
-    )
-    return proj, res.s
+    return _orthonormal(np.ascontiguousarray(res.u[:, :rank])), res.s
 
 
-def random_projection(p: int, rank: int, rng: np.random.Generator, step: int = 0) -> Projection:
-    """Seeded Gaussian basis orthonormalized by (twice-applied) Gram-Schmidt."""
+def random_projection(p: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """Seeded Gaussian (p, rank) basis orthonormalized by (twice-applied) Gram-Schmidt."""
     if not (1 <= rank <= p):
         raise ValueError(f"rank {rank} out of range for dimension {p}")
     raw = rng.standard_normal((p, rank))
-    q = _gram_schmidt(raw)
-    return Projection(q=q, rank=rank, computed_at_step=step, source=SOURCE_RANDOM)
+    return _orthonormal(_gram_schmidt(raw))
 
 
-def identity_projection(p: int, rank: int, step: int = 0) -> Projection:
+def identity_projection(p: int, rank: int) -> np.ndarray:
+    """The first `rank` columns of the p x p identity."""
     if not (1 <= rank <= p):
         raise ValueError(f"rank {rank} out of range for dimension {p}")
     q = np.zeros((p, rank))
     q[np.arange(rank), np.arange(rank)] = 1.0
-    return Projection(q=q, rank=rank, computed_at_step=step, source=SOURCE_IDENTITY)
+    return q
 
 
 def _gram_schmidt(a: np.ndarray) -> np.ndarray:
@@ -124,13 +90,11 @@ def _gram_schmidt(a: np.ndarray) -> np.ndarray:
     return q
 
 
-def rotation_matrix(q_new: Projection, q_old: Projection) -> np.ndarray:
+def rotation_matrix(q_new: np.ndarray, q_old: np.ndarray) -> np.ndarray:
     """R = Q_new^T Q_old; singular values lie in [0, 1]."""
-    if q_new.dim != q_old.dim or q_new.rank != q_old.rank:
-        raise ValueError(
-            f"projection shapes differ: {q_new.q.shape} vs {q_old.q.shape}"
-        )
-    return q_new.q.T @ q_old.q
+    if q_new.shape != q_old.shape:
+        raise ValueError(f"basis shapes differ: {q_new.shape} vs {q_old.shape}")
+    return q_new.T @ q_old
 
 
 def mssv(r_mat) -> float:
@@ -160,16 +124,19 @@ def spectral_gap(s, rank: int) -> float:
     return float(s[rank - 1] - s[rank])
 
 
-def sin_theta_distance(q1: Projection, q2: Projection) -> float:
-    """Frobenius sin-theta distance sqrt(r - ||Q1^T Q2||_F^2) in [0, sqrt(r)].
+def sin_theta_distance(q1: np.ndarray, q2: np.ndarray) -> float:
+    """Frobenius sin-theta distance sqrt(r - ||Q1^T Q2||_F^2) in [0, sqrt(r)]."""
+    return _sin_theta(q1, q2, rotation_matrix(q1, q2))
 
-    Evaluated as ||(I - Q1 Q1^T) Q2||_F, which equals the subtracted form
-    exactly for orthonormal bases but stays accurate near zero.
+
+def _sin_theta(q1: np.ndarray, q2: np.ndarray, r_mat: np.ndarray) -> float:
+    """Sin-theta distance given R = Q1^T Q2.
+
+    Evaluated as ||Q2 - Q1 R||_F = ||(I - Q1 Q1^T) Q2||_F, which equals
+    the subtracted form exactly for orthonormal bases but stays accurate
+    near zero.
     """
-    if q1.dim != q2.dim or q1.rank != q2.rank:
-        raise ValueError(f"projection shapes differ: {q1.q.shape} vs {q2.q.shape}")
-    residual = q2.q - q1.q @ (q1.q.T @ q2.q)
-    return min(frobenius_norm(residual), float(np.sqrt(q1.rank)))
+    return min(frobenius_norm(q2 - q1 @ r_mat), float(np.sqrt(q1.shape[1])))
 
 
 def rotate_first_moment(r_mat, u) -> np.ndarray:
@@ -225,16 +192,20 @@ def predicted_instability(kappa: float, batch_size: float, alpha: float, c: floa
 
 
 def subspace_metrics_from_update(
-    q_new: Projection, q_old: Projection, signal_singular_values: np.ndarray
+    q_new: np.ndarray, q_old: np.ndarray, r_mat: np.ndarray, signal_singular_values: np.ndarray
 ) -> SubspaceMetrics:
-    """Diagnostics stamped at a projection update, given the signal spectrum."""
+    """Diagnostics stamped at a basis update.
+
+    `r_mat` is the update's rotation R = Q_new^T Q_old, from which MSSV
+    and sin-theta both derive; the spectrum gives stable rank and gap.
+    """
     s = np.asarray(signal_singular_values, dtype=np.float64)
-    r = q_new.rank
+    r = q_new.shape[1]
     sr = float(np.sum(s * s) / (s[0] * s[0])) if s.size and s[0] > 0 else 0.0
     gap = spectral_gap(s, r) if r < s.size else 0.0
     return SubspaceMetrics(
-        mssv=mssv(rotation_matrix(q_new, q_old)),
+        mssv=mssv(r_mat),
         stable_rank=sr,
         spectral_gap=gap,
-        sin_theta=sin_theta_distance(q_new, q_old),
+        sin_theta=_sin_theta(q_new, q_old, r_mat),
     )

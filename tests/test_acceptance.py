@@ -22,7 +22,6 @@ from lrdsim.optimizer import (
 )
 from lrdsim.problems import MatrixRegression, PowerLawOracle
 from lrdsim.projection import (
-    Projection,
     random_projection,
     rotate_second_moment,
     sin_theta_distance,
@@ -78,12 +77,7 @@ def report(number, text):
 
 
 def proj_from_columns(u_mat, rank):
-    return Projection(
-        q=np.ascontiguousarray(u_mat[:, :rank]),
-        rank=rank,
-        computed_at_step=0,
-        source="aggregated_pseudo_gradient",
-    )
+    return np.ascontiguousarray(u_mat[:, :rank])
 
 
 def test_criterion_01_adam_degeneracy():
@@ -167,14 +161,14 @@ def test_criterion_03_error_feedback_exactness():
             grad = rng.standard_normal((p, q))
             prev_error = state.error
             g, new_error = compress_gradient(grad, state.error, state.basis)
-            assert np.max(np.abs((grad + prev_error) - (state.proj.q @ g + new_error))) < 1e-12
+            assert np.max(np.abs((grad + prev_error) - (state.basis @ g + new_error))) < 1e-12
             state.error = new_error
             grads.append(grad)
             gs.append(g)
         lhs = np.sum(grads, axis=0)
-        rhs = state.proj.q @ np.sum(gs, axis=0) + state.error - e_initial
+        rhs = state.basis @ np.sum(gs, axis=0) + state.error - e_initial
         assert np.max(np.abs(lhs - rhs)) < 1e-10
-        state.proj = random_projection(p, r, rng)  # new window, new basis
+        state.basis = random_projection(p, r, rng)  # new window, new basis
     report(3, "reconstruction identity to 1e-12 at all 500 steps; telescoping to 1e-10 per constant-basis window")
 
 
@@ -275,8 +269,8 @@ def test_criterion_07_local_full_rank_recovery():
     bound = min(4 * 8, 64) - 1
     assert rank >= bound, f"rank {rank} below {bound}"
     # the per-worker bases really are mutually orthogonal
-    q0 = engine.stack.projs[0]
-    q1 = engine.stack.projs[1]
+    q0 = engine.stack.basis[0]
+    q1 = engine.stack.basis[1]
     assert sin_theta_distance(q0, q1) == pytest.approx(np.sqrt(8.0), abs=1e-8)
     report(7, f"orthogonal-block construction recovers pseudo-gradient rank {rank} >= {bound}")
 

@@ -2,6 +2,8 @@ import json
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrdsim.cli import main
 from lrdsim.logio import read_log
@@ -306,3 +308,78 @@ def test_analyze_malformed_log_names_line(tmp_path, capsys):
     bad.write_text('{"kind": "header", "config": {}, "version": "0"}\nnot json\n')
     assert main(["analyze", str(bad)]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def _two_line_log(step: dict) -> str:
+    header = {"kind": "header", "config": {}, "version": "0"}
+    return json.dumps(header) + "\n" + json.dumps(dict({"kind": "step", "step": 0}, **step)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        {"subspace": None},  # no mean_loss
+        {"mean_loss": 1.0, "subspace": [{"mssv": 1.0}]},  # no stable_rank
+        {"mean_loss": 1.0, "subspace": "abc"},
+    ],
+    ids=["no_mean_loss", "no_stable_rank", "subspace_string"],
+)
+def test_analyze_malformed_step_fields_exit_one(tmp_path, capsys, step):
+    bad = tmp_path / "bad.log"
+    bad.write_text(_two_line_log(step))
+    assert main(["analyze", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("analyze: line 2:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe\n", b'{"kind": "header"}\n' + b"[" * 100_000 + b"]" * 100_000 + b"\n"],
+    ids=["not_utf8", "nested_too_deep"],
+)
+def test_analyze_undecodable_log_exit_one(tmp_path, capsys, content):
+    bad = tmp_path / "bad.log"
+    bad.write_bytes(content)
+    assert main(["analyze", str(bad)]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def short_run_log(tmp_path_factory):
+    root = tmp_path_factory.mktemp("short_run")
+    cfg = root / "config.yaml"
+    cfg.write_text(yaml.safe_dump(BASE_CFG))
+    log = root / "run.log"
+    assert main(["run", "--config", str(cfg), "--out", str(log)]) == 0
+    return [json.loads(line) for line in log.read_text().splitlines()]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_analyze_never_raises_on_mutated_log(short_run_log, tmp_path_factory, data):
+    records = json.loads(json.dumps(short_run_log))
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(records) - 1))
+        target = records[i]
+        sub = target.get("subspace") if isinstance(target, dict) else None
+        if isinstance(sub, list) and sub and isinstance(sub[0], dict) and data.draw(st.booleans()):
+            target = sub[0]
+        action = data.draw(st.sampled_from(["drop", "swap", "replace_record"]))
+        if action == "replace_record" or not isinstance(target, dict) or not target:
+            records[i] = data.draw(JSON_VALUES)
+            continue
+        key = data.draw(st.sampled_from(sorted(target)))
+        if action == "drop":
+            del target[key]
+        else:
+            target[key] = data.draw(JSON_VALUES)
+    log = tmp_path_factory.mktemp("mutated") / "run.log"
+    log.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    assert main(["analyze", str(log)]) in (0, 1)

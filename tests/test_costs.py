@@ -124,12 +124,8 @@ def test_memory_overhead_table():
     assert memory_overhead("global", "full_rank", i) == pq + pr + 3 * rq
     assert memory_overhead("global", "none", i, uplink_buffer=True) == pq + pr + 4 * rq
     assert memory_overhead("local", "low_rank", i, uplink_buffer=True) == pq + pr + 4 * rq
-    # the in-gradient error layout shares storage; counts are unchanged
-    assert memory_overhead("global", "none", i, ef_layout="in_gradient") == pq + pr + 3 * rq
     with pytest.raises(ValueError):
         memory_overhead("global", "full_rank", i, uplink_buffer=True)
-    with pytest.raises(ValueError):
-        memory_overhead("global", "none", i, ef_layout="bogus")
 
 
 def test_memory_overhead_degenerate_rank_exceeds_adam():

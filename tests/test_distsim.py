@@ -16,7 +16,8 @@ from lrdsim.optimizer import (
 )
 from lrdsim.problems import MatrixRegression
 from lrdsim.projection import (
-    compute_projection,
+    mssv,
+    projection_with_spectrum,
     random_projection,
     rotate_first_moment,
     rotate_second_moment,
@@ -180,7 +181,7 @@ def test_sync_moment_mean_and_cancellation():
     s.u[1] = -u.copy()
     s.v[0] = np.array([[0.4]])
     s.v[1] = np.array([[0.2]])
-    eng._sync_phase(0)  # k_u = k_v = 1
+    eng._sync_phase(0, [])  # k_u = k_v = 1
     for m in range(2):
         np.testing.assert_allclose(s.u[m], np.zeros((1, 1)), atol=1e-18)
         np.testing.assert_allclose(s.v[m], [[0.3]], atol=1e-18)
@@ -226,11 +227,11 @@ def test_engine_matches_straightline_low_rank_reference():
         x = x - hp.lr_at(t) * upd
         delta = x - anchor
         x = anchor + delta
-        new_proj = compute_projection(delta, rank, step=t)
-        r_mat = rotation_matrix(new_proj, state.proj)
+        new_proj = projection_with_spectrum(delta, rank)[0]
+        r_mat = rotation_matrix(new_proj, state.basis)
         state.v = rotate_second_moment(r_mat, state.u, state.v, hp.beta1, hp.beta2, state.step)
         state.u = rotate_first_moment(r_mat, state.u)
-        state.proj = new_proj
+        state.basis = new_proj
         anchor = x.copy()
         eval_batch = prob.sample_batch(0, 5, rng)
         losses.append(prob.loss(x, eval_batch))
@@ -253,17 +254,21 @@ def test_engine_refresh_rotates_zero_variance_second_moment_exactly(strategy):
     state.u = rng.standard_normal(state.u.shape)
     uh = state.u / (1.0 - hp.beta1**t)
     state.v = (1.0 - hp.beta2**t) * uh * uh
-    old_proj, old_u = state.projs[0], state.u.copy()
+    old_basis, old_u = state.basis[0].copy(), state.u.copy()
     signal = rng.standard_normal((16, 12))
     if strategy == "global":
-        engine._refresh_projection(signal, t)
+        metrics = engine._refresh_projection(signal)
     else:
-        engine._refresh_projection(signal, t, 0)
-    assert sin_theta_distance(state.projs[0], old_proj) > 0.1
-    np.testing.assert_array_equal(state.basis[0], state.projs[0].q)
-    r_mat = rotation_matrix(state.projs[0], old_proj)
+        metrics = engine._refresh_projection(signal, 0)
+    new_basis = state.basis[0]
+    assert sin_theta_distance(new_basis, old_basis) > 0.1
+    r_mat = rotation_matrix(new_basis, old_basis)
     np.testing.assert_allclose(state.v, (1.0 - hp.beta2**t) * (r_mat @ uh) ** 2, rtol=0, atol=1e-14)
     np.testing.assert_allclose(state.u, r_mat @ old_u, rtol=0, atol=1e-14)
+    # the logged diagnostics compare the basis held before the refresh with the one after it
+    assert np.linalg.norm(new_basis.T @ new_basis - np.eye(new_basis.shape[1])) < 1e-12
+    assert metrics.mssv == pytest.approx(mssv(r_mat), rel=0, abs=1e-14)
+    assert metrics.sin_theta == pytest.approx(sin_theta_distance(new_basis, old_basis), rel=0, abs=1e-14)
 
 
 @pytest.mark.parametrize("strategy", ["global", "local"])
@@ -405,8 +410,8 @@ def test_local_orthogonal_blocks_full_rank_recovery():
     for rec in engine.records():
         if (rec.step + 1) % 8 == 0:
             final_delta = engine.stack.anchor[0] - prev_anchor
-    q0 = engine.stack.projs[0]
-    q1 = engine.stack.projs[1]
+    q0 = engine.stack.basis[0]
+    q1 = engine.stack.basis[1]
     assert sin_theta_distance(q0, q1) == pytest.approx(np.sqrt(2.0), abs=1e-8)
     assert numerical_rank(final_delta, rel_tol=1e-8) >= min(2 * 2, 8) - 1
 

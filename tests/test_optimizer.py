@@ -14,7 +14,7 @@ from lrdsim.optimizer import (
     update_moments,
 )
 from lrdsim.projection import (
-    compute_projection,
+    projection_with_spectrum,
     identity_projection,
     random_projection,
     rotate_first_moment,
@@ -35,7 +35,7 @@ def test_compress_lossless_when_square():
     state.error = rng.standard_normal((5, 4))
     g, new_e = compress_gradient(grad, state.error, state.basis)
     np.testing.assert_allclose(new_e, np.zeros((5, 4)), atol=1e-12)
-    np.testing.assert_allclose(g, state.proj.q.T @ (grad + state.error), atol=1e-15)
+    np.testing.assert_allclose(g, state.basis.T @ (grad + state.error), atol=1e-15)
 
 
 def test_compress_coordinate_projection():
@@ -49,7 +49,7 @@ def test_compress_error_persists_on_zero_gradient():
     state = make_state(6, 3, 2, seed=3)
     state.error = np.random.default_rng(4).standard_normal((6, 3))
     g, new_e = compress_gradient(np.zeros((6, 3)), state.error, state.basis)
-    np.testing.assert_allclose(g, state.proj.q.T @ state.error, atol=1e-15)
+    np.testing.assert_allclose(g, state.basis.T @ state.error, atol=1e-15)
     # residual re-enters next step
     assert np.linalg.norm(new_e) > 0
 
@@ -62,11 +62,11 @@ def test_reconstruction_identity_500_steps():
         prev_error = state.error
         g, new_e = compress_gradient(grad, state.error, state.basis)
         lhs = grad + prev_error
-        rhs = state.proj.q @ g + new_e
+        rhs = state.basis @ g + new_e
         assert np.max(np.abs(lhs - rhs)) < 1e-12
         state.error = new_e
         if (t + 1) % 100 == 0:
-            state.proj = random_projection(12, 3, rng, step=t)
+            state.basis = random_projection(12, 3, rng)
 
 
 def test_error_feedback_telescoping_constant_q_windows():
@@ -84,9 +84,9 @@ def test_error_feedback_telescoping_constant_q_windows():
             grads.append(grad)
             gs.append(g)
         lhs = np.sum(grads, axis=0)
-        rhs = state.proj.q @ np.sum(gs, axis=0) + state.error - e_initial
+        rhs = state.basis @ np.sum(gs, axis=0) + state.error - e_initial
         assert np.max(np.abs(lhs - rhs)) < 1e-10
-        state.proj = random_projection(10, 4, rng)
+        state.basis = random_projection(10, 4, rng)
 
 
 def test_update_moments_cases():
@@ -213,11 +213,11 @@ def test_v_nonnegative_across_rotations():
         update_moments(state, g, hp.beta1, hp.beta2)
         assert np.all(state.v >= 0.0)
         if (t + 1) % 25 == 0:
-            new_proj = compute_projection(rng.standard_normal((9, 4)), 3, step=t)
-            r_mat = rotation_matrix(new_proj, state.proj)
+            new_proj = projection_with_spectrum(rng.standard_normal((9, 4)), 3)[0]
+            r_mat = rotation_matrix(new_proj, state.basis)
             state.v = rotate_second_moment(r_mat, state.u, state.v, hp.beta1, hp.beta2, state.step)
             state.u = rotate_first_moment(r_mat, state.u)
-            state.proj = new_proj
+            state.basis = new_proj
             assert np.all(state.v >= 0.0)
 
 
@@ -255,5 +255,5 @@ def test_clip_then_compress_order_matches_alg():
     raw = 10.0 * rng.standard_normal((5, 5))
     clipped = clip_frobenius(raw, 1.0)
     g, _ = compress_gradient(clipped, state.error, state.basis)
-    expected = state.proj.q.T @ (clipped + state.error)
+    expected = state.basis.T @ (clipped + state.error)
     np.testing.assert_allclose(g, expected, atol=1e-15)

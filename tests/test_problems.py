@@ -8,7 +8,7 @@ from lrdsim.problems import (
     PowerLawOracle,
     gen_powerlaw_matrix,
 )
-from lrdsim.projection import compute_projection, sin_theta_distance, spectral_gap, stable_rank
+from lrdsim.projection import projection_with_spectrum, sin_theta_distance, spectral_gap, stable_rank
 
 from oracles import central_difference, naive_regression_loss
 
@@ -104,8 +104,8 @@ def test_feature_blocks_give_disjoint_gradient_support():
     g1 = prob.stoch_gradient(x, prob.full_shard_batch(1))
     assert np.max(np.abs(g0[4:])) == 0.0
     assert np.max(np.abs(g1[:4])) == 0.0
-    q0 = compute_projection(g0 + 1e-30 * np.eye(8, 4), 2)
-    q1 = compute_projection(g1, 2)
+    q0 = projection_with_spectrum(g0 + 1e-30 * np.eye(8, 4), 2)[0]
+    q1 = projection_with_spectrum(g1, 2)[0]
     assert sin_theta_distance(q0, q1) == pytest.approx(np.sqrt(2.0), abs=1e-8)
 
 
@@ -158,13 +158,13 @@ def test_noisy_observation_frobenius_scaling():
 
 def test_projection_noise_non_increasing_in_batch():
     oracle = PowerLawOracle(c=1.0, alpha=1.0, p=32, q=32, kappa=1.0, seed=9)
-    q_true = compute_projection(oracle.true_matrix, 4)
+    q_true = projection_with_spectrum(oracle.true_matrix, 4)[0]
     means = []
     for b in (4, 64, 1024):
         vals = []
         for seed in range(50):
             rng = np.random.default_rng(1000 + seed)
-            q_hat = compute_projection(oracle.noisy_observation(b, rng), 4)
+            q_hat = projection_with_spectrum(oracle.noisy_observation(b, rng), 4)[0]
             vals.append(sin_theta_distance(q_true, q_hat))
         means.append(np.mean(vals))
     assert means[0] >= means[1] >= means[2]

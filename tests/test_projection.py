@@ -4,14 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrdsim.projection import (
-    SOURCE_IDENTITY,
-    SOURCE_RANDOM,
     DegenerateSignalError,
-    Projection,
-    compute_projection,
     identity_projection,
     mssv,
     predicted_instability,
+    projection_with_spectrum,
     random_projection,
     rotate_first_moment,
     rotate_second_moment,
@@ -28,44 +25,44 @@ def basis(p, cols):
     q = np.zeros((p, len(cols)))
     for j, c in enumerate(cols):
         q[c, j] = 1.0
-    return Projection(q=q, rank=len(cols), computed_at_step=0, source=SOURCE_IDENTITY)
+    return q
 
 
 def test_compute_projection_diagonal():
-    proj = compute_projection(np.diag([3.0, 2.0, 1.0]), rank=2)
-    np.testing.assert_allclose(proj.q, np.eye(3)[:, :2], atol=1e-12)
+    proj = projection_with_spectrum(np.diag([3.0, 2.0, 1.0]), rank=2)[0]
+    np.testing.assert_allclose(proj, np.eye(3)[:, :2], atol=1e-12)
 
 
 def test_compute_projection_identity_full_rank():
-    proj = compute_projection(np.eye(5), rank=5)
-    np.testing.assert_allclose(proj.q, np.eye(5), atol=1e-12)
+    proj = projection_with_spectrum(np.eye(5), rank=5)[0]
+    np.testing.assert_allclose(proj, np.eye(5), atol=1e-12)
 
 
 def test_compute_projection_matches_gram_eigenvectors():
     rng = np.random.default_rng(7)
     signal = rng.standard_normal((8, 6))
-    proj = compute_projection(signal, rank=3)
+    proj = projection_with_spectrum(signal, rank=3)[0]
     _, vecs = jacobi_eigh(signal @ signal.T)
-    assert subspace_sin_theta(proj.q, vecs[:, :3]) < 1e-8
+    assert subspace_sin_theta(proj, vecs[:, :3]) < 1e-8
 
 
 def test_compute_projection_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        compute_projection(np.eye(4), rank=0)
+        projection_with_spectrum(np.eye(4), rank=0)
     with pytest.raises(ValueError):
-        compute_projection(np.eye(4), rank=5)
+        projection_with_spectrum(np.eye(4), rank=5)
     with pytest.raises(DegenerateSignalError, match="degenerate"):
-        compute_projection(np.zeros((4, 4)), rank=2)
+        projection_with_spectrum(np.zeros((4, 4)), rank=2)
     rank1 = np.outer(np.arange(1.0, 5.0), np.ones(3))
     with pytest.raises(DegenerateSignalError):
-        compute_projection(rank1, rank=2)
+        projection_with_spectrum(rank1, rank=2)
 
 
 def test_compute_projection_scale_invariant_subspace():
     rng = np.random.default_rng(13)
     signal = rng.standard_normal((10, 7))
-    p1 = compute_projection(signal, rank=4)
-    p2 = compute_projection(3.7 * signal, rank=4)
+    p1 = projection_with_spectrum(signal, rank=4)[0]
+    p2 = projection_with_spectrum(3.7 * signal, rank=4)[0]
     assert sin_theta_distance(p1, p2) < 1e-10
 
 
@@ -108,11 +105,9 @@ def test_mssv_range_and_containment():
         val = mssv(rotation_matrix(q1, q2))
         assert 0.0 <= val <= 1.0 + 1e-12
     # identical span in different bases -> exactly 1
-    base = random_projection(8, 3, rng).q
+    base = random_projection(8, 3, rng)
     mix, _ = np.linalg.qr(base @ rng.standard_normal((3, 3)))
-    q1 = Projection(q=base, rank=3, computed_at_step=0, source=SOURCE_RANDOM)
-    q2 = Projection(q=mix, rank=3, computed_at_step=0, source=SOURCE_RANDOM)
-    assert mssv(rotation_matrix(q1, q2)) == pytest.approx(1.0, abs=1e-8)
+    assert mssv(rotation_matrix(base, mix)) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_stable_rank_cases():
@@ -153,9 +148,9 @@ def test_sin_theta_pythagorean_identity():
         q1 = random_projection(p, r, local)
         q2 = random_projection(p, r, local)
         st_val = sin_theta_distance(q1, q2)
-        overlap = np.linalg.norm(q1.q.T @ q2.q) ** 2
+        overlap = np.linalg.norm(q1.T @ q2) ** 2
         assert st_val**2 + overlap == pytest.approx(r, abs=1e-8)
-        assert st_val == pytest.approx(subspace_sin_theta(q1.q, q2.q), abs=1e-8)
+        assert st_val == pytest.approx(subspace_sin_theta(q1, q2), abs=1e-8)
         assert 0.0 <= st_val <= np.sqrt(r) + 1e-12
 
 
@@ -258,16 +253,11 @@ def test_predicted_instability():
 
 def test_identity_projection_and_sources():
     proj = identity_projection(5, 3)
-    np.testing.assert_array_equal(proj.q, np.eye(5)[:, :3])
-    assert proj.source == SOURCE_IDENTITY
-    with pytest.raises(ValueError):
-        Projection(q=np.ones((3, 2)), rank=2, computed_at_step=0, source="identity")
-    with pytest.raises(ValueError):
-        Projection(q=np.eye(3), rank=3, computed_at_step=0, source="bogus")
+    np.testing.assert_array_equal(proj, np.eye(5)[:, :3])
 
 
 def test_random_projection_deterministic_and_orthonormal():
     a = random_projection(20, 6, np.random.default_rng(42))
     b = random_projection(20, 6, np.random.default_rng(42))
-    assert a.q.tobytes() == b.q.tobytes()
-    assert np.linalg.norm(a.q.T @ a.q - np.eye(6)) < 1e-12
+    assert a.tobytes() == b.tobytes()
+    assert np.linalg.norm(a.T @ a - np.eye(6)) < 1e-12
