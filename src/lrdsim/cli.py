@@ -17,6 +17,7 @@ from . import costs as costs_mod
 from .config import ConfigError, RunConfig, load_file, validate
 from .distsim import Engine
 from .logio import LogFormatError, read_log, write_log
+from .optimizer import QHM_MODES
 
 SWEEP_AXES = ("rank", "K", "batch_and_workers", "omega", "sparsity")
 
@@ -113,6 +114,8 @@ def _sweep_config(base: RunConfig, axis: str, raw_value: str) -> tuple[RunConfig
         return dataclasses.replace(base, schedule=sched), f"K{k}"
     if axis == "batch_and_workers":
         m = int(raw_value)
+        if m < 1:
+            raise ConfigError(f"workers must be >= 1, got {m}")
         global_batch = base.workers * base.problem.batch_size
         if global_batch % m != 0:
             raise ConfigError(f"global batch {global_batch} does not divide across {m} workers")
@@ -178,24 +181,17 @@ def cmd_costs(args) -> int:
     except ValueError as exc:
         print(f"costs: {exc}", file=sys.stderr)
         return 1
-    rows = [
-        ("global", "none"),
-        ("global", "low_rank"),
-        ("global", "full_rank"),
-        ("local", "none"),
-        ("local", "low_rank"),
-        ("local", "full_rank"),
-        ("local_adam", None),
-        ("ddp", None),
-    ]
+    strategies = (costs_mod.STRATEGY_GLOBAL, costs_mod.STRATEGY_LOCAL)
+    rows = [(variant, mode) for variant in strategies for mode in QHM_MODES]
+    rows += [(costs_mod.BASELINE_LOCAL_ADAM, None), (costs_mod.BASELINE_DDP, None)]
     print(f"per-payload element counts (p={args.p}, q={args.q}, r={args.r}, "
           f"K_x={k_x}, K_u={k_u}, K_v={k_v})")
     print(f"{'variant':<22}{'uplink':>12}{'downlink':>12}{'memory':>12}")
     for variant, mode in rows:
         pay = costs_mod.per_payload(variant, mode, inputs)
-        if variant in ("global", "local"):
+        if variant in strategies:
             mem = costs_mod.memory_overhead(variant, mode, inputs)
-        elif variant == "local_adam":
+        elif variant == costs_mod.BASELINE_LOCAL_ADAM:
             mem = costs_mod.adam_memory(inputs)
         else:
             mem = ""

@@ -9,7 +9,7 @@ re-validates and reproduces the run exactly.
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Any, Optional, get_args, get_type_hints
 
 from .costs import STRATEGY_GLOBAL, STRATEGY_LOCAL
@@ -103,15 +103,7 @@ class RunConfig:
     flags: FlagsConfig = field(default_factory=FlagsConfig)
 
     def hyper_params(self) -> HyperParams:
-        return HyperParams(
-            beta1=self.hyperparams.beta1,
-            beta2=self.hyperparams.beta2,
-            eps=self.hyperparams.eps,
-            clip_radius=self.hyperparams.clip_radius,
-            omega=self.qhm.omega,
-            lr=self.hyperparams.lr,
-            warmup_steps=self.hyperparams.warmup_steps,
-        )
+        return HyperParams(omega=self.qhm.omega, **asdict(self.hyperparams))
 
     def projection_init(self) -> str:
         if self.projection.init != PROJECTION_INIT_DEFAULT:
@@ -122,19 +114,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-_SECTIONS = {
-    "problem": ProblemConfig,
-    "schedule": SyncSchedule,
-    "projection": ProjectionConfig,
-    "qhm": QhmConfig,
-    "hyperparams": HyperConfig,
-    "outer": OuterConfig,
-    "flags": FlagsConfig,
-}
-
-_SCALAR_FIELDS = {"master_seed", "workers", "steps", "rank"}
 
 
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
@@ -157,34 +136,30 @@ def _check_type(path: str, value: Any, hint) -> None:
         raise ConfigError(f"{path} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
-def _build_section(name: str, cls, data: Any):
+def _build(cls, data: Any, prefix: str = ""):
+    """Build dataclass `cls` from a mapping: reject unknown keys, then check each value against its type."""
     if not isinstance(data, dict):
-        raise ConfigError(f"section '{name}' must be a mapping, got {type(data).__name__}")
-    known = set(cls.__dataclass_fields__)
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown key '{name}.{sorted(unknown)[0]}'")
+        where = f"section '{prefix[:-1]}'" if prefix else "config"
+        raise ConfigError(f"{where} must be a mapping, got {type(data).__name__}")
     hints = get_type_hints(cls)
+    unknown = set(data) - set(hints)
+    if unknown:
+        # str sorts keys of mixed types, which YAML allows (`1: 2` next to `foo: 3`);
+        # repr keeps a key holding a newline on one line
+        raise ConfigError(f"unknown key {prefix + str(min(unknown, key=str))!r}")
+    kwargs = {}
     for key, value in data.items():
-        _check_type(f"{name}.{key}", value, hints[key])
-    return cls(**data)
+        if is_dataclass(hints[key]):
+            kwargs[key] = _build(hints[key], value, f"{prefix}{key}.")
+        else:
+            _check_type(prefix + key, value, hints[key])
+            kwargs[key] = value
+    return cls(**kwargs)
 
 
 def from_dict(data: dict) -> RunConfig:
     """Parse and validate a config mapping. Unknown keys are hard errors."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"config must be a mapping, got {type(data).__name__}")
-    unknown = set(data) - _SCALAR_FIELDS - set(_SECTIONS)
-    if unknown:
-        raise ConfigError(f"unknown key '{sorted(unknown)[0]}'")
-    kwargs = {k: data[k] for k in _SCALAR_FIELDS if k in data}
-    hints = get_type_hints(RunConfig)
-    for key, value in kwargs.items():
-        _check_type(key, value, hints[key])
-    for name, cls in _SECTIONS.items():
-        if name in data:
-            kwargs[name] = _build_section(name, cls, data[name])
-    cfg = RunConfig(**kwargs)
+    cfg = _build(RunConfig, data)
     validate(cfg)
     return cfg
 
@@ -195,14 +170,14 @@ def _check(cond: bool, message: str) -> None:
 
 
 def validate(cfg: RunConfig) -> None:
-    """Cross-field validation; raises ConfigError naming the field."""
-    _check(isinstance(cfg.master_seed, int) and cfg.master_seed >= 0, "master_seed must be a non-negative integer")
-    _check(isinstance(cfg.workers, int) and cfg.workers >= 1, "workers must be >= 1")
-    _check(isinstance(cfg.steps, int) and cfg.steps >= 1, "steps must be >= 1")
+    """Range and cross-field validation; raises ConfigError naming the field."""
+    _check(cfg.master_seed >= 0, "master_seed must be a non-negative integer")
+    _check(cfg.workers >= 1, "workers must be >= 1")
+    _check(cfg.steps >= 1, "steps must be >= 1")
     p = cfg.problem
-    _check(p.type == "matrix_regression", f"problem.type must be 'matrix_regression', got '{p.type}'")
+    _check(p.type == "matrix_regression", f"problem.type must be 'matrix_regression', got {p.type!r}")
     _check(p.rows >= 1 and p.cols >= 1, "problem.rows and problem.cols must be >= 1")
-    _check(isinstance(cfg.rank, int) and 1 <= cfg.rank <= min(p.rows, p.cols),
+    _check(1 <= cfg.rank <= min(p.rows, p.cols),
            f"rank must lie in [1, {min(p.rows, p.cols)}] for a {p.rows}x{p.cols} problem")
     _check(p.design_rows >= cfg.workers, "problem.design_rows must cover every worker")
     _check(p.design_rows % cfg.workers == 0,
@@ -253,8 +228,9 @@ def load_file(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse config file: {exc}") from exc
+        except (yaml.YAMLError, UnicodeDecodeError, RecursionError) as exc:
+            # YAML messages span several lines; the CLI reports errors on one
+            raise ConfigError("cannot parse config file: " + " ".join(str(exc).split())) from exc
     if data is None:
         raise ConfigError("config file is empty")
     return from_dict(data)

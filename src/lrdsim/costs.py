@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .optimizer import QHM_FULL_RANK, QHM_MODES
+
 STRATEGY_GLOBAL = "global"
 STRATEGY_LOCAL = "local"
 BASELINE_LOCAL_ADAM = "local_adam"
@@ -73,9 +75,9 @@ def per_payload(variant: str, qhm_mode: str | None, inputs: CostInputs) -> Paylo
         if variant == BASELINE_DDP:
             return PayloadCosts(pq, 0, 0, 0, pq, 0, 0, 0)
         return PayloadCosts(pq, pq, pq, 0, pq, pq, pq, 0)
-    if qhm_mode not in ("none", "low_rank", "full_rank"):
+    if qhm_mode not in QHM_MODES:
         raise ValueError(f"unknown QHM mode {qhm_mode!r}")
-    full = qhm_mode == "full_rank"
+    full = qhm_mode == QHM_FULL_RANK
     if variant == STRATEGY_GLOBAL:
         if full:
             # full-rank pseudo-gradient both ways, new basis down
@@ -142,11 +144,11 @@ def memory_overhead(
     """
     if strategy not in (STRATEGY_GLOBAL, STRATEGY_LOCAL):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if qhm_mode not in ("none", "low_rank", "full_rank"):
+    if qhm_mode not in QHM_MODES:
         raise ValueError(f"unknown QHM mode {qhm_mode!r}")
     p, q, r = inputs.p, inputs.q, inputs.r
     pq, rq, pr = p * q, r * q, p * r
-    if qhm_mode == "full_rank":
+    if qhm_mode == QHM_FULL_RANK:
         if uplink_buffer:
             raise ValueError("full-rank QHM cannot keep a low-rank uplink buffer")
         # pq staging shared between the full-rank gradient and the error buffer

@@ -3,7 +3,7 @@
 These deliberately take different routes than the library code: the
 eigendecomposition below is a classic two-sided cyclic Jacobi on the
 symmetric Gram matrix (plain Python loops), whereas the library SVD is
-a vectorized one-sided Jacobi on the data matrix itself.
+LAPACK's divide-and-conquer gesdd on the data matrix itself.
 """
 
 import numpy as np

@@ -1,3 +1,6 @@
+import contextlib
+import dataclasses
+import io
 import json
 
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrdsim.cli import main
+from lrdsim.config import RunConfig
 from lrdsim.logio import read_log
 
 
@@ -92,6 +96,32 @@ def test_mistyped_config_value_exit_one_naming_key(cfg_path, tmp_path, capsys, o
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert err.startswith(f"config error: {key} must be ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe\n",
+        b"[" * 1000 + b"]" * 1000 + b"\n",
+        b"{a: " * 1000 + b"}" * 1000 + b"\n",
+        b"? [1, 2]\n: 3\n",
+        b"1: 2\nfoo: 3\n",
+        b"problem: {1: 2, foo: 3}\n",
+        b'"a\\nb": 1\n',
+        b'problem: {type: "a\\nb"}\n',
+    ],
+    ids=["not_utf8", "nested_lists", "nested_mappings", "unhashable_key", "mixed_keys", "mixed_section_keys",
+         "newline_key", "newline_value"],
+)
+def test_bad_config_file_exit_one_with_one_line(tmp_path, capsys, content):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(content)
+    out = tmp_path / "x.log"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -239,6 +269,17 @@ def test_sweep_invalid_point_aborts_before_running(cfg_path, tmp_path):
     assert not out_dir.exists() or not list(out_dir.glob("*.log"))
 
 
+def test_sweep_zero_workers_exit_one(cfg_path, tmp_path, capsys):
+    out_dir = tmp_path / "sweep0"
+    code = main(["sweep", "--config", cfg_path(), "--axis", "batch_and_workers", "--values", "0",
+                 "--out-dir", str(out_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: workers")
+    assert err.count("\n") == 1
+    assert not out_dir.exists() or not list(out_dir.glob("*.log"))
+
+
 def test_sweep_parallel_matches_sequential(cfg_path, tmp_path):
     seq_dir = tmp_path / "seq"
     par_dir = tmp_path / "par"
@@ -383,3 +424,49 @@ def test_analyze_never_raises_on_mutated_log(short_run_log, tmp_path_factory, da
     log = tmp_path_factory.mktemp("mutated") / "run.log"
     log.write_text("".join(json.dumps(rec) + "\n" for rec in records))
     assert main(["analyze", str(log)]) in (0, 1)
+
+
+# ints stay small so that any config that validates builds at most a 64x64
+# design and runs at most 64 steps
+SMALL_INTS = st.integers(-2, 64)
+CONFIG_WORDS = st.sampled_from(["local", "global", "low_rank", "full_rank", "nesterov", "identity",
+                                "random", "feature_blocks", "scalar"])
+CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | SMALL_INTS | st.floats() | st.text(max_size=5) | CONFIG_WORDS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5) | SMALL_INTS, inner, max_size=3),
+    max_leaves=6,
+)
+SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)
+            if dataclasses.is_dataclass(f.default_factory)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_run_never_raises_on_mutated_config(tmp_path_factory, data):
+    cfg = json.loads(json.dumps(BASE_CFG))
+    for _ in range(data.draw(st.integers(1, 3))):
+        action = data.draw(st.sampled_from(["replace", "add_unknown", "non_mapping"]))
+        name = data.draw(st.sampled_from(sorted(SECTIONS)))
+        if action == "non_mapping":
+            cfg[name] = data.draw(CONFIG_VALUES.filter(lambda v: not isinstance(v, dict)))
+            continue
+        target, cls = cfg, RunConfig
+        if data.draw(st.booleans()):
+            if not isinstance(cfg.get(name), dict):
+                cfg[name] = {}
+            target, cls = cfg[name], SECTIONS[name]
+        if action == "replace":
+            keys = st.sampled_from([f.name for f in dataclasses.fields(cls)])
+        else:
+            keys = st.text(min_size=1, max_size=5) | SMALL_INTS
+        for key in data.draw(st.lists(keys, min_size=1, max_size=3)):
+            target[key] = data.draw(CONFIG_VALUES)
+    root = tmp_path_factory.mktemp("fuzz")
+    path = root / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg, sort_keys=False))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(path), "--out", str(root / "run.log")])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
