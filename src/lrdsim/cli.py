@@ -94,8 +94,14 @@ def cmd_run(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    engine = Engine(cfg)
-    summary = write_log(args.out, cfg, engine.basis_inconsistent, engine.records())
+    try:
+        # the log opens first, so an unwritable path fails before any allocation
+        with open(args.out, "w", encoding="utf-8") as fh:
+            engine = Engine(cfg)
+            summary = write_log(fh, cfg, engine.basis_inconsistent, engine.records())
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     if summary["diverged"]:
         print(f"run diverged after {summary['steps']} steps; log at {args.out}", file=sys.stderr)
         return 2
@@ -138,28 +144,35 @@ def cmd_sweep(args) -> int:
         values = [v.strip() for v in args.values.split(",") if v.strip()]
         if not values:
             raise ConfigError("no sweep values given")
-        points = []
+        points = {}  # label -> (raw value, config)
         for raw in values:
             cfg, label = _sweep_config(base, args.axis, raw)
             validate(cfg)
-            points.append((raw, cfg, label))
+            if label in points:
+                raise ConfigError(f"sweep values {points[label][0]!r} and {raw!r} both name point {label}")
+            points[label] = (raw, cfg)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for raw, cfg, label in points:
-        path = out_dir / f"{label}.log"
-        engine = Engine(cfg)
-        summary = write_log(str(path), cfg, engine.basis_inconsistent, engine.records())
-        rows.append((raw, str(path), summary["mean_loss"], summary["diverged"]))
     summary_path = out_dir / "summary.csv"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write("axis,value,final_loss,diverged,log\n")
-        for raw, path, final, diverged in rows:
-            final_txt = "" if final is None else repr(final)
-            fh.write(f"{args.axis},{raw},{final_txt},{str(diverged).lower()},{path}\n")
+    rows = []
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for label, (raw, cfg) in points.items():
+            path = out_dir / f"{label}.log"
+            with open(path, "w", encoding="utf-8") as fh:
+                engine = Engine(cfg)
+                summary = write_log(fh, cfg, engine.basis_inconsistent, engine.records())
+            rows.append((raw, str(path), summary["mean_loss"], summary["diverged"]))
+        with open(summary_path, "w", encoding="utf-8") as fh:
+            fh.write("axis,value,final_loss,diverged,log\n")
+            for raw, path, final, diverged in rows:
+                final_txt = "" if final is None else repr(final)
+                fh.write(f"{args.axis},{raw},{final_txt},{str(diverged).lower()},{path}\n")
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {len(rows)} runs and {summary_path}")
     return 2 if any(r[3] for r in rows) else 0
 

@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Any, Optional, get_args, get_type_hints
 
 from .costs import STRATEGY_GLOBAL, STRATEGY_LOCAL
-from .optimizer import MU_PER_COLUMN, MU_SCALAR, QHM_MODES, QHM_NONE, HyperParams
-from .problems import SHARD_POLICIES
+from .optimizer import MU_PER_COLUMN, MU_SCALAR, QHM_MODES, QHM_NONE
+from .problems import SHARD_FEATURE_BLOCKS, SHARD_POLICIES
 
 PROJECTION_INIT_DEFAULT = "default"
 PROJECTION_INIT_RANDOM = "random"
@@ -23,6 +23,8 @@ PROJECTION_INITS = (PROJECTION_INIT_DEFAULT, PROJECTION_INIT_RANDOM, PROJECTION_
 
 OUTER_AVERAGE = "average"
 OUTER_NESTEROV = "nesterov"
+
+MAX_ARRAY_BYTES = 1 << 30  # cap on the float64 arrays a run allocates at set-up
 
 
 class ConfigError(ValueError):
@@ -72,6 +74,12 @@ class HyperConfig:
     lr: float = 0.01
     warmup_steps: int = 0
 
+    def lr_at(self, t: int) -> float:
+        """Linear warmup to `lr` over warmup_steps, constant afterwards."""
+        if self.warmup_steps <= 0:
+            return self.lr
+        return self.lr * min(1.0, (t + 1) / self.warmup_steps)
+
 
 @dataclass(frozen=True)
 class OuterConfig:
@@ -101,9 +109,6 @@ class RunConfig:
     hyperparams: HyperConfig = field(default_factory=HyperConfig)
     outer: OuterConfig = field(default_factory=OuterConfig)
     flags: FlagsConfig = field(default_factory=FlagsConfig)
-
-    def hyper_params(self) -> HyperParams:
-        return HyperParams(omega=self.qhm.omega, **asdict(self.hyperparams))
 
     def projection_init(self) -> str:
         if self.projection.init != PROJECTION_INIT_DEFAULT:
@@ -169,6 +174,17 @@ def _check(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _array_bytes(cfg: RunConfig) -> int:
+    """Float64 bytes of the problem's arrays and the worker stack that the engine allocates."""
+    p = cfg.problem
+    problem = p.design_rows * (p.rows + p.cols) + p.rows * p.cols  # design, labels, x_star
+    if p.shard_policy == SHARD_FEATURE_BLOCKS:
+        problem += p.design_rows * p.rows  # the feature-block mask
+    # x, anchor, error and the gradient buffer; u and v; the bases
+    stack = 4 * p.rows * p.cols + 2 * cfg.rank * p.cols + p.rows * cfg.rank
+    return 8 * (problem + cfg.workers * stack)
+
+
 def validate(cfg: RunConfig) -> None:
     """Range and cross-field validation; raises ConfigError naming the field."""
     _check(cfg.master_seed >= 0, "master_seed must be a non-negative integer")
@@ -189,6 +205,10 @@ def validate(cfg: RunConfig) -> None:
     shard_rows = p.design_rows // cfg.workers
     _check(1 <= p.batch_size <= shard_rows,
            f"problem.batch_size must lie in [1, {shard_rows}] (shard size)")
+    need = _array_bytes(cfg)
+    _check(need <= MAX_ARRAY_BYTES,
+           f"problem.design_rows, problem.rows, problem.cols, workers and rank need {need / 2**30:.2f} GiB "
+           f"of arrays, over the {MAX_ARRAY_BYTES / 2**30:g} GiB cap")
     if p.target_rank is not None:
         _check(1 <= p.target_rank <= min(p.rows, p.cols), "problem.target_rank out of range")
         _check(p.target_alpha > 0.0, "problem.target_alpha must be positive")

@@ -31,7 +31,7 @@ from . import costs
 from .config import OUTER_NESTEROV, PROJECTION_INIT_IDENTITY, RunConfig
 from .costs import STRATEGY_GLOBAL, STRATEGY_LOCAL, CostInputs
 from .linalg import clip_frobenius
-from .optimizer import QHM_NONE, HyperParams, compress_gradient, compute_update, update_moments
+from .optimizer import QHM_NONE, compress_gradient, compute_update, update_moments
 from .problems import MatrixRegression
 from .projection import (
     DegenerateSignalError,
@@ -123,7 +123,6 @@ class Engine:
             target_rank=pc.target_rank,
             target_alpha=pc.target_alpha,
         )
-        self.hp: HyperParams = config.hyper_params()
         self.rank = config.rank
         m_count = config.workers
         if config.projection_init() == PROJECTION_INIT_IDENTITY:
@@ -159,6 +158,7 @@ class Engine:
     def _local_step(self, t: int) -> list:
         """One step on every worker; returns this step's local-refresh metrics in worker order."""
         cfg = self.cfg
+        hp = cfg.hyperparams
         s = self.stack
         ef = cfg.flags.error_feedback
         # one full-size buffer carries the gradients, their clipped form and the update
@@ -166,7 +166,7 @@ class Engine:
         for m, rng in enumerate(s.rngs):
             batch = self.problem.sample_batch(m, cfg.problem.batch_size, rng)
             self.problem.stoch_gradient(s.x[m], batch, out=grad[m])
-        clip_frobenius(grad, self.hp.clip_radius, out=grad)
+        clip_frobenius(grad, hp.clip_radius, out=grad)
         refreshed = []
         if (
             cfg.projection.strategy == STRATEGY_LOCAL
@@ -180,10 +180,10 @@ class Engine:
         g = np.empty_like(s.u)
         for m in range(cfg.workers):
             g[m], _ = compress_gradient(grad[m], s.error[m], s.basis[m], out=s.error[m] if ef else None)
-        update_moments(s, g, self.hp.beta1, self.hp.beta2)
+        update_moments(s, g, hp.beta1, hp.beta2)
         mode = QHM_NONE if t < cfg.qhm.start_step else cfg.qhm.mode
-        upd = compute_update(s, grad, g, mode, self.hp, cfg.flags.mu_semantics, out=grad)
-        upd *= self.hp.lr_at(t)
+        upd = compute_update(s, grad, g, mode, hp, cfg.qhm.omega, cfg.flags.mu_semantics, out=grad)
+        upd *= hp.lr_at(t)
         s.x -= upd
         return refreshed
 
@@ -202,7 +202,7 @@ class Engine:
         old = s.basis[0 if m is None else m]
         r_mat = rotation_matrix(new, old)
         if self.cfg.flags.rotate_moments and s.step > 0:
-            hp = self.hp
+            hp = self.cfg.hyperparams
             s.v[rows] = rotate_second_moment(r_mat, s.u[rows], s.v[rows], hp.beta1, hp.beta2, s.step)
             s.u[rows] = rotate_first_moment(r_mat, s.u[rows])
         # `old` is a view into the stack: measure before the new basis overwrites it

@@ -65,14 +65,6 @@ def svd(a) -> SvdResult:
     return SvdResult(u=u * signs, s=s, v=np.ascontiguousarray(vt.T * signs))
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value."""
-    a = as_matrix(a, "spectral_norm input")
-    if not a.any():
-        return 0.0
-    return float(svd(a).s[0])
-
-
 def frobenius_norm(a) -> float:
     a = as_matrix(a, "frobenius_norm input")
     return float(np.sqrt(np.sum(a * a)))
@@ -90,11 +82,3 @@ def clip_frobenius(g, radius: float, out=None) -> np.ndarray:
     norm = np.sqrt(np.sum(g * g, axis=(-2, -1), keepdims=True))
     # radius / max(norm, radius) is exactly 1 inside the ball
     return np.multiply(g, radius / np.maximum(norm, radius), out=out)
-
-
-def numerical_rank(a, rel_tol: float = 1e-10) -> int:
-    """Count singular values above rel_tol times the largest."""
-    s = svd(a).s
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0]))

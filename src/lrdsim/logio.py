@@ -9,7 +9,7 @@ append-only and parseable line by line. Serialization is deterministic
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from . import __version__
 from .config import RunConfig
@@ -33,21 +33,20 @@ def dump_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, allow_nan=False)
 
 
-def write_log(path: str, config: RunConfig, basis_inconsistent: bool, records: Iterable[StepRecord]) -> dict:
-    """Stream records to `path`; returns summary {steps, diverged, mean_loss}.
+def write_log(fh: TextIO, config: RunConfig, basis_inconsistent: bool, records: Iterable[StepRecord]) -> dict:
+    """Stream records to the open text file `fh`; returns summary {steps, diverged, mean_loss}.
 
     `mean_loss` is the final record's (None when it diverged or no step ran).
     """
     steps = 0
     diverged = False
     mean_loss = None
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_line(header_record(config, basis_inconsistent)) + "\n")
-        for rec in records:
-            fh.write(dump_line(rec.to_json_dict()) + "\n")
-            steps += 1
-            diverged = diverged or rec.diverged
-            mean_loss = rec.mean_loss
+    fh.write(dump_line(header_record(config, basis_inconsistent)) + "\n")
+    for rec in records:
+        fh.write(dump_line(rec.to_json_dict()) + "\n")
+        steps += 1
+        diverged = diverged or rec.diverged
+        mean_loss = rec.mean_loss
     return {"steps": steps, "diverged": diverged, "mean_loss": mean_loss}
 
 

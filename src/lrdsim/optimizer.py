@@ -11,18 +11,23 @@ and forms updates in one of three quasi-hyperbolic flavors:
 where hats are bias-corrected moments and mu() averages the denominator
 over the r rows (per column by default, or a single scalar).
 
-A textbook full-rank Adam step lives here too, serving as the oracle
-for the exact-degeneracy checks.
+The kernels take their state duck-typed: any object with the attributes
+a kernel's docstring names, such as the engine's stacked `WorkerStack`.
+Hyperparameters come as a `config.HyperConfig`, with QHM's omega passed
+beside them. A textbook full-rank Adam step lives here too, serving as
+the oracle for the exact-degeneracy checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .linalg import as_matrix
+
+if TYPE_CHECKING:  # config imports this module's constants
+    from .config import HyperConfig
 
 QHM_NONE = "none"
 QHM_LOW_RANK = "low_rank"
@@ -31,59 +36,6 @@ QHM_MODES = (QHM_NONE, QHM_LOW_RANK, QHM_FULL_RANK)
 
 MU_PER_COLUMN = "per_column"
 MU_SCALAR = "scalar"
-
-
-@dataclass(frozen=True)
-class HyperParams:
-    """Optimizer hyperparameters shared by all workers and layers."""
-
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_radius: float = 1.0
-    omega: Optional[float] = None
-    lr: float = 0.01
-    warmup_steps: int = 0
-
-    def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0):
-            raise ValueError(f"beta1 must lie in [0, 1), got {self.beta1}")
-        if not (0.0 <= self.beta2 < 1.0):
-            raise ValueError(f"beta2 must lie in [0, 1), got {self.beta2}")
-        if self.eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.clip_radius <= 0.0:
-            raise ValueError(f"clip radius must be positive, got {self.clip_radius}")
-        if self.omega is not None and not (0.0 <= self.omega <= 1.0):
-            raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
-        if self.lr <= 0.0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.warmup_steps < 0:
-            raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
-
-    def lr_at(self, t: int) -> float:
-        """Linear warmup to `lr` over warmup_steps, constant afterwards."""
-        if self.warmup_steps <= 0:
-            return self.lr
-        return self.lr * min(1.0, (t + 1) / self.warmup_steps)
-
-
-@dataclass
-class LowRankOptState:
-    """Optimizer state for one parameter tensor on one worker."""
-
-    u: np.ndarray
-    v: np.ndarray
-    error: np.ndarray
-    basis: np.ndarray  # (p, r), column-orthonormal
-    step: int = 0
-
-    @classmethod
-    def fresh(cls, p: int, q: int, basis: np.ndarray) -> "LowRankOptState":
-        if basis.shape[0] != p:
-            raise ValueError(f"basis dimension {basis.shape[0]} does not match p={p}")
-        r = basis.shape[1]
-        return cls(u=np.zeros((r, q)), v=np.zeros((r, q)), error=np.zeros((p, q)), basis=basis)
 
 
 def compress_gradient(
@@ -106,7 +58,7 @@ def compress_gradient(
 
 
 def update_moments(state, g: np.ndarray, beta1: float, beta2: float):
-    """EMA update of both moments (over any leading worker axis); increments the step counter."""
+    """EMA update of `state.u` and `state.v` (over any leading worker axis); increments `state.step`."""
     if g.shape != state.u.shape:
         raise ValueError(f"compressed gradient {g.shape} does not match moments {state.u.shape}")
     state.u = beta1 * state.u + (1.0 - beta1) * g
@@ -120,21 +72,22 @@ def compute_update(
     grad: np.ndarray,
     g: np.ndarray,
     mode: str,
-    hp: HyperParams,
+    hp: HyperConfig,
+    omega: Optional[float] = None,
     mu_semantics: str = MU_PER_COLUMN,
     out=None,
 ) -> np.ndarray:
     """Full-rank update direction for the current step (caller applies -lr).
 
     `state` needs `u`, `v`, `step` and `basis`; a stacked state with
-    (M, r, q) moments and an (M, p, r) basis gives M updates at once. The
-    update goes to `out` when given (which may be `grad`).
+    (M, r, q) moments and an (M, p, r) basis gives M updates at once.
+    `omega` weighs the QHM branches and is required unless `mode` is
+    'none'. The update goes to `out` when given (which may be `grad`).
     """
     if mode not in QHM_MODES:
         raise ValueError(f"unknown QHM mode {mode!r}")
-    if mode != QHM_NONE:
-        if hp.omega is None:
-            raise ValueError(f"mode {mode!r} requires omega")
+    if mode != QHM_NONE and omega is None:
+        raise ValueError(f"mode {mode!r} requires omega")
     if state.step < 1:
         raise ValueError("moments must be updated before computing an update")
     t = state.step
@@ -144,7 +97,6 @@ def compute_update(
     q_mat = state.basis
     if mode == QHM_NONE:
         return np.matmul(q_mat, uh / denom, out=out)
-    omega = hp.omega
     if mode == QHM_LOW_RANK:
         return np.matmul(q_mat, (omega * uh + (1.0 - omega) * g) / denom, out=out)
     if mu_semantics == MU_PER_COLUMN:
@@ -167,7 +119,7 @@ def adam_reference_step(
     grad: np.ndarray,
     u: np.ndarray,
     v: np.ndarray,
-    hp: HyperParams,
+    hp: HyperConfig,
     t: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One textbook full-rank Adam step with bias correction.

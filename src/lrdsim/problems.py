@@ -113,9 +113,6 @@ class MatrixRegression:
         idx = rng.choice(self.rows_per_shard, size=batch_size, replace=False)
         return Batch(worker_id=worker_id, indices=idx)
 
-    def full_shard_batch(self, worker_id: int) -> Batch:
-        return Batch(worker_id=worker_id, indices=np.arange(self.rows_per_shard))
-
     def loss(self, x: np.ndarray, batch: Batch) -> float:
         a, y = self.shard(batch.worker_id)
         ab = a[batch.indices]

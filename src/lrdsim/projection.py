@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm, spectral_norm, svd
+from .linalg import as_matrix, frobenius_norm, svd
 
 ORTHO_TOL = 1e-10
 
@@ -104,14 +104,13 @@ def mssv(r_mat) -> float:
     return float(frobenius_norm(r_mat) ** 2 / r)
 
 
-def stable_rank(a) -> float:
-    """||A||_F^2 / sigma_1^2; zero matrix reports 0 with a warning."""
-    a = as_matrix(a, "stable_rank input")
-    spec = spectral_norm(a)
-    if spec == 0.0:
+def stable_rank(s) -> float:
+    """||A||_F^2 / sigma_1^2 from A's descending singular values; a zero spectrum reports 0 with a warning."""
+    s = np.asarray(s, dtype=np.float64)
+    if s[0] == 0.0:
         warnings.warn("stable_rank of a zero matrix is reported as 0", RuntimeWarning, stacklevel=2)
         return 0.0
-    return float((frobenius_norm(a) / spec) ** 2)
+    return float(np.sum(s * s) / (s[0] * s[0]))
 
 
 def spectral_gap(s, rank: int) -> float:
@@ -201,11 +200,10 @@ def subspace_metrics_from_update(
     """
     s = np.asarray(signal_singular_values, dtype=np.float64)
     r = q_new.shape[1]
-    sr = float(np.sum(s * s) / (s[0] * s[0])) if s.size and s[0] > 0 else 0.0
     gap = spectral_gap(s, r) if r < s.size else 0.0
     return SubspaceMetrics(
         mssv=mssv(r_mat),
-        stable_rank=sr,
+        stable_rank=stable_rank(s),
         spectral_gap=gap,
         sin_theta=_sin_theta(q_new, q_old, r_mat),
     )

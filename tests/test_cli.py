@@ -280,6 +280,80 @@ def test_sweep_zero_workers_exit_one(cfg_path, tmp_path, capsys):
     assert not out_dir.exists() or not list(out_dir.glob("*.log"))
 
 
+@pytest.fixture
+def no_engine(monkeypatch):
+    """Fail the test if the CLI builds an Engine, which allocates the run's arrays."""
+
+    def refuse(cfg):
+        raise AssertionError("the CLI built an Engine")
+
+    monkeypatch.setattr("lrdsim.cli.Engine", refuse)
+
+
+def test_run_unwritable_out_exit_one(cfg_path, tmp_path, capsys, no_engine):
+    assert main(["run", "--config", cfg_path(), "--out", str(tmp_path / "missing" / "run.log")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ")
+    assert err.count("\n") == 1
+
+
+def test_sweep_out_dir_under_file_exit_one(cfg_path, tmp_path, capsys, no_engine):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["sweep", "--config", cfg_path(), "--axis", "rank", "--values", "2",
+                 "--out-dir", str(blocker / "sweep")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ")
+    assert err.count("\n") == 1
+
+
+def test_sweep_unwritable_point_log_exit_one(cfg_path, tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    (out_dir / "rank4.log").mkdir(parents=True)
+    code = main(["sweep", "--config", cfg_path(), "--axis", "rank", "--values", "2,4", "--out-dir", str(out_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"problem": {"design_rows": 2**30}},
+        {"problem": {"rows": 2**30}},
+        {"problem": {"cols": 2**30}},
+        {"workers": 2**18, "problem": {"design_rows": 2**18, "batch_size": 1}},
+    ],
+    ids=["design_rows", "rows", "cols", "workers"],
+)
+def test_over_budget_sizes_exit_one_without_allocating(cfg_path, tmp_path, capsys, no_engine, overrides):
+    out = tmp_path / "x.log"
+    assert main(["run", "--config", cfg_path(overrides, name="big.yaml"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: problem.design_rows, problem.rows, problem.cols, workers and rank need ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "axis, values, label",
+    [("K", "4,04", "K4"), ("omega", "0.5,.5", "omega0.5")],
+    ids=["K", "omega"],
+)
+def test_sweep_colliding_labels_exit_one(cfg_path, tmp_path, capsys, no_engine, axis, values, label):
+    out_dir = tmp_path / "sweepdup"
+    code = main(["sweep", "--config", cfg_path({"qhm": {"mode": "low_rank", "omega": 0.9}}), "--axis", axis,
+                 "--values", values, "--out-dir", str(out_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sweep values ")
+    assert f"both name point {label}" in err
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_sweep_parallel_matches_sequential(cfg_path, tmp_path):
     seq_dir = tmp_path / "seq"
     par_dir = tmp_path / "par"

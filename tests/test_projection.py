@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrdsim.linalg import svd
 from lrdsim.projection import (
     DegenerateSignalError,
     identity_projection,
@@ -111,11 +112,11 @@ def test_mssv_range_and_containment():
 
 
 def test_stable_rank_cases():
-    assert stable_rank(np.eye(6)) == pytest.approx(6.0)
-    assert stable_rank(np.outer(np.arange(1.0, 4.0), np.ones(4))) == pytest.approx(1.0, abs=1e-10)
-    assert stable_rank(np.diag([2.0, 1.0])) == pytest.approx(1.25)
+    assert stable_rank(svd(np.eye(6)).s) == pytest.approx(6.0)
+    assert stable_rank(svd(np.outer(np.arange(1.0, 4.0), np.ones(4))).s) == pytest.approx(1.0, abs=1e-10)
+    assert stable_rank(svd(np.diag([2.0, 1.0])).s) == pytest.approx(1.25)
     with pytest.warns(RuntimeWarning):
-        assert stable_rank(np.zeros((3, 3))) == 0.0
+        assert stable_rank(svd(np.zeros((3, 3))).s) == 0.0
 
 
 def test_spectral_gap_cases():
