@@ -14,57 +14,55 @@ BASE = {
 }
 
 
-def _rule(overrides: dict, prefix: str, name: str):
-    return pytest.param(overrides, prefix, id=name)
-
-
 # every range and cross-field rule of `validate`, each broken on its own;
 # `prefix` is how the message starts, naming the field
 RULES = [
-    _rule({"master_seed": -1}, "master_seed", "master_seed"),
-    _rule({"workers": 0}, "workers", "workers"),
-    _rule({"steps": 0}, "steps", "steps"),
-    _rule({"problem": {"type": "logistic"}}, "problem.type", "problem.type"),
-    _rule({"problem": {"rows": 0}}, "problem.rows and problem.cols", "problem.rows"),
-    _rule({"problem": {"cols": 0}}, "problem.rows and problem.cols", "problem.cols"),
-    _rule({"rank": 0}, "rank must lie in", "rank_low"),
-    _rule({"rank": 13}, "rank must lie in", "rank_high"),
-    _rule({"problem": {"design_rows": 1}}, "problem.design_rows", "design_rows_below_workers"),
-    _rule({"problem": {"design_rows": 65}}, "problem.design_rows", "design_rows_uneven"),
-    _rule({"problem": {"noise_std": -0.1}}, "problem.noise_std", "problem.noise_std"),
-    _rule({"problem": {"shard_policy": "random"}}, "problem.shard_policy", "problem.shard_policy"),
-    _rule({"problem": {"shard_policy": "feature_blocks", "rows": 15}}, "problem.rows", "feature_blocks_rows"),
-    _rule({"problem": {"batch_size": 0}}, "problem.batch_size", "batch_size_low"),
-    _rule({"problem": {"batch_size": 33}}, "problem.batch_size", "batch_size_high"),
-    _rule({"problem": {"design_rows": 2**30}}, "problem.design_rows, problem.rows", "array_bytes"),
-    _rule({"problem": {"target_rank": 13}}, "problem.target_rank", "problem.target_rank"),
-    _rule({"problem": {"target_rank": 2, "target_alpha": 0.0}}, "problem.target_alpha", "problem.target_alpha"),
-    _rule({"schedule": {"k_x": 0}}, "schedule periods", "schedule.k_x"),
-    _rule({"schedule": {"k_u": 0}}, "schedule periods", "schedule.k_u"),
-    _rule({"schedule": {"k_v": 0}}, "schedule periods", "schedule.k_v"),
-    _rule({"projection": {"strategy": "mixed"}}, "projection.strategy", "projection.strategy"),
-    _rule({"projection": {"init": "zeros"}}, "projection.init", "projection.init"),
-    _rule({"qhm": {"mode": "full"}}, "qhm.mode", "qhm.mode"),
-    _rule({"qhm": {"omega": 0.5}}, "qhm.omega must be omitted", "omega_without_mode"),
-    _rule({"qhm": {"mode": "low_rank"}}, "qhm.omega is required", "omega_missing"),
-    _rule({"qhm": {"mode": "low_rank", "omega": 1.5}}, "qhm.omega must lie in", "omega_high"),
-    _rule({"qhm": {"mode": "full_rank", "omega": -0.1}}, "qhm.omega must lie in", "omega_low"),
-    _rule({"qhm": {"start_step": 9}}, "qhm.start_step", "qhm.start_step"),
-    _rule({"hyperparams": {"beta1": 1.0}}, "hyperparams.beta1", "beta1_high"),
-    _rule({"hyperparams": {"beta1": -0.1}}, "hyperparams.beta1", "beta1_low"),
-    _rule({"hyperparams": {"beta2": 1.0}}, "hyperparams.beta2", "beta2_high"),
-    _rule({"hyperparams": {"beta2": -0.1}}, "hyperparams.beta2", "beta2_low"),
-    _rule({"hyperparams": {"eps": 0.0}}, "hyperparams.eps", "hyperparams.eps"),
-    _rule({"hyperparams": {"clip_radius": 0.0}}, "hyperparams.clip_radius", "hyperparams.clip_radius"),
-    _rule({"hyperparams": {"lr": 0.0}}, "hyperparams.lr", "hyperparams.lr"),
-    _rule({"hyperparams": {"warmup_steps": -1}}, "hyperparams.warmup_steps", "warmup_steps_low"),
-    _rule({"hyperparams": {"warmup_steps": 8}}, "hyperparams.warmup_steps", "warmup_steps_high"),
-    _rule({"outer": {"kind": "adam"}}, "outer.kind", "outer.kind"),
-    _rule({"outer": {"outer_lr": 0.0}}, "outer.outer_lr", "outer.outer_lr"),
-    _rule({"outer": {"outer_momentum": 1.0}}, "outer.outer_momentum", "outer.outer_momentum"),
-    _rule({"flags": {"sparsify_keep": 0.0}}, "flags.sparsify_keep", "sparsify_keep_low"),
-    _rule({"flags": {"sparsify_keep": 1.5}}, "flags.sparsify_keep", "sparsify_keep_high"),
-    _rule({"flags": {"mu_semantics": "median"}}, "flags.mu_semantics", "flags.mu_semantics"),
+    pytest.param({"master_seed": -1}, "master_seed", id="master_seed"),
+    pytest.param({"workers": 0}, "workers", id="workers"),
+    pytest.param({"steps": 0}, "steps", id="steps"),
+    pytest.param({"problem": {"type": "logistic"}}, "problem.type", id="problem.type"),
+    pytest.param({"problem": {"rows": 0}}, "problem.rows and problem.cols", id="problem.rows"),
+    pytest.param({"problem": {"cols": 0}}, "problem.rows and problem.cols", id="problem.cols"),
+    pytest.param({"rank": 0}, "rank must lie in", id="rank_low"),
+    pytest.param({"rank": 13}, "rank must lie in", id="rank_high"),
+    pytest.param({"problem": {"design_rows": 1}}, "problem.design_rows", id="design_rows_below_workers"),
+    pytest.param({"problem": {"design_rows": 65}}, "problem.design_rows", id="design_rows_uneven"),
+    pytest.param({"problem": {"noise_std": -0.1}}, "problem.noise_std", id="problem.noise_std"),
+    pytest.param({"problem": {"shard_policy": "random"}}, "problem.shard_policy", id="problem.shard_policy"),
+    pytest.param({"problem": {"shard_policy": "feature_blocks", "rows": 15}}, "problem.rows",
+                 id="feature_blocks_rows"),
+    pytest.param({"problem": {"batch_size": 0}}, "problem.batch_size", id="batch_size_low"),
+    pytest.param({"problem": {"batch_size": 33}}, "problem.batch_size", id="batch_size_high"),
+    pytest.param({"problem": {"design_rows": 2**30}}, "problem.design_rows, problem.rows", id="array_bytes"),
+    pytest.param({"problem": {"target_rank": 13}}, "problem.target_rank", id="problem.target_rank"),
+    pytest.param({"problem": {"target_rank": 2, "target_alpha": 0.0}}, "problem.target_alpha",
+                 id="problem.target_alpha"),
+    pytest.param({"schedule": {"k_x": 0}}, "schedule periods", id="schedule.k_x"),
+    pytest.param({"schedule": {"k_u": 0}}, "schedule periods", id="schedule.k_u"),
+    pytest.param({"schedule": {"k_v": 0}}, "schedule periods", id="schedule.k_v"),
+    pytest.param({"projection": {"strategy": "mixed"}}, "projection.strategy", id="projection.strategy"),
+    pytest.param({"projection": {"init": "zeros"}}, "projection.init", id="projection.init"),
+    pytest.param({"qhm": {"mode": "full"}}, "qhm.mode", id="qhm.mode"),
+    pytest.param({"qhm": {"omega": 0.5}}, "qhm.omega must be omitted", id="omega_without_mode"),
+    pytest.param({"qhm": {"mode": "low_rank"}}, "qhm.omega is required", id="omega_missing"),
+    pytest.param({"qhm": {"mode": "low_rank", "omega": 1.5}}, "qhm.omega must lie in", id="omega_high"),
+    pytest.param({"qhm": {"mode": "full_rank", "omega": -0.1}}, "qhm.omega must lie in", id="omega_low"),
+    pytest.param({"qhm": {"start_step": 9}}, "qhm.start_step", id="qhm.start_step"),
+    pytest.param({"hyperparams": {"beta1": 1.0}}, "hyperparams.beta1", id="beta1_high"),
+    pytest.param({"hyperparams": {"beta1": -0.1}}, "hyperparams.beta1", id="beta1_low"),
+    pytest.param({"hyperparams": {"beta2": 1.0}}, "hyperparams.beta2", id="beta2_high"),
+    pytest.param({"hyperparams": {"beta2": -0.1}}, "hyperparams.beta2", id="beta2_low"),
+    pytest.param({"hyperparams": {"eps": 0.0}}, "hyperparams.eps", id="hyperparams.eps"),
+    pytest.param({"hyperparams": {"clip_radius": 0.0}}, "hyperparams.clip_radius", id="hyperparams.clip_radius"),
+    pytest.param({"hyperparams": {"lr": 0.0}}, "hyperparams.lr", id="hyperparams.lr"),
+    pytest.param({"hyperparams": {"warmup_steps": -1}}, "hyperparams.warmup_steps", id="warmup_steps_low"),
+    pytest.param({"hyperparams": {"warmup_steps": 8}}, "hyperparams.warmup_steps", id="warmup_steps_high"),
+    pytest.param({"outer": {"kind": "adam"}}, "outer.kind", id="outer.kind"),
+    pytest.param({"outer": {"outer_lr": 0.0}}, "outer.outer_lr", id="outer.outer_lr"),
+    pytest.param({"outer": {"outer_momentum": 1.0}}, "outer.outer_momentum", id="outer.outer_momentum"),
+    pytest.param({"flags": {"sparsify_keep": 0.0}}, "flags.sparsify_keep", id="sparsify_keep_low"),
+    pytest.param({"flags": {"sparsify_keep": 1.5}}, "flags.sparsify_keep", id="sparsify_keep_high"),
+    pytest.param({"flags": {"mu_semantics": "median"}}, "flags.mu_semantics", id="flags.mu_semantics"),
 ]
 
 
