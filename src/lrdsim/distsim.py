@@ -17,11 +17,17 @@ The M workers are stacked: parameters, anchors and error buffers are one
 array, and the optimizer kernels run once per step over the whole stack.
 Execution is serial and deterministic on a given machine and BLAS build:
 per-worker RNG streams derive from (master_seed, worker_id) and never
-mix, and batches, gradients and compression stay per worker.
+mix. Each worker draws its batches from its own stream, training batch
+then eval batch, one `sample_batch` call each. The held-out eval scores
+all M workers in one stacked `loss` call, bitwise equal to M per-worker
+calls. The training gradients and their compression stay one (p, q)
+call per worker: the benchmark's per-layer counters read those calls'
+2-D shapes and batch size, so they move only with the benchmark.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Iterator, Optional
 
@@ -32,7 +38,7 @@ from .config import OUTER_NESTEROV, PROJECTION_INIT_IDENTITY, RunConfig
 from .costs import STRATEGY_GLOBAL, STRATEGY_LOCAL, CostInputs
 from .linalg import clip_frobenius
 from .optimizer import QHM_NONE, compress_gradient, compute_update, update_moments
-from .problems import MatrixRegression
+from .problems import Batch, MatrixRegression
 from .projection import (
     DegenerateSignalError,
     identity_projection,
@@ -264,20 +270,24 @@ class Engine:
     # ---- main loop ---------------------------------------------------------
 
     def records(self) -> Iterator[StepRecord]:
+        s = self.stack
+        prob = self.problem
+        batch_size = self.cfg.problem.batch_size
+        workers = np.arange(self.cfg.workers)
+        eval_rows = np.empty((self.cfg.workers, batch_size), dtype=np.int64)
         for t in range(self.cfg.steps):
             refreshed = self._local_step(t)
             uplink, downlink, subspace = self._sync_phase(t, refreshed)
             # held-out evaluation: a fresh batch from each worker's stream,
-            # drawn after the step's training batch
-            s = self.stack
-            losses = [
-                self.problem.loss(s.x[m], self.problem.sample_batch(m, self.cfg.problem.batch_size, rng))
-                for m, rng in enumerate(s.rngs)
-            ]
-            diverged = not (np.isfinite(losses).all() and np.isfinite(s.x).all())
+            # drawn after the step's training batch, scored in one stacked call
+            for m, rng in enumerate(s.rngs):
+                eval_rows[m] = prob.sample_batch(m, batch_size, rng).indices
+            losses = prob.loss(s.x, Batch(workers, eval_rows)).tolist()
+            worker_losses = [x if math.isfinite(x) else None for x in losses]
+            diverged = None in worker_losses or not np.isfinite(s.x).all()
             yield StepRecord(
                 step=t,
-                worker_losses=[x if np.isfinite(x) else None for x in losses],
+                worker_losses=worker_losses,
                 mean_loss=None if diverged else float(np.mean(losses)),
                 bytes_uplink=uplink,
                 bytes_downlink=downlink,

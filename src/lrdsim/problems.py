@@ -29,28 +29,39 @@ SHARD_POLICIES = (SHARD_IID, SHARD_FEATURE_BLOCKS)
 
 @dataclass(frozen=True)
 class Batch:
-    """Row indices into one worker's shard."""
+    """Row indices into worker shards.
 
-    worker_id: int
+    One worker: an int `worker_id` and (B,) `indices`. Stacked workers: an
+    (M,) array of worker ids and (M, B) `indices`, one row per worker.
+    """
+
+    worker_id: int | np.ndarray
     indices: np.ndarray
 
     def __post_init__(self):
-        if len(self.indices) < 1:
+        if self.indices.shape[-1] < 1:
             raise ValueError("batch must contain at least one row")
 
     @property
     def size(self) -> int:
-        return len(self.indices)
+        """Rows per worker (B)."""
+        return self.indices.shape[-1]
 
 
 class MatrixRegression:
     """Sharded matrix least squares with label noise.
 
     The global design has `n_rows` standard-Gaussian rows split into
-    `workers` equal consecutive blocks. With the feature_blocks policy,
-    shard m additionally zeroes all design columns outside its own
-    p/workers feature block, which confines worker gradients to disjoint
-    coordinate rows (used for the orthogonal-subspace constructions).
+    `workers` equal consecutive blocks, held as (M, n_rows/M, p) and
+    (M, n_rows/M, q) views (`design_shards`, `label_shards`) of the
+    `design` and `labels` buffers. With the feature_blocks policy, shard m
+    additionally zeroes all design columns outside its own p/workers
+    feature block, which confines worker gradients to disjoint coordinate
+    rows (used for the orthogonal-subspace constructions).
+
+    `loss` and `stoch_gradient` take one worker's batch with (p, q)
+    parameters, or a stacked batch with (M, p, q) parameters and then
+    answer for every worker at once, each bitwise equal to its own call.
     """
 
     def __init__(
@@ -85,12 +96,9 @@ class MatrixRegression:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
         design = rng.standard_normal((n_rows, p))
         if shard_policy == SHARD_FEATURE_BLOCKS:
-            block = p // workers
-            mask = np.zeros((n_rows, p))
-            for m in range(workers):
-                rows = slice(m * self.rows_per_shard, (m + 1) * self.rows_per_shard)
-                mask[rows, m * block : (m + 1) * block] = 1.0
-            design = design * mask
+            # row m of the mask keeps worker m's own p/workers columns
+            mask = np.repeat(np.eye(workers), p // workers, axis=1)
+            design = (design.reshape(workers, self.rows_per_shard, p) * mask[:, None, :]).reshape(n_rows, p)
         self.design = design
         if target_rank is None:
             self.x_star = rng.standard_normal((p, q)) / np.sqrt(p)
@@ -100,12 +108,13 @@ class MatrixRegression:
             spectrum = np.arange(1, target_rank + 1, dtype=np.float64) ** -target_alpha
             self.x_star = (left * spectrum) @ right.T
         self.labels = design @ self.x_star + noise_std * rng.standard_normal((n_rows, q))
+        self.design_shards = self.design.reshape(workers, self.rows_per_shard, p)
+        self.label_shards = self.labels.reshape(workers, self.rows_per_shard, q)
 
     def shard(self, worker_id: int) -> tuple[np.ndarray, np.ndarray]:
         if not (0 <= worker_id < self.workers):
             raise ValueError(f"worker_id {worker_id} out of range")
-        rows = slice(worker_id * self.rows_per_shard, (worker_id + 1) * self.rows_per_shard)
-        return self.design[rows], self.labels[rows]
+        return self.design_shards[worker_id], self.label_shards[worker_id]
 
     def sample_batch(self, worker_id: int, batch_size: int, rng: np.random.Generator) -> Batch:
         if not (1 <= batch_size <= self.rows_per_shard):
@@ -113,19 +122,31 @@ class MatrixRegression:
         idx = rng.choice(self.rows_per_shard, size=batch_size, replace=False)
         return Batch(worker_id=worker_id, indices=idx)
 
-    def loss(self, x: np.ndarray, batch: Batch) -> float:
-        a, y = self.shard(batch.worker_id)
-        ab = a[batch.indices]
-        yb = y[batch.indices]
+    def _rows(self, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+        """(A_b, Y_b): (B, p) and (B, q) for one worker, (M, B, p) and (M, B, q) stacked."""
+        ids = batch.worker_id
+        if isinstance(ids, np.ndarray):
+            if ids.min() < 0 or ids.max() >= self.workers:
+                raise ValueError(f"worker_id {ids} out of range")
+            rows = (ids[:, None], batch.indices)
+            return self.design_shards[rows], self.label_shards[rows]
+        a, y = self.shard(ids)
+        return a.take(batch.indices, axis=0), y.take(batch.indices, axis=0)
+
+    def loss(self, x: np.ndarray, batch: Batch) -> float | np.ndarray:
+        """(1/2B)||A_b X - Y_b||_F^2: a float for one worker, an (M,) array stacked."""
+        ab, yb = self._rows(batch)
         resid = ab @ x - yb
-        return float(0.5 * np.sum(resid * resid) / batch.size)
+        squares = np.multiply(resid, resid, out=resid)
+        # one pairwise sum over each worker's B*q squares, as np.sum does for one
+        total = np.add.reduce(squares.reshape(squares.shape[:-2] + (-1,)), axis=-1)
+        out = 0.5 * total / batch.size
+        return float(out) if out.ndim == 0 else out
 
     def stoch_gradient(self, x: np.ndarray, batch: Batch, out=None) -> np.ndarray:
         """A_b^T (A_b X - Y_b) / B, written into `out` when given."""
-        a, y = self.shard(batch.worker_id)
-        ab = a[batch.indices]
-        yb = y[batch.indices]
-        grad = np.matmul(ab.T, ab @ x - yb, out=out)
+        ab, yb = self._rows(batch)
+        grad = np.matmul(ab.swapaxes(-1, -2), ab @ x - yb, out=out)
         grad /= batch.size
         return grad
 

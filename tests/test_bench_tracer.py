@@ -41,5 +41,13 @@ def test_tracer_resolves_every_target_over_a_reference_run(tmp_path, capsys):
     assert [span for span in tracer.spans if span[5] is not None] == []
     assert set(tracer.counts) == {f"{name}.{counter}" for name, (counter, _) in tracing.COUNTERS.items()}
     assert all(total > 0 for total in tracer.counts.values())
+    # one 2-D gradient and one compression per worker and step keep the
+    # counters' meaning: 84,869,120 flop and 44,564,480 bytes here
+    steps, m, b, r = data["steps"], data["workers"], data["problem"]["batch_size"], data["rank"]
+    p, q = data["problem"]["rows"], data["problem"]["cols"]
+    assert tracer.counts["problems.stoch_gradient.flops_computed"] == steps * m * (4 * b * p * q + b * q + p * q)
+    assert tracer.counts["optimizer.compress_gradient.bytes_computed"] == steps * m * 8 * (
+        8 * p * q + 2 * p * r + 2 * r * q
+    )
     # the benchmark's self-test reads this binding
     assert lrdsim.optimizer.as_matrix is lrdsim.linalg.as_matrix

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import yaml
@@ -238,6 +240,31 @@ def test_engine_matches_straightline_low_rank_reference():
         losses.append(prob.loss(x, eval_batch))
     np.testing.assert_allclose(engine_final, x, atol=1e-12)
     np.testing.assert_allclose([r.mean_loss for r in engine_records], losses, atol=1e-12)
+
+
+def test_engine_stacked_eval_equals_per_worker_loss_exactly():
+    # each logged loss must be the 2-D loss of that worker's parameters on the
+    # eval batch its stream draws right after the step's training batch
+    cfg = from_dict(
+        cfg_dict(
+            workers=3,
+            steps=10,
+            problem={"rows": 12, "cols": 5, "design_rows": 60, "batch_size": 8, "shard_policy": "feature_blocks"},
+            schedule={"k_x": 4, "k_u": 2, "k_v": 3},
+        )
+    )
+    engine = Engine(cfg)
+    prob = engine.problem
+    records = engine.records()
+    for _ in range(cfg.steps):
+        rngs = copy.deepcopy(engine.stack.rngs)
+        record = next(records)
+        expected = []
+        for m, rng in enumerate(rngs):
+            prob.sample_batch(m, 8, rng)  # the step's training batch
+            expected.append(prob.loss(engine.stack.x[m], prob.sample_batch(m, 8, rng)))
+        assert record.worker_losses == expected
+        assert record.mean_loss == float(np.mean(expected))
 
 
 @pytest.mark.parametrize("strategy", ["global", "local"])

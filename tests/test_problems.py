@@ -114,9 +114,46 @@ def test_batch_validation():
     with pytest.raises(ValueError):
         Batch(worker_id=0, indices=np.array([], dtype=int))
     with pytest.raises(ValueError):
+        Batch(worker_id=np.arange(3), indices=np.empty((3, 0), dtype=int))
+    with pytest.raises(ValueError):
         prob.sample_batch(0, 0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         prob.sample_batch(0, 10_000, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("policy", ["iid", "feature_blocks"])
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("full_shard", [False, True])
+def test_stacked_loss_and_gradient_bitwise_equal_per_worker_calls(policy, workers, full_shard):
+    prob = small_problem(p=8, q=5, n_rows=48, workers=workers, shard_policy=policy, noise_std=0.3)
+    b = prob.rows_per_shard if full_shard else 1
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((workers, prob.p, prob.q))
+    singles = [prob.sample_batch(m, b, rng) for m in range(workers)]
+    stacked = Batch(np.arange(workers), np.stack([batch.indices for batch in singles]))
+    assert stacked.size == b
+    losses = prob.loss(x, stacked)
+    assert losses.shape == (workers,)
+    assert losses.tolist() == [prob.loss(x[m], singles[m]) for m in range(workers)]
+    grads = prob.stoch_gradient(x, stacked)
+    for m in range(workers):
+        assert grads[m].tobytes() == prob.stoch_gradient(x[m], singles[m]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_worker_id_out_of_range_rejected(bad):
+    # the (M, n/M, p) shard views would silently wrap -1 to the last worker
+    prob = small_problem(workers=2)
+    x = np.zeros((prob.p, prob.q))
+    single = Batch(bad, np.arange(3))
+    stacked = Batch(np.array([0, bad]), np.tile(np.arange(3), (2, 1)))
+    with pytest.raises(ValueError):
+        prob.shard(bad)
+    for params, batch in ((x, single), (np.stack([x, x]), stacked)):
+        with pytest.raises(ValueError):
+            prob.loss(params, batch)
+        with pytest.raises(ValueError):
+            prob.stoch_gradient(params, batch)
 
 
 def test_powerlaw_matrix_spectrum():
