@@ -8,7 +8,6 @@ from .linalg import SvdResult, clip_frobenius, frobenius_norm, svd  # noqa: F401
 from .optimizer import adam_reference_step  # noqa: F401
 from .problems import Batch, MatrixRegression, PowerLawOracle, gen_powerlaw_matrix  # noqa: F401
 from .projection import (  # noqa: F401
-    SubspaceMetrics,
     mssv,
     predicted_instability,
     sin_theta_distance,

@@ -95,8 +95,9 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        # the log opens first, so an unwritable path fails before any allocation
-        with open(args.out, "w", encoding="utf-8") as fh:
+        # the log opens first, so an unwritable path fails before any allocation;
+        # a diverging run's overflow is reported by its `diverged` record and exit 2
+        with open(args.out, "w", encoding="utf-8") as fh, np.errstate(over="ignore", invalid="ignore"):
             engine = Engine(cfg)
             summary = write_log(fh, cfg, engine.basis_inconsistent, engine.records())
     except OSError as exc:
@@ -161,7 +162,7 @@ def cmd_sweep(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         for label, (raw, cfg) in points.items():
             path = out_dir / f"{label}.log"
-            with open(path, "w", encoding="utf-8") as fh:
+            with open(path, "w", encoding="utf-8") as fh, np.errstate(over="ignore", invalid="ignore"):
                 engine = Engine(cfg)
                 summary = write_log(fh, cfg, engine.basis_inconsistent, engine.records())
             rows.append((raw, str(path), summary["mean_loss"], summary["diverged"]))

@@ -5,12 +5,15 @@ Workers run local low-rank Adam steps between barriers. At step t
 (t+1) % K_v == 0, and parameters when (t+1) % K_x == 0. A parameter
 sync averages pseudo-gradients (optionally Top-K sparsified per worker),
 applies the outer optimizer on the shared anchor, and, for the global
-strategy, recomputes the shared basis from the aggregated
-pseudo-gradient and rotates every worker's moments. The local strategy
-instead refreshes each worker's own basis from its clipped gradient
-plus error buffer at steps with (t-1) % K_x == 0. A refresh forms the
+strategy, refreshes the shared basis from the aggregated
+pseudo-gradient. The local strategy instead refreshes each worker's own
+basis from its clipped gradient plus error buffer at steps with
+(t-1) % K_x == 0. Both go through one routine, `Engine._refresh`, on a
+stack of signals: the global signal's rotation turns every worker's
+moments, a local signal's only its own worker's. Each refresh forms the
 rotation R = Q_new^T Q_old once, rotates the moments with it, and
-derives the logged MSSV and sin-theta from it.
+derives the logged MSSV and sin-theta from it; a degenerate signal
+keeps its stale basis and moments.
 
 The M workers are stacked: parameters, anchors and error buffers are one
 (M, p, q) array, moments one (M, r, q) array and bases one (M, p, r)
@@ -28,7 +31,7 @@ call per worker: the benchmark's per-layer counters read those calls'
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -161,8 +164,8 @@ class Engine:
 
     # ---- per-step phases -------------------------------------------------
 
-    def _local_step(self, t: int) -> list:
-        """One step on every worker; returns this step's local-refresh metrics in worker order."""
+    def _local_step(self, t: int) -> Optional[dict]:
+        """One step on every worker; returns this step's local-refresh subspace entry."""
         cfg = self.cfg
         hp = cfg.hyperparams
         s = self.stack
@@ -173,16 +176,13 @@ class Engine:
             batch = self.problem.sample_batch(m, cfg.problem.batch_size, rng)
             self.problem.stoch_gradient(s.x[m], batch, out=grad[m])
         clip_frobenius(grad, hp.clip_radius, out=grad)
-        refreshed = []
+        entry = None
         if (
             cfg.projection.strategy == STRATEGY_LOCAL
             and cfg.projection.refresh
             and (t - 1) % cfg.schedule.k_x == 0
         ):
-            for m in range(cfg.workers):
-                metrics = self._refresh_projection(grad[m] + s.error[m] if ef else grad[m], m)
-                if metrics is not None:
-                    refreshed.append(metrics)
+            entry = self._refresh(grad + s.error if ef else grad)
         g = np.empty_like(s.u)
         for m in range(cfg.workers):
             g[m], _ = compress_gradient(grad[m], s.error[m], s.basis[m], out=s.error[m] if ef else None)
@@ -191,39 +191,47 @@ class Engine:
         upd = compute_update(s, grad, g, mode, hp, cfg.qhm.omega, cfg.flags.mu_semantics, out=grad)
         upd *= hp.lr_at(t)
         s.x -= upd
-        return refreshed
+        return entry
 
-    def _refresh_projection(self, signal: np.ndarray, m: Optional[int] = None):
-        """Move worker m (every worker when None) to the basis of `signal`; return its metrics.
+    def _refresh(self, signals: np.ndarray) -> Optional[dict]:
+        """Move each basis to the top-r left singular vectors of its signal; return the subspace entry.
 
-        A degenerate signal keeps the stale basis and returns None.
+        `signals` is a (k, p, q) stack: k = 1 holds the global signal,
+        whose basis every worker shares, and k = M one signal per worker.
+        Signal j's rotation turns the moments of every worker when k = 1
+        and of worker j otherwise. A degenerate signal keeps its stale
+        basis. The entry holds each metric's mean over the bases that
+        moved, or is None when none moved.
         """
         s = self.stack
-        rows = slice(None) if m is None else slice(m, m + 1)
-        try:
-            new, sig_s = projection_with_spectrum(signal, self.rank)
-        except DegenerateSignalError:
+        hp = self.cfg.hyperparams
+        rotate = self.cfg.flags.rotate_moments and s.step > 0
+        moved = []
+        for j, signal in enumerate(signals):
+            try:
+                new, sig_s = projection_with_spectrum(signal, self.rank)
+            except DegenerateSignalError:
+                continue
+            rows = slice(None) if len(signals) == 1 else slice(j, j + 1)
+            old = s.basis[j]
+            r_mat = rotation_matrix(new, old)
+            if rotate:
+                s.v[rows] = rotate_second_moment(r_mat, s.u[rows], s.v[rows], hp.beta1, hp.beta2, s.step)
+                s.u[rows] = rotate_first_moment(r_mat, s.u[rows])
+            # `old` is a view into the stack: measure before the new basis overwrites it
+            moved.append(subspace_metrics_from_update(new, old, r_mat, sig_s))
+            s.basis[rows] = new
+        if not moved:
             return None
-        # the global strategy holds one basis on every worker, so row 0 serves
-        old = s.basis[0 if m is None else m]
-        r_mat = rotation_matrix(new, old)
-        if self.cfg.flags.rotate_moments and s.step > 0:
-            hp = self.cfg.hyperparams
-            s.v[rows] = rotate_second_moment(r_mat, s.u[rows], s.v[rows], hp.beta1, hp.beta2, s.step)
-            s.u[rows] = rotate_first_moment(r_mat, s.u[rows])
-        # `old` is a view into the stack: measure before the new basis overwrites it
-        metrics = subspace_metrics_from_update(new, old, r_mat, sig_s)
-        s.basis[rows] = new
-        return metrics
+        return {key: float(np.mean([m[key] for m in moved])) for key in moved[0]}
 
-    def _sync_phase(self, t: int, refreshed: list) -> tuple[int, int, Optional[list]]:
-        """Fire the syncs due after step t; `refreshed` holds the step's local-refresh metrics."""
+    def _sync_phase(self, t: int, entry: Optional[dict]) -> tuple[int, int, Optional[list]]:
+        """Fire the syncs due after step t; `entry` is the step's local-refresh subspace entry."""
         cfg = self.cfg
         sched = cfg.schedule
         s = self.stack
         pay = self._payload
         uplink = downlink = 0
-        subspace: Optional[list] = None
         if (t + 1) % sched.k_u == 0:
             s.u[:] = s.u.mean(axis=0)
             uplink += pay.up_first
@@ -233,14 +241,13 @@ class Engine:
             uplink += pay.up_second
             downlink += pay.down_second
         if (t + 1) % sched.k_x == 0:
-            subspace = self._sync_params(t)
+            # only the global strategy refreshes here, and only the local one before
+            entry = self._sync_params(t) or entry
             uplink += pay.up_params + pay.up_projection
             downlink += pay.down_params + pay.down_projection
-        if refreshed:  # local refreshes: log their worker mean
-            subspace = [{key: float(np.mean([getattr(x, key) for x in refreshed])) for key in asdict(refreshed[0])}]
-        return uplink * ELEMENT_SIZE, downlink * ELEMENT_SIZE, subspace
+        return uplink * ELEMENT_SIZE, downlink * ELEMENT_SIZE, entry
 
-    def _sync_params(self, t: int) -> Optional[list]:
+    def _sync_params(self, t: int) -> Optional[dict]:
         cfg = self.cfg
         s = self.stack
         anchor0 = s.anchor[0].tobytes()
@@ -260,12 +267,12 @@ class Engine:
             )
         else:
             x_new = s.anchor[0] + delta
-        metrics = None
+        entry = None
         if cfg.projection.strategy == STRATEGY_GLOBAL and cfg.projection.refresh:
-            metrics = self._refresh_projection(delta)
+            entry = self._refresh(delta[None])
         s.x[:] = x_new
         s.anchor[:] = x_new
-        return None if metrics is None else [asdict(metrics)]
+        return entry
 
     # ---- main loop ---------------------------------------------------------
 
@@ -276,8 +283,7 @@ class Engine:
         workers = np.arange(self.cfg.workers)
         eval_rows = np.empty((self.cfg.workers, batch_size), dtype=np.int64)
         for t in range(self.cfg.steps):
-            refreshed = self._local_step(t)
-            uplink, downlink, subspace = self._sync_phase(t, refreshed)
+            uplink, downlink, entry = self._sync_phase(t, self._local_step(t))
             # held-out evaluation: a fresh batch from each worker's stream,
             # drawn after the step's training batch, scored in one stacked call
             for m, rng in enumerate(s.rngs):
@@ -285,13 +291,16 @@ class Engine:
             losses = prob.loss(s.x, Batch(workers, eval_rows)).tolist()
             worker_losses = [x if math.isfinite(x) else None for x in losses]
             diverged = None in worker_losses or not np.isfinite(s.x).all()
+            # a diverging signal can overflow its spectrum's diagnostics
+            if entry is not None and not all(map(math.isfinite, entry.values())):
+                entry, diverged = None, True
             yield StepRecord(
                 step=t,
                 worker_losses=worker_losses,
                 mean_loss=None if diverged else float(np.mean(losses)),
                 bytes_uplink=uplink,
                 bytes_downlink=downlink,
-                subspace=subspace,
+                subspace=None if entry is None else [entry],
                 diverged=diverged,
             )
             if diverged:

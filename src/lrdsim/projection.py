@@ -10,27 +10,16 @@ diagnostics (MSSV, sin-theta) of a refresh derive from that same R.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm, svd
+from .linalg import frobenius_norm, svd
 
 ORTHO_TOL = 1e-10
 
 
 class DegenerateSignalError(ValueError):
     """Signal is zero or rank-deficient below the requested rank."""
-
-
-@dataclass(frozen=True)
-class SubspaceMetrics:
-    """Per-update diagnostics: basis overlap, signal spectrum shape."""
-
-    mssv: float
-    stable_rank: float
-    spectral_gap: float
-    sin_theta: float
 
 
 def _orthonormal(q: np.ndarray) -> np.ndarray:
@@ -44,15 +33,13 @@ def _orthonormal(q: np.ndarray) -> np.ndarray:
 def projection_with_spectrum(signal, rank: int) -> tuple[np.ndarray, np.ndarray]:
     """First `rank` left singular vectors of the signal, and its singular values.
 
-    Raises DegenerateSignalError when the signal is zero or its rank is
-    numerically below the requested rank; callers keep the previous
-    basis in that case.
+    `svd` validates the signal. Raises DegenerateSignalError when the
+    signal is zero or its rank is numerically below the requested rank;
+    callers keep the previous basis in that case.
     """
-    signal = as_matrix(signal, "projection signal")
-    p, q = signal.shape
-    if not (1 <= rank <= min(p, q)):
-        raise ValueError(f"rank {rank} out of range for {p}x{q} signal")
     res = svd(signal)
+    if not (1 <= rank <= res.s.size):
+        raise ValueError(f"rank {rank} out of range for {res.u.shape[0]}x{res.v.shape[0]} signal")
     if res.s[0] == 0.0 or res.s[rank - 1] <= 1e-12 * res.s[0]:
         raise DegenerateSignalError(
             f"degenerate signal: singular value {rank} is {res.s[rank - 1]:.3e} "
@@ -99,9 +86,7 @@ def rotation_matrix(q_new: np.ndarray, q_old: np.ndarray) -> np.ndarray:
 
 def mssv(r_mat) -> float:
     """Mean squared singular value of a rotation matrix: ||R||_F^2 / r."""
-    r_mat = as_matrix(r_mat, "rotation matrix")
-    r = r_mat.shape[0]
-    return float(frobenius_norm(r_mat) ** 2 / r)
+    return frobenius_norm(r_mat) ** 2 / np.shape(r_mat)[0]
 
 
 def stable_rank(s) -> float:
@@ -192,18 +177,17 @@ def predicted_instability(kappa: float, batch_size: float, alpha: float, c: floa
 
 def subspace_metrics_from_update(
     q_new: np.ndarray, q_old: np.ndarray, r_mat: np.ndarray, signal_singular_values: np.ndarray
-) -> SubspaceMetrics:
-    """Diagnostics stamped at a basis update.
+) -> dict:
+    """The log's subspace entry for a basis update: mssv, sin_theta, stable_rank, spectral_gap.
 
     `r_mat` is the update's rotation R = Q_new^T Q_old, from which MSSV
     and sin-theta both derive; the spectrum gives stable rank and gap.
     """
     s = np.asarray(signal_singular_values, dtype=np.float64)
     r = q_new.shape[1]
-    gap = spectral_gap(s, r) if r < s.size else 0.0
-    return SubspaceMetrics(
-        mssv=mssv(r_mat),
-        stable_rank=stable_rank(s),
-        spectral_gap=gap,
-        sin_theta=_sin_theta(q_new, q_old, r_mat),
-    )
+    return {
+        "mssv": mssv(r_mat),
+        "stable_rank": stable_rank(s),
+        "spectral_gap": spectral_gap(s, r) if r < s.size else 0.0,
+        "sin_theta": _sin_theta(q_new, q_old, r_mat),
+    }

@@ -3,9 +3,10 @@
 The tracer wraps library functions by name; a refactor that renames or
 removes one of them breaks the traced benchmark without failing any
 library test. This loads the tracer from its file, unchanged, and traces
-a short reference run through the CLI.
+short global and local reference runs through the CLI.
 """
 
+import collections
 import importlib.util
 from pathlib import Path
 
@@ -25,9 +26,9 @@ def _load_tracing():
     return module
 
 
-def test_tracer_resolves_every_target_over_a_reference_run(tmp_path, capsys):
-    tracing = _load_tracing()
-    data = yaml.safe_load((ROOT / "configs" / "reference_global.yaml").read_text())
+def _trace_reference(tracing, tmp_path, name: str):
+    """(config dict, tracer) of a traced 40-step run of configs/<name>.yaml."""
+    data = yaml.safe_load((ROOT / "configs" / f"{name}.yaml").read_text())
     data["steps"] = 40
     cfg = tmp_path / "ref40.yaml"
     cfg.write_text(yaml.safe_dump(data))
@@ -37,6 +38,12 @@ def test_tracer_resolves_every_target_over_a_reference_run(tmp_path, capsys):
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run.log")]) == 0
     finally:
         tracer.uninstall()
+    return data, tracer
+
+
+def test_tracer_resolves_every_target_over_a_reference_run(tmp_path, capsys):
+    tracing = _load_tracing()
+    data, tracer = _trace_reference(tracing, tmp_path, "reference_global")
     assert tracer.absent == []
     assert [span for span in tracer.spans if span[5] is not None] == []
     assert set(tracer.counts) == {f"{name}.{counter}" for name, (counter, _) in tracing.COUNTERS.items()}
@@ -51,3 +58,16 @@ def test_tracer_resolves_every_target_over_a_reference_run(tmp_path, capsys):
     )
     # the benchmark's self-test reads this binding
     assert lrdsim.optimizer.as_matrix is lrdsim.linalg.as_matrix
+
+
+def test_tracer_resolves_every_target_over_a_local_run(tmp_path, capsys):
+    tracing = _load_tracing()
+    _data, tracer = _trace_reference(tracing, tmp_path, "reference_local")
+    assert tracer.absent == []
+    assert [span for span in tracer.spans if span[5] is not None] == []
+    calls = collections.Counter(span[0] for span in tracer.spans)
+    # refreshes at t = 1 and 33 on each of the 4 workers, one SVD and one R each
+    for name in ("linalg.svd", "projection.projection_with_spectrum", "projection.rotation_matrix"):
+        assert calls[name] == 8, name
+    # each refresh validates its signal (svd), R (mssv) and sin-theta's residual once
+    assert calls["linalg.as_matrix"] == 24

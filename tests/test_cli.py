@@ -2,6 +2,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -188,6 +192,49 @@ def test_divergence_exit_code_two(cfg_path, tmp_path, capsys):
     assert main(["run", "--config", bad, "--out", str(out)]) == 2
     _, steps = read_log(str(out))
     assert steps[-1]["diverged"] is True
+
+
+# lr 1e200 overflows the first step; with K = 1 that step also refreshes the
+# basis from a ~1e200 signal, whose stable rank overflows to NaN
+DIVERGING = {
+    "clip": {"hyperparams": {"lr": 1e200, "clip_radius": 1e9, "beta1": 0.0, "beta2": 0.0}},
+    "unclipped": {"hyperparams": {"lr": 1e200, "beta1": 0.0, "beta2": 0.0}},
+    "refresh_k1": {
+        "hyperparams": {"lr": 1e200, "clip_radius": 1e9, "beta1": 0.0, "beta2": 0.0},
+        "schedule": {"k_x": 1, "k_u": 1, "k_v": 1},
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_divergence_at_a_refresh_logs_null_subspace(cfg_path, tmp_path, capsys, command):
+    bad = cfg_path(DIVERGING["refresh_k1"], name="div.yaml")
+    if command == "run":
+        out = tmp_path / "div.log"
+        assert main(["run", "--config", bad, "--out", str(out)]) == 2
+    else:
+        out = tmp_path / "sweep" / "K1.log"
+        assert main(["sweep", "--config", bad, "--axis", "K", "--values", "1", "--out-dir", str(out.parent)]) == 2
+    _, steps = read_log(str(out))
+    assert steps[-1]["diverged"] is True
+    assert steps[-1]["subspace"] is None
+    capsys.readouterr()
+    assert main(["analyze", str(out)]) == 0
+    assert "diverged: true" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(DIVERGING))
+def test_divergence_prints_one_stderr_line(cfg_path, tmp_path, name):
+    # a subprocess, because pytest's warning capture hides numpy's
+    # RuntimeWarning lines from capsys
+    out = tmp_path / "div.log"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lrdsim.cli", "run", "--config", cfg_path(DIVERGING[name]), "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"run diverged after 1 steps; log at {out}"]
 
 
 def test_missing_argument_usage_exit_one(capsys):

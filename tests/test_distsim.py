@@ -24,6 +24,7 @@ from lrdsim.projection import (
     rotate_second_moment,
     rotation_matrix,
     sin_theta_distance,
+    subspace_metrics_from_update,
 )
 
 from kernel_state import fresh_state
@@ -284,10 +285,7 @@ def test_engine_refresh_rotates_zero_variance_second_moment_exactly(strategy):
     state.v = (1.0 - hp.beta2**t) * uh * uh
     old_basis, old_u = state.basis[0].copy(), state.u.copy()
     signal = rng.standard_normal((16, 12))
-    if strategy == "global":
-        metrics = engine._refresh_projection(signal)
-    else:
-        metrics = engine._refresh_projection(signal, 0)
+    metrics = engine._refresh(signal[None])
     new_basis = state.basis[0]
     assert sin_theta_distance(new_basis, old_basis) > 0.1
     r_mat = rotation_matrix(new_basis, old_basis)
@@ -295,8 +293,40 @@ def test_engine_refresh_rotates_zero_variance_second_moment_exactly(strategy):
     np.testing.assert_allclose(state.u, r_mat @ old_u, rtol=0, atol=1e-14)
     # the logged diagnostics compare the basis held before the refresh with the one after it
     assert np.linalg.norm(new_basis.T @ new_basis - np.eye(new_basis.shape[1])) < 1e-12
-    assert metrics.mssv == pytest.approx(mssv(r_mat), rel=0, abs=1e-14)
-    assert metrics.sin_theta == pytest.approx(sin_theta_distance(new_basis, old_basis), rel=0, abs=1e-14)
+    assert metrics["mssv"] == pytest.approx(mssv(r_mat), rel=0, abs=1e-14)
+    assert metrics["sin_theta"] == pytest.approx(sin_theta_distance(new_basis, old_basis), rel=0, abs=1e-14)
+
+
+def test_engine_refresh_skips_degenerate_signal_and_logs_the_moved_bases():
+    # A zero signal keeps its worker's stale basis and moments bit for bit,
+    # and the logged entry averages only the bases that moved.
+    cfg = from_dict(cfg_dict(workers=2, projection={"strategy": "local"}))
+    engine = Engine(cfg)
+    s = engine.stack
+    hp = cfg.hyperparams
+    t = 3
+    rng = np.random.default_rng(5)
+    s.step = t
+    s.u = rng.standard_normal(s.u.shape)
+    s.v = rng.random(s.v.shape)
+    before = {name: getattr(s, name).copy() for name in ("basis", "u", "v")}
+    signals = np.stack([rng.standard_normal((16, 12)), np.zeros((16, 12))])
+    entry = engine._refresh(signals)
+    for name in ("basis", "u", "v"):
+        assert np.array_equal(getattr(s, name)[1], before[name][1]), name
+    new, sig_s = projection_with_spectrum(signals[0], cfg.rank)
+    r_mat = rotation_matrix(new, before["basis"][0])
+    assert np.array_equal(s.basis[0], new)
+    assert sin_theta_distance(new, before["basis"][0]) > 0.1
+    v0 = rotate_second_moment(r_mat, before["u"][:1], before["v"][:1], hp.beta1, hp.beta2, t)
+    np.testing.assert_array_equal(s.v[:1], v0)
+    np.testing.assert_array_equal(s.u[:1], rotate_first_moment(r_mat, before["u"][:1]))
+    assert entry == subspace_metrics_from_update(new, before["basis"][0], r_mat, sig_s)
+    # no basis moves: no entry, and the stack is untouched
+    after = {name: getattr(s, name).copy() for name in ("basis", "u", "v")}
+    assert engine._refresh(np.zeros_like(signals)) is None
+    for name in ("basis", "u", "v"):
+        assert np.array_equal(getattr(s, name), after[name]), name
 
 
 @pytest.mark.parametrize("strategy", ["global", "local"])
