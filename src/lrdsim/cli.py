@@ -88,6 +88,14 @@ def _apply_seed(cfg: RunConfig, seed) -> RunConfig:
     return cfg
 
 
+def _write_run(cfg: RunConfig, path: str | Path) -> dict:
+    """Run `cfg`, streaming its log to `path`; returns `write_log`'s summary."""
+    # the log opens first, so an unwritable path fails before any allocation;
+    # a diverging run's overflow is reported by its `diverged` record and exit 2
+    with open(path, "w", encoding="utf-8") as fh, np.errstate(over="ignore", invalid="ignore"):
+        return write_log(fh, cfg, Engine(cfg).records())
+
+
 def cmd_run(args) -> int:
     try:
         cfg = _apply_seed(load_file(args.config), args.seed)
@@ -95,11 +103,7 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        # the log opens first, so an unwritable path fails before any allocation;
-        # a diverging run's overflow is reported by its `diverged` record and exit 2
-        with open(args.out, "w", encoding="utf-8") as fh, np.errstate(over="ignore", invalid="ignore"):
-            engine = Engine(cfg)
-            summary = write_log(fh, cfg, engine.basis_inconsistent, engine.records())
+        summary = _write_run(cfg, args.out)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 1
@@ -162,9 +166,7 @@ def cmd_sweep(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         for label, (raw, cfg) in points.items():
             path = out_dir / f"{label}.log"
-            with open(path, "w", encoding="utf-8") as fh, np.errstate(over="ignore", invalid="ignore"):
-                engine = Engine(cfg)
-                summary = write_log(fh, cfg, engine.basis_inconsistent, engine.records())
+            summary = _write_run(cfg, path)
             rows.append((raw, str(path), summary["mean_loss"], summary["diverged"]))
         with open(summary_path, "w", encoding="utf-8") as fh:
             fh.write("axis,value,final_loss,diverged,log\n")
@@ -183,24 +185,16 @@ def _fmt_ratio(value: float) -> str:
     return f"{value:.2f}{flag}"
 
 
-def cmd_costs(args) -> int:
-    k_x = args.k_x if args.k_x is not None else args.k
-    k_u = args.k_u if args.k_u is not None else args.k
-    k_v = args.k_v if args.k_v is not None else args.k
-    if None in (k_x, k_u, k_v):
-        print("costs: provide --k or all of --k-x/--k-u/--k-v", file=sys.stderr)
-        return 1
-    try:
-        inputs = costs_mod.CostInputs(p=args.p, q=args.q, r=args.r, k_x=k_x, k_u=k_u, k_v=k_v)
-    except ValueError as exc:
-        print(f"costs: {exc}", file=sys.stderr)
-        return 1
+def _costs_lines(inputs: costs_mod.CostInputs) -> list:
+    """The `costs` report; raises OverflowError when a ratio falls outside the float range."""
     strategies = (costs_mod.STRATEGY_GLOBAL, costs_mod.STRATEGY_LOCAL)
     rows = [(variant, mode) for variant in strategies for mode in QHM_MODES]
     rows += [(costs_mod.BASELINE_LOCAL_ADAM, None), (costs_mod.BASELINE_DDP, None)]
-    print(f"per-payload element counts (p={args.p}, q={args.q}, r={args.r}, "
-          f"K_x={k_x}, K_u={k_u}, K_v={k_v})")
-    print(f"{'variant':<22}{'uplink':>12}{'downlink':>12}{'memory':>12}")
+    lines = [
+        f"per-payload element counts (p={inputs.p}, q={inputs.q}, r={inputs.r}, "
+        f"K_x={inputs.k_x}, K_u={inputs.k_u}, K_v={inputs.k_v})",
+        f"{'variant':<22}{'uplink':>12}{'downlink':>12}{'memory':>12}",
+    ]
     for variant, mode in rows:
         pay = costs_mod.per_payload(variant, mode, inputs)
         if variant in strategies:
@@ -210,13 +204,31 @@ def cmd_costs(args) -> int:
         else:
             mem = ""
         label = variant if mode is None else f"{variant}/{mode}"
-        print(f"{label:<22}{pay.uplink_total:>12}{pay.downlink_total:>12}{str(mem):>12}")
-    print()
-    print(f"reduction vs low-rank DDP:   {_fmt_ratio(costs_mod.reduction_vs_lowrank_ddp(inputs))}")
-    print(f"reduction vs full-rank DDP:  {_fmt_ratio(costs_mod.reduction_vs_fullrank_ddp(inputs))}")
-    print(f"reduction vs full-rank local (global): {_fmt_ratio(costs_mod.reduction_vs_fullrank_local(inputs, 'global'))}")
-    print(f"reduction vs full-rank local (local):  {_fmt_ratio(costs_mod.reduction_vs_fullrank_local(inputs, 'local'))}")
-    print(f"optimizer-state memory ratio p/r: {costs_mod.optimizer_state_memory_ratio(inputs):.2f}")
+        lines.append(f"{label:<22}{pay.uplink_total:>12}{pay.downlink_total:>12}{str(mem):>12}")
+    return lines + [
+        "",
+        f"reduction vs low-rank DDP:   {_fmt_ratio(costs_mod.reduction_vs_lowrank_ddp(inputs))}",
+        f"reduction vs full-rank DDP:  {_fmt_ratio(costs_mod.reduction_vs_fullrank_ddp(inputs))}",
+        f"reduction vs full-rank local (global): {_fmt_ratio(costs_mod.reduction_vs_fullrank_local(inputs, 'global'))}",
+        f"reduction vs full-rank local (local):  {_fmt_ratio(costs_mod.reduction_vs_fullrank_local(inputs, 'local'))}",
+        f"optimizer-state memory ratio p/r: {costs_mod.optimizer_state_memory_ratio(inputs):.2f}",
+    ]
+
+
+def cmd_costs(args) -> int:
+    k_x = args.k_x if args.k_x is not None else args.k
+    k_u = args.k_u if args.k_u is not None else args.k
+    k_v = args.k_v if args.k_v is not None else args.k
+    if None in (k_x, k_u, k_v):
+        print("costs: provide --k or all of --k-x/--k-u/--k-v", file=sys.stderr)
+        return 1
+    try:
+        # the whole report is formed before any of it prints
+        lines = _costs_lines(costs_mod.CostInputs(p=args.p, q=args.q, r=args.r, k_x=k_x, k_u=k_u, k_v=k_v))
+    except (ValueError, OverflowError) as exc:
+        print(f"costs: {exc}", file=sys.stderr)
+        return 1
+    print("\n".join(lines))
     return 0
 
 

@@ -206,9 +206,16 @@ def validate(cfg: RunConfig) -> None:
     _check(1 <= p.batch_size <= shard_rows,
            f"problem.batch_size must lie in [1, {shard_rows}] (shard size)")
     need = _array_bytes(cfg)
-    _check(need <= MAX_ARRAY_BYTES,
-           f"problem.design_rows, problem.rows, problem.cols, workers and rank need {need / 2**30:.2f} GiB "
-           f"of arrays, over the {MAX_ARRAY_BYTES / 2**30:g} GiB cap")
+    if need > MAX_ARRAY_BYTES:
+        # imported here, so that a config under the cap does not pay for it
+        from decimal import Decimal
+        from fractions import Fraction
+
+        # GiB to two decimals in exact arithmetic, since `need` can pass the float range;
+        # Decimal prints ints longer than the interpreter's int-to-str digit limit
+        gib, hundredths = divmod(round(Fraction(100 * need, 2**30)), 100)
+        raise ConfigError(f"problem.design_rows, problem.rows, problem.cols, workers and rank need "
+                          f"{Decimal(gib)}.{hundredths:02d} GiB of arrays, over the {MAX_ARRAY_BYTES / 2**30:g} GiB cap")
     if p.target_rank is not None:
         _check(1 <= p.target_rank <= min(p.rows, p.cols), "problem.target_rank out of range")
         _check(p.target_alpha > 0.0, "problem.target_alpha must be positive")
@@ -248,7 +255,8 @@ def load_file(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = yaml.safe_load(fh)
-        except (yaml.YAMLError, UnicodeDecodeError, RecursionError) as exc:
+        # ValueError: an int longer than the interpreter's int-from-str digit limit
+        except (yaml.YAMLError, UnicodeDecodeError, RecursionError, ValueError) as exc:
             # YAML messages span several lines; the CLI reports errors on one
             raise ConfigError("cannot parse config file: " + " ".join(str(exc).split())) from exc
     if data is None:

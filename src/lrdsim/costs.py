@@ -128,32 +128,17 @@ def adam_memory(inputs: CostInputs) -> int:
     return 3 * inputs.p * inputs.q
 
 
-def memory_overhead(
-    strategy: str,
-    qhm_mode: str,
-    inputs: CostInputs,
-    uplink_buffer: bool = False,
-) -> int:
+def memory_overhead(strategy: str, qhm_mode: str, inputs: CostInputs) -> int:
     """Worker memory overhead in elements for a low-rank variant.
 
     Components: compressed gradient rq (plus pq full-rank staging for the
-    full-rank branch), two moments 2rq, basis pr, error buffer pq, and an
-    optional rq uplink accumulation buffer. The full-rank branch stores
-    the error buffer on the full-rank gradient staging, and cannot keep
-    an uplink buffer (its pseudo-gradient is not low-rank decomposable).
+    full-rank branch), two moments 2rq, basis pr and error buffer pq. The
+    full-rank branch stores the error buffer on the full-rank gradient
+    staging, so every variant needs the same count.
     """
     if strategy not in (STRATEGY_GLOBAL, STRATEGY_LOCAL):
         raise ValueError(f"unknown strategy {strategy!r}")
     if qhm_mode not in QHM_MODES:
         raise ValueError(f"unknown QHM mode {qhm_mode!r}")
     p, q, r = inputs.p, inputs.q, inputs.r
-    pq, rq, pr = p * q, r * q, p * r
-    if qhm_mode == QHM_FULL_RANK:
-        if uplink_buffer:
-            raise ValueError("full-rank QHM cannot keep a low-rank uplink buffer")
-        # pq staging shared between the full-rank gradient and the error buffer
-        return pq + rq + 2 * rq + pr
-    total = rq + 2 * rq + pr + pq
-    if uplink_buffer:
-        total += rq
-    return total
+    return r * q + 2 * r * q + p * r + p * q

@@ -26,6 +26,10 @@ all M workers in one stacked `loss` call, bitwise equal to M per-worker
 calls. The training gradients and their compression stay one (p, q)
 call per worker: the benchmark's per-layer counters read those calls'
 2-D shapes and batch size, so they move only with the benchmark.
+
+`Engine.records()` yields each step's log record as the dict that
+`logio.write_log` writes, and stops after the first diverged one; the
+log header's fields come from the config alone (`logio.header_record`).
 """
 
 from __future__ import annotations
@@ -54,31 +58,6 @@ from .projection import (
 )
 
 ELEMENT_SIZE = 8  # bytes per float64 scalar on the wire
-
-
-@dataclass
-class StepRecord:
-    """One logged row per optimization step."""
-
-    step: int
-    worker_losses: list
-    mean_loss: Optional[float]
-    bytes_uplink: int
-    bytes_downlink: int
-    subspace: Optional[list]
-    diverged: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "step",
-            "step": self.step,
-            "worker_losses": self.worker_losses,
-            "mean_loss": self.mean_loss,
-            "bytes_uplink": self.bytes_uplink,
-            "bytes_downlink": self.bytes_downlink,
-            "subspace": self.subspace,
-            "diverged": self.diverged,
-        }
 
 
 @dataclass
@@ -116,7 +95,7 @@ def sparsify_topk(delta: np.ndarray, keep_fraction: float) -> np.ndarray:
 
 
 class Engine:
-    """Executes one experiment; iterate `records()` for the log stream."""
+    """Executes one experiment; `records()` yields the log's step records."""
 
     def __init__(self, config: RunConfig):
         self.cfg = config
@@ -153,9 +132,6 @@ class Engine:
             ],
         )
         self.outer_velocity = np.zeros((pc.rows, pc.cols))
-        self.basis_inconsistent = (
-            config.projection.strategy == STRATEGY_LOCAL and config.workers > 1
-        )
         self._payload = costs.per_payload(
             config.projection.strategy,
             config.qhm.mode,
@@ -276,7 +252,7 @@ class Engine:
 
     # ---- main loop ---------------------------------------------------------
 
-    def records(self) -> Iterator[StepRecord]:
+    def records(self) -> Iterator[dict]:
         s = self.stack
         prob = self.problem
         batch_size = self.cfg.problem.batch_size
@@ -294,19 +270,16 @@ class Engine:
             # a diverging signal can overflow its spectrum's diagnostics
             if entry is not None and not all(map(math.isfinite, entry.values())):
                 entry, diverged = None, True
-            yield StepRecord(
-                step=t,
-                worker_losses=worker_losses,
-                mean_loss=None if diverged else float(np.mean(losses)),
-                bytes_uplink=uplink,
-                bytes_downlink=downlink,
-                subspace=None if entry is None else [entry],
-                diverged=diverged,
-            )
+            yield {
+                "kind": "step",
+                "step": t,
+                "worker_losses": worker_losses,
+                "mean_loss": None if diverged else float(np.mean(losses)),
+                "bytes_uplink": uplink,
+                "bytes_downlink": downlink,
+                "subspace": None if entry is None else [entry],
+                "diverged": diverged,
+            }
             if diverged:
                 return
 
-
-def run_experiment(config: RunConfig) -> Iterator[StepRecord]:
-    """Run one experiment, yielding a StepRecord per step."""
-    return Engine(config).records()

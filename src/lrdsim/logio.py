@@ -13,19 +13,20 @@ from typing import Iterable, TextIO
 
 from . import __version__
 from .config import RunConfig
-from .distsim import StepRecord
+from .costs import STRATEGY_LOCAL
 
 
 class LogFormatError(ValueError):
     """Malformed log; message carries the 1-based line number."""
 
 
-def header_record(config: RunConfig, basis_inconsistent: bool) -> dict:
+def header_record(config: RunConfig) -> dict:
+    """`basis_inconsistent` marks runs whose workers average moments across their own bases."""
     return {
         "kind": "header",
         "version": __version__,
         "config": config.to_dict(),
-        "basis_inconsistent": basis_inconsistent,
+        "basis_inconsistent": config.projection.strategy == STRATEGY_LOCAL and config.workers > 1,
     }
 
 
@@ -33,20 +34,20 @@ def dump_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, allow_nan=False)
 
 
-def write_log(fh: TextIO, config: RunConfig, basis_inconsistent: bool, records: Iterable[StepRecord]) -> dict:
-    """Stream records to the open text file `fh`; returns summary {steps, diverged, mean_loss}.
+def write_log(fh: TextIO, config: RunConfig, records: Iterable[dict]) -> dict:
+    """Write the header, then each record as given, to `fh`; returns summary {steps, diverged, mean_loss}.
 
     `mean_loss` is the final record's (None when it diverged or no step ran).
     """
     steps = 0
     diverged = False
     mean_loss = None
-    fh.write(dump_line(header_record(config, basis_inconsistent)) + "\n")
+    fh.write(dump_line(header_record(config)) + "\n")
     for rec in records:
-        fh.write(dump_line(rec.to_json_dict()) + "\n")
+        fh.write(dump_line(rec) + "\n")
         steps += 1
-        diverged = diverged or rec.diverged
-        mean_loss = rec.mean_loss
+        diverged = diverged or rec["diverged"]
+        mean_loss = rec["mean_loss"]
     return {"steps": steps, "diverged": diverged, "mean_loss": mean_loss}
 
 

@@ -13,7 +13,7 @@ import pytest
 from lrdsim import costs
 from lrdsim.cli import main as cli_main
 from lrdsim.config import from_dict
-from lrdsim.distsim import ELEMENT_SIZE, Engine, run_experiment
+from lrdsim.distsim import ELEMENT_SIZE, Engine
 from lrdsim.linalg import clip_frobenius, svd
 from lrdsim.optimizer import (
     adam_reference_step,
@@ -69,7 +69,7 @@ def build(overrides):
 
 def final_loss(records, window=32):
     """Mean logged loss over the final window (one sync period)."""
-    return float(np.mean([r.mean_loss for r in records[-window:]]))
+    return float(np.mean([r["mean_loss"] for r in records[-window:]]))
 
 
 def report(number, text):
@@ -142,8 +142,8 @@ def test_criterion_02_qhm_endpoints_bitwise():
     for other, x_other in ((low, x_low), (full, x_full)):
         assert x_base.tobytes() == x_other.tobytes()
         for a, b in zip(base, other):
-            assert a.worker_losses == b.worker_losses
-            assert a.subspace == b.subspace
+            assert a["worker_losses"] == b["worker_losses"]
+            assert a["subspace"] == b["subspace"]
     report(2, "low-rank and full-rank QHM at omega=1 are bitwise identical to no-QHM over 100 steps")
 
 
@@ -198,12 +198,12 @@ def test_criterion_04_rotation_identity():
 
 def test_criterion_05_global_stagnation():
     started = time.perf_counter()
-    recs_none = list(run_experiment(build({})))
+    recs_none = list(Engine(build({})).records())
     recs_full = list(
-        run_experiment(build({"qhm": {"mode": "full_rank", "omega": 0.95, "start_step": 32}}))
+        Engine(build({"qhm": {"mode": "full_rank", "omega": 0.95, "start_step": 32}})).records()
     )
     elapsed = time.perf_counter() - started
-    updates = [r.subspace[0] for r in recs_none if r.subspace is not None]
+    updates = [r["subspace"][0] for r in recs_none if r["subspace"] is not None]
     assert len(updates) == 640 // 32
     for m in updates[1:]:
         assert abs(m["mssv"] - 1.0) < 1e-6
@@ -228,12 +228,12 @@ def test_criterion_06_exploration_restoration():
     ranks = []
     mssvs = []
     for rec in engine.records():
-        if (rec.step + 1) % 32 == 0:
+        if (rec["step"] + 1) % 32 == 0:
             anchor = engine.stack.anchor[0]
             ranks.append(np.linalg.matrix_rank(anchor - prev_anchor, rtol=1e-10))
             prev_anchor = anchor.copy()
-            if rec.subspace is not None:
-                mssvs.append(rec.subspace[0]["mssv"])
+            if rec["subspace"] is not None:
+                mssvs.append(rec["subspace"][0]["mssv"])
     assert all(r > 8 for r in ranks), f"aggregated pseudo-gradient ranks {ranks}"
     assert min(mssvs) < 1.0 - 1e-3
     report(6, f"aggregated pseudo-gradient rank > 8 at all {len(ranks)} syncs; min MSSV {min(mssvs):.4f}")
@@ -263,7 +263,7 @@ def test_criterion_07_local_full_rank_recovery():
     prev = engine.stack.anchor[0].copy()
     delta = None
     for rec in engine.records():
-        if (rec.step + 1) % 16 == 0:
+        if (rec["step"] + 1) % 16 == 0:
             delta = engine.stack.anchor[0] - prev
     rank = np.linalg.matrix_rank(delta, rtol=1e-10)
     bound = min(4 * 8, 64) - 1
@@ -332,7 +332,7 @@ def test_criterion_09_batch_size_asymmetry():
                 },
             }
         )
-        return final_loss(list(run_experiment(cfg)))
+        return final_loss(list(Engine(cfg).records()))
 
     deltas = []
     globals_ = []
@@ -379,11 +379,11 @@ def test_criterion_10_cost_formulas():
             "qhm": {"mode": "full_rank", "omega": 0.9},
         }
     )
-    recs = list(run_experiment(cfg))
+    recs = list(Engine(cfg).records())
     pay = costs.per_payload("global", "full_rank", costs.CostInputs(p=16, q=12, r=4))
     events = steps // k
-    assert sum(r.bytes_uplink for r in recs) == events * pay.uplink_total * ELEMENT_SIZE
-    assert sum(r.bytes_downlink for r in recs) == events * pay.downlink_total * ELEMENT_SIZE
+    assert sum(r["bytes_uplink"] for r in recs) == events * pay.uplink_total * ELEMENT_SIZE
+    assert sum(r["bytes_downlink"] for r in recs) == events * pay.downlink_total * ELEMENT_SIZE
     report(10, "reduction ratios 10.24 / 23.27 / p-over-r 8 and 12; simulated byte totals equal analytic")
 
 
@@ -409,7 +409,7 @@ def test_criterion_11_ablation_flags_matter():
                 "flags": {"rotate_moments": rotate, "error_feedback": ef},
             }
         )
-        return final_loss(list(run_experiment(cfg)))
+        return final_loss(list(Engine(cfg).records()))
 
     for seed in (0, 1, 2):
         baseline = run_flags(seed)

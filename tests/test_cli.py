@@ -114,9 +114,10 @@ def test_mistyped_config_value_exit_one_naming_key(cfg_path, tmp_path, capsys, o
         b"problem: {1: 2, foo: 3}\n",
         b'"a\\nb": 1\n',
         b'problem: {type: "a\\nb"}\n',
+        b"steps: " + b"9" * 5000 + b"\n",
     ],
     ids=["not_utf8", "nested_lists", "nested_mappings", "unhashable_key", "mixed_keys", "mixed_section_keys",
-         "newline_key", "newline_value"],
+         "newline_key", "newline_value", "int_past_str_digit_limit"],
 )
 def test_bad_config_file_exit_one_with_one_line(tmp_path, capsys, content):
     bad = tmp_path / "bad.yaml"
@@ -372,8 +373,16 @@ def test_sweep_unwritable_point_log_exit_one(cfg_path, tmp_path, capsys):
         {"problem": {"rows": 2**30}},
         {"problem": {"cols": 2**30}},
         {"workers": 2**18, "problem": {"design_rows": 2**18, "batch_size": 1}},
+        # past the float range, where a float GiB figure would overflow
+        {"problem": {"design_rows": 4096 * 10**400}},
+        {"problem": {"rows": 10**400}},
+        {"problem": {"cols": 10**400}},
+        {"workers": 10**400, "problem": {"design_rows": 10**400, "batch_size": 1}},
+        # a byte count longer than the interpreter's int-to-str digit limit
+        {"problem": {"rows": 10**4000, "cols": 10**4000}},
     ],
-    ids=["design_rows", "rows", "cols", "workers"],
+    ids=["design_rows", "rows", "cols", "workers", "design_rows_huge", "rows_huge", "cols_huge", "workers_huge",
+         "rows_cols_4000_digits"],
 )
 def test_over_budget_sizes_exit_one_without_allocating(cfg_path, tmp_path, capsys, no_engine, overrides):
     out = tmp_path / "x.log"
@@ -436,6 +445,23 @@ def test_costs_invalid_dims_exit_one(capsys):
 
 def test_costs_missing_periods_exit_one(capsys):
     assert main(["costs", "--p", "4", "--q", "4", "--r", "2"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--p", str(10**200), "--q", str(10**200), "--r", "1", "--k", "1"],
+        ["--p", str(10**400), "--q", "1", "--r", "1", "--k", "1"],
+        ["--p", "64", "--q", "64", "--r", "8", "--k", str(10**400)],
+    ],
+    ids=["pq", "p", "k"],
+)
+def test_costs_sizes_past_float_range_exit_one(capsys, argv):
+    assert main(["costs", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("costs: ")
+    assert err.count("\n") == 1
 
 
 def test_analyze_stagnating_global_run(cfg_path, tmp_path, capsys):

@@ -1,8 +1,12 @@
+import dataclasses
 import json
+from typing import get_args, get_type_hints
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lrdsim.config import ConfigError, from_dict
+from lrdsim.config import ConfigError, RunConfig, from_dict
 
 BASE = {
     "master_seed": 0,
@@ -77,3 +81,33 @@ def test_validate_rejects_each_rule_naming_its_field(overrides, prefix):
     with pytest.raises(ConfigError) as exc:
         from_dict(data)
     assert str(exc.value).startswith(prefix), str(exc.value)
+
+
+def _int_fields(cls, prefix=()):
+    """Key paths of the schema's integer fields, nested sections included."""
+    for name, hint in get_type_hints(cls).items():
+        if dataclasses.is_dataclass(hint):
+            yield from _int_fields(hint, prefix + (name,))
+        elif int in (hint, *get_args(hint)):
+            yield prefix + (name,)
+
+
+INT_FIELDS = sorted(_int_fields(RunConfig))
+
+
+# validation alone, so ints of any size cost no allocation: a config that
+# passes is never built into an Engine
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_from_dict_raises_only_config_error_on_huge_ints(data):
+    cfg = json.loads(json.dumps(BASE))
+    for path in data.draw(st.lists(st.sampled_from(INT_FIELDS), min_size=1, max_size=3, unique=True)):
+        *sections, key = path
+        target = cfg
+        for name in sections:
+            target = target.setdefault(name, {})
+        target[key] = data.draw(st.integers(-(10**1000), 10**1000))
+    try:
+        from_dict(cfg)
+    except ConfigError:
+        pass

@@ -122,10 +122,6 @@ def test_memory_overhead_table():
     assert memory_overhead("global", "none", i) == pq + pr + 3 * rq
     assert memory_overhead("global", "low_rank", i) == pq + pr + 3 * rq
     assert memory_overhead("global", "full_rank", i) == pq + pr + 3 * rq
-    assert memory_overhead("global", "none", i, uplink_buffer=True) == pq + pr + 4 * rq
-    assert memory_overhead("local", "low_rank", i, uplink_buffer=True) == pq + pr + 4 * rq
-    with pytest.raises(ValueError):
-        memory_overhead("global", "full_rank", i, uplink_buffer=True)
 
 
 def test_memory_overhead_degenerate_rank_exceeds_adam():

@@ -7,7 +7,7 @@ import yaml
 from lrdsim import costs
 from lrdsim.cli import main
 from lrdsim.config import from_dict
-from lrdsim.distsim import ELEMENT_SIZE, Engine, run_experiment, sparsify_topk
+from lrdsim.distsim import ELEMENT_SIZE, Engine, sparsify_topk
 from lrdsim.linalg import clip_frobenius
 from lrdsim.optimizer import (
     QHM_NONE,
@@ -49,7 +49,7 @@ def cfg_dict(**over):
 
 def run_cfg(**over):
     cfg = from_dict(cfg_dict(**over))
-    return cfg, list(run_experiment(cfg))
+    return cfg, list(Engine(cfg).records())
 
 
 # ---- sync index pins ---------------------------------------------------------
@@ -58,15 +58,15 @@ def run_cfg(**over):
 def test_sync_steps_pinned_k2():
     # with K = 2, syncs land at t = 1, 3, 5, ... ((t+1) mod K == 0)
     _, recs = run_cfg(steps=6, schedule={"k_x": 2, "k_u": 2, "k_v": 2})
-    synced = [r.step for r in recs if r.bytes_uplink > 0]
+    synced = [r["step"] for r in recs if r["bytes_uplink"] > 0]
     assert synced == [1, 3, 5]
 
 
 def test_decoupled_sync_steps_pinned():
     cfg = from_dict(cfg_dict(steps=6, schedule={"k_x": 6, "k_u": 2, "k_v": 3}))
-    recs = list(run_experiment(cfg))
+    recs = list(Engine(cfg).records())
     pay = costs.per_payload("global", "none", costs.CostInputs(p=16, q=12, r=4))
-    by_step = {r.step: r.bytes_uplink for r in recs}
+    by_step = {r["step"]: r["bytes_uplink"] for r in recs}
     for t in range(6):
         expected = 0
         if (t + 1) % 2 == 0:
@@ -87,8 +87,8 @@ def test_local_refresh_steps_pinned_k3():
             schedule={"k_x": 3, "k_u": 3, "k_v": 3},
         )
     )
-    recs = list(run_experiment(cfg))
-    refresh_steps = [r.step for r in recs if r.subspace is not None]
+    recs = list(Engine(cfg).records())
+    refresh_steps = [r["step"] for r in recs if r["subspace"] is not None]
     assert refresh_steps == [1, 4, 7]
 
 
@@ -96,8 +96,8 @@ def test_local_refresh_every_step_when_k1():
     cfg = from_dict(
         cfg_dict(steps=4, projection={"strategy": "local"}, schedule={"k_x": 1, "k_u": 1, "k_v": 1})
     )
-    recs = list(run_experiment(cfg))
-    assert [r.step for r in recs if r.subspace is not None] == [0, 1, 2, 3]
+    recs = list(Engine(cfg).records())
+    assert [r["step"] for r in recs if r["subspace"] is not None] == [0, 1, 2, 3]
 
 
 # ---- exact sync semantics ----------------------------------------------------
@@ -240,7 +240,7 @@ def test_engine_matches_straightline_low_rank_reference():
         eval_batch = prob.sample_batch(0, 5, rng)
         losses.append(prob.loss(x, eval_batch))
     np.testing.assert_allclose(engine_final, x, atol=1e-12)
-    np.testing.assert_allclose([r.mean_loss for r in engine_records], losses, atol=1e-12)
+    np.testing.assert_allclose([r["mean_loss"] for r in engine_records], losses, atol=1e-12)
 
 
 def test_engine_stacked_eval_equals_per_worker_loss_exactly():
@@ -264,8 +264,8 @@ def test_engine_stacked_eval_equals_per_worker_loss_exactly():
         for m, rng in enumerate(rngs):
             prob.sample_batch(m, 8, rng)  # the step's training batch
             expected.append(prob.loss(engine.stack.x[m], prob.sample_batch(m, 8, rng)))
-        assert record.worker_losses == expected
-        assert record.mean_loss == float(np.mean(expected))
+        assert record["worker_losses"] == expected
+        assert record["mean_loss"] == float(np.mean(expected))
 
 
 @pytest.mark.parametrize("strategy", ["global", "local"])
@@ -350,8 +350,8 @@ def test_engine_error_feedback_residual_orthogonal_to_basis(strategy):
         # the local strategy refreshes before compressing; the global one
         # refreshes at a parameter sync, after that step's compression
         if strategy == "local" or np.array_equal(s.basis, before):
-            assert np.max(np.abs(np.swapaxes(s.basis, -1, -2) @ s.error)) < 1e-12, f"step {rec.step}"
-            checked.append(rec.step)
+            assert np.max(np.abs(np.swapaxes(s.basis, -1, -2) @ s.error)) < 1e-12, f"step {rec['step']}"
+            checked.append(rec["step"])
         before = s.basis.copy()
     assert np.max(np.abs(s.error)) > 1e-3  # the buffers carry a real residual
     if strategy == "local":
@@ -366,7 +366,7 @@ def test_engine_error_feedback_residual_orthogonal_to_basis(strategy):
 def record_bytes(recs):
     import json
 
-    return "\n".join(json.dumps(r.to_json_dict(), sort_keys=True) for r in recs)
+    return "\n".join(json.dumps(r, sort_keys=True) for r in recs)
 
 
 def test_serial_and_parallel_runs_identical(tmp_path):
@@ -409,8 +409,8 @@ def test_global_stagnation_short_run():
             schedule={"k_x": 16, "k_u": 16, "k_v": 16},
         )
     )
-    recs = list(run_experiment(cfg))
-    updates = [r.subspace[0] for r in recs if r.subspace is not None]
+    recs = list(Engine(cfg).records())
+    updates = [r["subspace"][0] for r in recs if r["subspace"] is not None]
     assert len(updates) >= 3
     for m in updates[1:]:
         assert abs(m["mssv"] - 1.0) < 1e-6
@@ -434,7 +434,7 @@ def test_full_rank_qhm_breaks_stagnation_rank():
     prev_anchor = engine.stack.anchor[0].copy()
     ranks = []
     for rec in engine.records():
-        if (rec.step + 1) % 16 == 0:
+        if (rec["step"] + 1) % 16 == 0:
             new_anchor = engine.stack.anchor[0]
             ranks.append(np.linalg.matrix_rank(new_anchor - prev_anchor, rtol=1e-10))
             prev_anchor = new_anchor.copy()
@@ -466,7 +466,7 @@ def test_local_orthogonal_blocks_full_rank_recovery():
     prev_anchor = engine.stack.anchor[0].copy()
     final_delta = None
     for rec in engine.records():
-        if (rec.step + 1) % 8 == 0:
+        if (rec["step"] + 1) % 8 == 0:
             final_delta = engine.stack.anchor[0] - prev_anchor
     q0 = engine.stack.basis[0]
     q1 = engine.stack.basis[1]
@@ -485,7 +485,7 @@ def test_rotation_flag_changes_trajectory():
     )
     _, with_rot = run_cfg(**base)
     _, without = run_cfg(flags={"rotate_moments": False}, **base)
-    assert with_rot[-1].mean_loss != without[-1].mean_loss
+    assert with_rot[-1]["mean_loss"] != without[-1]["mean_loss"]
 
 
 def test_divergence_produces_terminal_record():
@@ -495,11 +495,11 @@ def test_divergence_produces_terminal_record():
             hyperparams={"lr": 1e200, "clip_radius": 1e9, "beta1": 0.0, "beta2": 0.0},
         )
     )
-    recs = list(run_experiment(cfg))
+    recs = list(Engine(cfg).records())
     assert len(recs) < 200
-    assert recs[-1].diverged
-    assert recs[-1].mean_loss is None
-    assert all(not r.diverged for r in recs[:-1])
+    assert recs[-1]["diverged"]
+    assert recs[-1]["mean_loss"] is None
+    assert all(not r["diverged"] for r in recs[:-1])
 
 
 def test_byte_accounting_matches_analytic_totals():
@@ -512,13 +512,13 @@ def test_byte_accounting_matches_analytic_totals():
             qhm={"mode": "full_rank", "omega": 0.9},
         )
     )
-    recs = list(run_experiment(cfg))
+    recs = list(Engine(cfg).records())
     pay = costs.per_payload("global", "full_rank", costs.CostInputs(p=16, q=12, r=4))
     events = steps // k
     expected_up = events * pay.uplink_total * ELEMENT_SIZE
     expected_down = events * pay.downlink_total * ELEMENT_SIZE
-    assert sum(r.bytes_uplink for r in recs) == expected_up
-    assert sum(r.bytes_downlink for r in recs) == expected_down
+    assert sum(r["bytes_uplink"] for r in recs) == expected_up
+    assert sum(r["bytes_downlink"] for r in recs) == expected_down
 
 
 # ---- sparsification ----------------------------------------------------------
@@ -552,6 +552,6 @@ def test_sparsify_changes_aggregate_but_preserves_determinism():
     base = dict(steps=8)
     _, dense = run_cfg(**base)
     _, sparse = run_cfg(flags={"sparsify_keep": 0.25}, **base)
-    assert dense[-1].mean_loss != sparse[-1].mean_loss
+    assert dense[-1]["mean_loss"] != sparse[-1]["mean_loss"]
     _, sparse2 = run_cfg(flags={"sparsify_keep": 0.25}, **base)
     assert record_bytes(sparse) == record_bytes(sparse2)
