@@ -1,9 +1,9 @@
 """Run configuration: strict schema, validation, and dict round-trips.
 
 Unknown keys anywhere in the config are hard errors; sweep
-reproducibility cannot tolerate silently ignored typos. `resolve`
-materializes every default so the config echoed into a log header
-re-validates and reproduces the run exactly.
+reproducibility cannot tolerate silently ignored typos. Every field has
+a default, and `RunConfig.to_dict` writes them all, so the config
+echoed into a log header re-validates and reproduces the run exactly.
 """
 
 from __future__ import annotations
@@ -138,7 +138,11 @@ def _check_type(path: str, value: Any, hint) -> None:
     else:
         ok = isinstance(value, kind)
     if not ok:
-        raise ConfigError(f"{path} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        try:
+            got = repr(value)
+        except ValueError:  # an int longer than the interpreter's int-to-str digit limit
+            got = f"an integer of more than {sys.get_int_max_str_digits()} digits"
+        raise ConfigError(f"{path} must be {_TYPE_NAMES[kind]}, got {got}")
 
 
 def _build(cls, data: Any, prefix: str = ""):
@@ -175,14 +179,15 @@ def _check(cond: bool, message: str) -> None:
 
 
 def _array_bytes(cfg: RunConfig) -> int:
-    """Float64 bytes of the problem's arrays and the worker stack that the engine allocates."""
+    """Float64 bytes of the problem's arrays, the shared anchor and outer velocity, and the worker stack."""
     p = cfg.problem
-    problem = p.design_rows * (p.rows + p.cols) + p.rows * p.cols  # design, labels, x_star
+    # design, labels; x_star, the anchor and the outer velocity
+    shared = p.design_rows * (p.rows + p.cols) + 3 * p.rows * p.cols
     if p.shard_policy == SHARD_FEATURE_BLOCKS:
-        problem += p.design_rows * p.rows  # the feature-block mask
-    # x, anchor, error and the gradient buffer; u and v; the bases
-    stack = 4 * p.rows * p.cols + 2 * cfg.rank * p.cols + p.rows * cfg.rank
-    return 8 * (problem + cfg.workers * stack)
+        shared += p.design_rows * p.rows  # the feature-block mask
+    # x, error and the gradient buffer; u and v; the bases
+    stack = 3 * p.rows * p.cols + 2 * cfg.rank * p.cols + p.rows * cfg.rank
+    return 8 * (shared + cfg.workers * stack)
 
 
 def validate(cfg: RunConfig) -> None:
@@ -193,6 +198,18 @@ def validate(cfg: RunConfig) -> None:
     p = cfg.problem
     _check(p.type == "matrix_regression", f"problem.type must be 'matrix_regression', got {p.type!r}")
     _check(p.rows >= 1 and p.cols >= 1, "problem.rows and problem.cols must be >= 1")
+    # first, so that no message below prints a size past the int-to-str digit limit
+    need = _array_bytes(cfg)
+    if need > MAX_ARRAY_BYTES:
+        # imported here, so that a config under the cap does not pay for it
+        from decimal import Decimal
+        from fractions import Fraction
+
+        # GiB to two decimals in exact arithmetic, since `need` can pass the float range;
+        # Decimal prints ints longer than the interpreter's int-to-str digit limit
+        gib, hundredths = divmod(round(Fraction(100 * need, 2**30)), 100)
+        raise ConfigError(f"problem.design_rows, problem.rows, problem.cols, workers and rank need "
+                          f"{Decimal(gib)}.{hundredths:02d} GiB of arrays, over the {MAX_ARRAY_BYTES / 2**30:g} GiB cap")
     _check(1 <= cfg.rank <= min(p.rows, p.cols),
            f"rank must lie in [1, {min(p.rows, p.cols)}] for a {p.rows}x{p.cols} problem")
     _check(p.design_rows >= cfg.workers, "problem.design_rows must cover every worker")
@@ -205,17 +222,6 @@ def validate(cfg: RunConfig) -> None:
     shard_rows = p.design_rows // cfg.workers
     _check(1 <= p.batch_size <= shard_rows,
            f"problem.batch_size must lie in [1, {shard_rows}] (shard size)")
-    need = _array_bytes(cfg)
-    if need > MAX_ARRAY_BYTES:
-        # imported here, so that a config under the cap does not pay for it
-        from decimal import Decimal
-        from fractions import Fraction
-
-        # GiB to two decimals in exact arithmetic, since `need` can pass the float range;
-        # Decimal prints ints longer than the interpreter's int-to-str digit limit
-        gib, hundredths = divmod(round(Fraction(100 * need, 2**30)), 100)
-        raise ConfigError(f"problem.design_rows, problem.rows, problem.cols, workers and rank need "
-                          f"{Decimal(gib)}.{hundredths:02d} GiB of arrays, over the {MAX_ARRAY_BYTES / 2**30:g} GiB cap")
     if p.target_rank is not None:
         _check(1 <= p.target_rank <= min(p.rows, p.cols), "problem.target_rank out of range")
         _check(p.target_alpha > 0.0, "problem.target_alpha must be positive")

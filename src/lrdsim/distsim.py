@@ -15,9 +15,10 @@ rotation R = Q_new^T Q_old once, rotates the moments with it, and
 derives the logged MSSV and sin-theta from it; a degenerate signal
 keeps its stale basis and moments.
 
-The M workers are stacked: parameters, anchors and error buffers are one
+The M workers are stacked: parameters and error buffers are one
 (M, p, q) array, moments one (M, r, q) array and bases one (M, p, r)
 array, and the optimizer kernels run once per step over the whole stack.
+Every worker restarts each sync window from the one (p, q) anchor.
 Execution is serial and deterministic on a given machine and BLAS build:
 per-worker RNG streams derive from (master_seed, worker_id) and never
 mix. Each worker draws its batches from its own stream, training batch
@@ -69,7 +70,6 @@ class WorkerStack:
     """
 
     x: np.ndarray  # (M, p, q) parameters
-    anchor: np.ndarray  # (M, p, q) parameters at the last sync
     error: np.ndarray  # (M, p, q) error-feedback buffers
     u: np.ndarray  # (M, r, q) first moments
     v: np.ndarray  # (M, r, q) second moments
@@ -118,10 +118,10 @@ class Engine:
         else:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=config.master_seed, spawn_key=(2, 0)))
             basis = random_projection(pc.rows, self.rank, rng)
-        x = np.stack([self.problem.init_params() for _ in range(m_count)])
+        self.anchor = self.problem.init_params()  # (p, q) parameters at the last sync
+        x = np.stack([self.anchor] * m_count)
         self.stack = WorkerStack(
             x=x,
-            anchor=x.copy(),
             error=np.zeros_like(x),
             u=np.zeros((m_count, self.rank, pc.cols)),
             v=np.zeros((m_count, self.rank, pc.cols)),
@@ -218,36 +218,32 @@ class Engine:
             downlink += pay.down_second
         if (t + 1) % sched.k_x == 0:
             # only the global strategy refreshes here, and only the local one before
-            entry = self._sync_params(t) or entry
+            entry = self._sync_params() or entry
             uplink += pay.up_params + pay.up_projection
             downlink += pay.down_params + pay.down_projection
         return uplink * ELEMENT_SIZE, downlink * ELEMENT_SIZE, entry
 
-    def _sync_params(self, t: int) -> Optional[dict]:
+    def _sync_params(self) -> Optional[dict]:
         cfg = self.cfg
         s = self.stack
-        anchor0 = s.anchor[0].tobytes()
-        for m in range(1, cfg.workers):
-            if s.anchor[m].tobytes() != anchor0:
-                raise RuntimeError(f"anchor mismatch between workers 0 and {m} at step {t}")
         # the pseudo-gradients overwrite x, which receives x_new below
-        deltas = np.subtract(s.x, s.anchor, out=s.x)
+        deltas = np.subtract(s.x, self.anchor, out=s.x)
         if cfg.flags.sparsify_keep < 1.0:
             for m in range(cfg.workers):
                 deltas[m] = sparsify_topk(deltas[m], cfg.flags.sparsify_keep)
         delta = deltas.mean(axis=0)
         if cfg.outer.kind == OUTER_NESTEROV:
             self.outer_velocity = cfg.outer.outer_momentum * self.outer_velocity + delta
-            x_new = s.anchor[0] + cfg.outer.outer_lr * (
+            x_new = self.anchor + cfg.outer.outer_lr * (
                 delta + cfg.outer.outer_momentum * self.outer_velocity
             )
         else:
-            x_new = s.anchor[0] + delta
+            x_new = self.anchor + delta
         entry = None
         if cfg.projection.strategy == STRATEGY_GLOBAL and cfg.projection.refresh:
             entry = self._refresh(delta[None])
         s.x[:] = x_new
-        s.anchor[:] = x_new
+        self.anchor = x_new
         return entry
 
     # ---- main loop ---------------------------------------------------------

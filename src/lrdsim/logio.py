@@ -89,6 +89,8 @@ def read_log(path: str) -> tuple[dict, list]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise LogFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:  # an int longer than the interpreter's int-from-str digit limit
+                raise LogFormatError(f"line {lineno}: {exc}") from exc
             if lineno == 1:
                 if not isinstance(obj, dict) or obj.get("kind") != "header":
                     raise LogFormatError("line 1: expected a header record")

@@ -165,7 +165,6 @@ class PowerLawOracle:
     kappa: float
     seed: int = 0
     true_matrix: np.ndarray = field(init=False, repr=False)
-    left_basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.c <= 0 or self.alpha <= 0:
@@ -173,7 +172,6 @@ class PowerLawOracle:
         if self.kappa < 0:
             raise ValueError("kappa must be >= 0")
         object.__setattr__(self, "true_matrix", gen_powerlaw_matrix(self.c, self.alpha, self.p, self.q, self.seed))
-        object.__setattr__(self, "left_basis", _powerlaw_factors(self.p, self.q, self.seed)[0])
 
     def noisy_observation(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
         """true_matrix + N with E||N||_F ~= kappa / sqrt(batch_size)."""

@@ -162,19 +162,6 @@ def rotate_second_moment(r_mat, u, v, beta1: float, beta2: float, step: int) -> 
     return cv * np.abs(mixed)
 
 
-def predicted_instability(kappa: float, batch_size: float, alpha: float, c: float, rank: int) -> float:
-    """Projection instability estimate kappa / (alpha * C * sqrt(B)) * r^(alpha+1).
-
-    Derived from the Davis-Kahan bound with a power-law spectrum
-    sigma_k = C k^(-alpha) and noise scale kappa / sqrt(B).
-    """
-    vals = {"kappa": kappa, "batch_size": batch_size, "alpha": alpha, "C": c, "rank": rank}
-    for name, val in vals.items():
-        if val <= 0:
-            raise ValueError(f"{name} must be positive, got {val}")
-    return kappa / (alpha * c * np.sqrt(batch_size)) * rank ** (alpha + 1.0)
-
-
 def subspace_metrics_from_update(
     q_new: np.ndarray, q_old: np.ndarray, r_mat: np.ndarray, signal_singular_values: np.ndarray
 ) -> dict:

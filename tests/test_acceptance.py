@@ -224,12 +224,12 @@ def test_criterion_06_exploration_restoration():
     # injection
     cfg = build({"steps": 256, "qhm": {"mode": "full_rank", "omega": 0.95}})
     engine = Engine(cfg)
-    prev_anchor = engine.stack.anchor[0].copy()
+    prev_anchor = engine.anchor.copy()
     ranks = []
     mssvs = []
     for rec in engine.records():
         if (rec["step"] + 1) % 32 == 0:
-            anchor = engine.stack.anchor[0]
+            anchor = engine.anchor
             ranks.append(np.linalg.matrix_rank(anchor - prev_anchor, rtol=1e-10))
             prev_anchor = anchor.copy()
             if rec["subspace"] is not None:
@@ -260,11 +260,11 @@ def test_criterion_07_local_full_rank_recovery():
         }
     )
     engine = Engine(cfg)
-    prev = engine.stack.anchor[0].copy()
+    prev = engine.anchor.copy()
     delta = None
     for rec in engine.records():
         if (rec["step"] + 1) % 16 == 0:
-            delta = engine.stack.anchor[0] - prev
+            delta = engine.anchor - prev
     rank = np.linalg.matrix_rank(delta, rtol=1e-10)
     bound = min(4 * 8, 64) - 1
     assert rank >= bound, f"rank {rank} below {bound}"

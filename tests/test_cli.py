@@ -522,8 +522,13 @@ def test_analyze_malformed_step_fields_exit_one(tmp_path, capsys, step):
 
 
 @pytest.mark.parametrize(
-    "content", [b"\xff\xfe\n", b'{"kind": "header"}\n' + b"[" * 100_000 + b"]" * 100_000 + b"\n"],
-    ids=["not_utf8", "nested_too_deep"],
+    "content",
+    [
+        b"\xff\xfe\n",
+        b'{"kind": "header"}\n' + b"[" * 100_000 + b"]" * 100_000 + b"\n",
+        b'{"kind": "header"}\n{"kind": "step", "mean_loss": ' + b"9" * 5000 + b"}\n",
+    ],
+    ids=["not_utf8", "nested_too_deep", "int_past_str_digit_limit"],
 )
 def test_analyze_undecodable_log_exit_one(tmp_path, capsys, content):
     bad = tmp_path / "bad.log"

@@ -38,6 +38,8 @@ RULES = [
     pytest.param({"problem": {"batch_size": 0}}, "problem.batch_size", id="batch_size_low"),
     pytest.param({"problem": {"batch_size": 33}}, "problem.batch_size", id="batch_size_high"),
     pytest.param({"problem": {"design_rows": 2**30}}, "problem.design_rows, problem.rows", id="array_bytes"),
+    pytest.param({"problem": {"design_rows": 10**5000 + 1}}, "problem.design_rows, problem.rows",
+                 id="design_rows_past_str_digit_limit"),
     pytest.param({"problem": {"target_rank": 13}}, "problem.target_rank", id="problem.target_rank"),
     pytest.param({"problem": {"target_rank": 2, "target_alpha": 0.0}}, "problem.target_alpha",
                  id="problem.target_alpha"),
@@ -59,6 +61,7 @@ RULES = [
     pytest.param({"hyperparams": {"eps": 0.0}}, "hyperparams.eps", id="hyperparams.eps"),
     pytest.param({"hyperparams": {"clip_radius": 0.0}}, "hyperparams.clip_radius", id="hyperparams.clip_radius"),
     pytest.param({"hyperparams": {"lr": 0.0}}, "hyperparams.lr", id="hyperparams.lr"),
+    pytest.param({"hyperparams": {"lr": 10**5000}}, "hyperparams.lr", id="lr_past_str_digit_limit"),
     pytest.param({"hyperparams": {"warmup_steps": -1}}, "hyperparams.warmup_steps", id="warmup_steps_low"),
     pytest.param({"hyperparams": {"warmup_steps": 8}}, "hyperparams.warmup_steps", id="warmup_steps_high"),
     pytest.param({"outer": {"kind": "adam"}}, "outer.kind", id="outer.kind"),

@@ -6,7 +6,7 @@ import yaml
 
 from lrdsim import costs
 from lrdsim.cli import main
-from lrdsim.config import from_dict
+from lrdsim.config import _array_bytes, from_dict
 from lrdsim.distsim import ELEMENT_SIZE, Engine, sparsify_topk
 from lrdsim.linalg import clip_frobenius
 from lrdsim.optimizer import (
@@ -123,13 +123,13 @@ def engine_for_sync_tests(workers=2, kind="average", **outer_kw):
 def test_sync_params_identical_workers_noop():
     eng = engine_for_sync_tests()
     s = eng.stack
+    eng.anchor = np.array([[1.0]])
     for m in range(2):
         s.x[m] = np.array([[3.25]])
-        s.anchor[m] = np.array([[1.0]])
-    eng._sync_params(0)
+    eng._sync_params()
     for m in range(2):
         np.testing.assert_array_equal(s.x[m], [[3.25]])
-        np.testing.assert_array_equal(s.anchor[m], [[3.25]])
+        np.testing.assert_array_equal(eng.anchor, [[3.25]])
 
 
 def test_sync_params_cancellation():
@@ -137,18 +137,10 @@ def test_sync_params_cancellation():
     s = eng.stack
     s.x[0] = np.array([[1.0 + 0.5]])
     s.x[1] = np.array([[1.0 - 0.5]])
-    for m in range(2):
-        s.anchor[m] = np.array([[1.0]])
-    eng._sync_params(0)
+    eng.anchor = np.array([[1.0]])
+    eng._sync_params()
     for m in range(2):
         np.testing.assert_array_equal(s.x[m], [[1.0]])
-
-
-def test_sync_params_anchor_mismatch_fatal():
-    eng = engine_for_sync_tests()
-    eng.stack.anchor[1] = np.array([[99.0]])
-    with pytest.raises(RuntimeError, match="anchor mismatch"):
-        eng._sync_params(0)
 
 
 def test_nesterov_degenerates_to_average():
@@ -156,9 +148,8 @@ def test_nesterov_degenerates_to_average():
     s = eng.stack
     s.x[0] = np.array([[2.0]])
     s.x[1] = np.array([[4.0]])
-    for m in range(2):
-        s.anchor[m] = np.array([[1.0]])
-    eng._sync_params(0)
+    eng.anchor = np.array([[1.0]])
+    eng._sync_params()
     np.testing.assert_allclose(s.x[0], [[3.0]])
 
 
@@ -168,12 +159,12 @@ def test_nesterov_two_step_hand_trace():
     # m = 2.9, x = 0.95 + 0.5 (2 + 2.61) = 3.255 (worked by hand)
     eng = engine_for_sync_tests(workers=1, kind="nesterov", outer_lr=0.5, outer_momentum=0.9)
     s = eng.stack
-    s.anchor[0] = np.array([[0.0]])
+    eng.anchor = np.array([[0.0]])
     s.x[0] = np.array([[1.0]])
-    eng._sync_params(0)
+    eng._sync_params()
     np.testing.assert_allclose(s.x[0], [[0.95]], atol=1e-15)
-    s.x[0] = s.anchor[0] + 2.0
-    eng._sync_params(1)
+    s.x[0] = eng.anchor + 2.0
+    eng._sync_params()
     np.testing.assert_allclose(s.x[0], [[3.255]], atol=1e-12)
 
 
@@ -190,6 +181,39 @@ def test_sync_moment_mean_and_cancellation():
         np.testing.assert_allclose(s.u[m], np.zeros((1, 1)), atol=1e-18)
         np.testing.assert_allclose(s.v[m], [[0.3]], atol=1e-18)
         assert np.all(s.v[m] >= 0)
+
+
+@pytest.mark.parametrize("kind", ["average", "nesterov"])
+@pytest.mark.parametrize("strategy", ["global", "local"])
+def test_every_worker_holds_the_anchor_after_each_parameter_sync(strategy, kind):
+    cfg = from_dict(
+        cfg_dict(
+            workers=3,
+            steps=12,
+            problem={"design_rows": 48},
+            schedule={"k_x": 3, "k_u": 2, "k_v": 4},
+            projection={"strategy": strategy},
+            outer={"kind": kind},
+        )
+    )
+    engine = Engine(cfg)
+    synced = []
+    for rec in engine.records():
+        if (rec["step"] + 1) % 3 == 0:
+            for m in range(3):
+                assert engine.stack.x[m].tobytes() == engine.anchor.tobytes(), f"worker {m}, step {rec['step']}"
+            synced.append(rec["step"])
+    assert synced == [2, 5, 8, 11]
+    assert np.any(engine.anchor != 0.0)  # the anchor moved off its zero start
+
+
+def test_array_bytes_counts_what_the_engine_holds():
+    cfg = from_dict(cfg_dict(workers=3, problem={"design_rows": 48}))
+    engine = Engine(cfg)
+    s, prob = engine.stack, engine.problem
+    held = [prob.design, prob.labels, prob.x_star, s.x, s.error, s.u, s.v, s.basis, engine.anchor, engine.outer_velocity]
+    # plus the one (M, p, q) buffer each local step carries its gradients in
+    assert _array_bytes(cfg) == sum(a.nbytes for a in held) + s.x.nbytes
 
 
 # ---- degeneracy against a straight-line reference ----------------------------
@@ -431,11 +455,11 @@ def test_full_rank_qhm_breaks_stagnation_rank():
     # the anchor moves by the (outer-optimized) aggregated pseudo-gradient
     # at each sync; with average outer that movement is exactly delta
     engine = Engine(cfg)
-    prev_anchor = engine.stack.anchor[0].copy()
+    prev_anchor = engine.anchor.copy()
     ranks = []
     for rec in engine.records():
         if (rec["step"] + 1) % 16 == 0:
-            new_anchor = engine.stack.anchor[0]
+            new_anchor = engine.anchor
             ranks.append(np.linalg.matrix_rank(new_anchor - prev_anchor, rtol=1e-10))
             prev_anchor = new_anchor.copy()
     assert all(r > 4 for r in ranks)
@@ -463,11 +487,11 @@ def test_local_orthogonal_blocks_full_rank_recovery():
         )
     )
     engine = Engine(cfg)
-    prev_anchor = engine.stack.anchor[0].copy()
+    prev_anchor = engine.anchor.copy()
     final_delta = None
     for rec in engine.records():
         if (rec["step"] + 1) % 8 == 0:
-            final_delta = engine.stack.anchor[0] - prev_anchor
+            final_delta = engine.anchor - prev_anchor
     q0 = engine.stack.basis[0]
     q1 = engine.stack.basis[1]
     assert sin_theta_distance(q0, q1) == pytest.approx(np.sqrt(2.0), abs=1e-8)

@@ -8,7 +8,6 @@ from lrdsim.projection import (
     DegenerateSignalError,
     identity_projection,
     mssv,
-    predicted_instability,
     projection_with_spectrum,
     random_projection,
     rotate_first_moment,
@@ -240,16 +239,6 @@ def test_rotate_second_moment_validation():
         rotate_second_moment(np.eye(2), u, v, 0.9, 0.99, 0)
     with pytest.raises(ValueError):
         rotate_second_moment(np.eye(2), u, -np.ones((2, 2)), 0.9, 0.99, 1)
-
-
-def test_predicted_instability():
-    assert predicted_instability(1.0, 1.0, 1.0, 1.0, 1) == pytest.approx(1.0)
-    assert predicted_instability(1.0, 4.0, 1.0, 1.0, 2) == pytest.approx(2.0)
-    base = predicted_instability(0.7, 16.0, 1.3, 2.0, 5)
-    doubled = predicted_instability(0.7, 32.0, 1.3, 2.0, 5)
-    assert doubled == pytest.approx(base / np.sqrt(2.0))
-    with pytest.raises(ValueError):
-        predicted_instability(0.0, 1.0, 1.0, 1.0, 1)
 
 
 def test_identity_projection_and_sources():
