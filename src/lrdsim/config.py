@@ -24,7 +24,8 @@ PROJECTION_INITS = (PROJECTION_INIT_DEFAULT, PROJECTION_INIT_RANDOM, PROJECTION_
 OUTER_AVERAGE = "average"
 OUTER_NESTEROV = "nesterov"
 
-MAX_ARRAY_BYTES = 1 << 30  # cap on the float64 arrays a run allocates at set-up
+MAX_ARRAY_BYTES = 1 << 30  # cap on the arrays a run allocates at set-up
+BLOCK_STEPS = 64  # steps whose batches the engine draws from each worker's stream at once
 
 
 class ConfigError(ValueError):
@@ -179,7 +180,7 @@ def _check(cond: bool, message: str) -> None:
 
 
 def _array_bytes(cfg: RunConfig) -> int:
-    """Float64 bytes of the problem's arrays, the shared anchor and outer velocity, and the worker stack."""
+    """Bytes of the problem's arrays, the shared anchor and outer velocity, the worker stack and its batch indices."""
     p = cfg.problem
     # design, labels; x_star, the anchor and the outer velocity
     shared = p.design_rows * (p.rows + p.cols) + 3 * p.rows * p.cols
@@ -187,6 +188,8 @@ def _array_bytes(cfg: RunConfig) -> int:
         shared += p.design_rows * p.rows  # the feature-block mask
     # x, error and the gradient buffer; u and v; the bases
     stack = 3 * p.rows * p.cols + 2 * cfg.rank * p.cols + p.rows * cfg.rank
+    # a block's int64 training and eval indices; a batch past its shard is rejected below, by name
+    stack += 2 * min(BLOCK_STEPS, cfg.steps) * min(p.batch_size, p.design_rows // cfg.workers)
     return 8 * (shared + cfg.workers * stack)
 
 
@@ -252,6 +255,23 @@ def validate(cfg: RunConfig) -> None:
     _check(0.0 < f.sparsify_keep <= 1.0, "flags.sparsify_keep must lie in (0, 1]")
     _check(f.mu_semantics in (MU_PER_COLUMN, MU_SCALAR),
            f"flags.mu_semantics must be '{MU_PER_COLUMN}' or '{MU_SCALAR}'")
+    # the checks above bound the sizes from above, not the seed, the step count or
+    # the sync periods; the log header's json.dumps refuses an int that repr refuses
+    for path, value in _leaves(cfg.to_dict()):
+        try:
+            repr(value)
+        except ValueError:
+            raise ConfigError(f"{path} must be an integer, got an integer of more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
+
+
+def _leaves(data: dict, prefix: str = ""):
+    """(dotted key path, value) of every non-mapping value in nested mappings."""
+    for key, value in data.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
 
 
 def load_file(path: str) -> RunConfig:

@@ -22,11 +22,14 @@ Every worker restarts each sync window from the one (p, q) anchor.
 Execution is serial and deterministic on a given machine and BLAS build:
 per-worker RNG streams derive from (master_seed, worker_id) and never
 mix. Each worker draws its batches from its own stream, training batch
-then eval batch, one `sample_batch` call each. The held-out eval scores
-all M workers in one stacked `loss` call, bitwise equal to M per-worker
-calls. The training gradients and their compression stay one (p, q)
-call per worker: the benchmark's per-layer counters read those calls'
-2-D shapes and batch size, so they move only with the benchmark.
+then eval batch, a block of BLOCK_STEPS steps at a time: at the block's
+first step one `sample_batch` call per worker draws all of the block's
+batches, bit for bit the rows and stream of one `choice` call per batch.
+The held-out eval scores all M workers in one stacked `loss` call,
+bitwise equal to M per-worker calls. The training gradients and their
+compression stay one (p, q) call per worker: the benchmark's per-layer
+counters read those calls' 2-D shapes and batch size, so they move only
+with the benchmark.
 
 `Engine.records()` yields each step's log record as the dict that
 `logio.write_log` writes, and stops after the first diverged one; the
@@ -42,7 +45,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import costs
-from .config import OUTER_NESTEROV, PROJECTION_INIT_IDENTITY, RunConfig
+from .config import BLOCK_STEPS, OUTER_NESTEROV, PROJECTION_INIT_IDENTITY, RunConfig
 from .costs import STRATEGY_GLOBAL, STRATEGY_LOCAL, CostInputs
 from .linalg import clip_frobenius
 from .optimizer import QHM_NONE, compress_gradient, compute_update, update_moments
@@ -140,17 +143,16 @@ class Engine:
 
     # ---- per-step phases -------------------------------------------------
 
-    def _local_step(self, t: int) -> Optional[dict]:
-        """One step on every worker; returns this step's local-refresh subspace entry."""
+    def _local_step(self, t: int, rows: np.ndarray) -> Optional[dict]:
+        """One step on every worker's (M, B) training `rows`; returns this step's local-refresh subspace entry."""
         cfg = self.cfg
         hp = cfg.hyperparams
         s = self.stack
         ef = cfg.flags.error_feedback
         # one full-size buffer carries the gradients, their clipped form and the update
         grad = np.empty_like(s.x)
-        for m, rng in enumerate(s.rngs):
-            batch = self.problem.sample_batch(m, cfg.problem.batch_size, rng)
-            self.problem.stoch_gradient(s.x[m], batch, out=grad[m])
+        for m in range(cfg.workers):
+            self.problem.stoch_gradient(s.x[m], Batch(m, rows[m]), out=grad[m])
         clip_frobenius(grad, hp.clip_radius, out=grad)
         entry = None
         if (
@@ -251,16 +253,21 @@ class Engine:
     def records(self) -> Iterator[dict]:
         s = self.stack
         prob = self.problem
+        steps = self.cfg.steps
         batch_size = self.cfg.problem.batch_size
         workers = np.arange(self.cfg.workers)
-        eval_rows = np.empty((self.cfg.workers, batch_size), dtype=np.int64)
-        for t in range(self.cfg.steps):
-            uplink, downlink, entry = self._sync_phase(t, self._local_step(t))
+        for t in range(steps):
+            row = 2 * (t % BLOCK_STEPS)
+            if row == 0:
+                # (M, 2 x the block's steps, B): the block's step i trains on row 2i, evaluates on row 2i+1
+                count = 2 * min(BLOCK_STEPS, steps - t)
+                block = np.stack(
+                    [prob.sample_batch(m, batch_size, rng, count).indices for m, rng in enumerate(s.rngs)]
+                )
+            uplink, downlink, entry = self._sync_phase(t, self._local_step(t, block[:, row]))
             # held-out evaluation: a fresh batch from each worker's stream,
             # drawn after the step's training batch, scored in one stacked call
-            for m, rng in enumerate(s.rngs):
-                eval_rows[m] = prob.sample_batch(m, batch_size, rng).indices
-            losses = prob.loss(s.x, Batch(workers, eval_rows)).tolist()
+            losses = prob.loss(s.x, Batch(workers, block[:, row + 1])).tolist()
             worker_losses = [x if math.isfinite(x) else None for x in losses]
             diverged = None in worker_losses or not np.isfinite(s.x).all()
             # a diverging signal can overflow its spectrum's diagnostics

@@ -26,13 +26,19 @@ SHARD_IID = "iid"
 SHARD_FEATURE_BLOCKS = "feature_blocks"
 SHARD_POLICIES = (SHARD_IID, SHARD_FEATURE_BLOCKS)
 
+# Batch sizes up to this draw a block of batches in one `integers` call
+# (`draw_rows`); above it a loop of `choice` calls is faster.
+BLOCK_DRAW_MAX_BATCH = 96
+
 
 @dataclass(frozen=True)
 class Batch:
     """Row indices into worker shards.
 
-    One worker: an int `worker_id` and (B,) `indices`. Stacked workers: an
-    (M,) array of worker ids and (M, B) `indices`, one row per worker.
+    One worker: an int `worker_id` and (B,) `indices`, or (count, B) for
+    `count` successive batches (`sample_batch` with `count`). Stacked
+    workers: an (M,) array of worker ids and (M, B) `indices`, one row per
+    worker.
     """
 
     worker_id: int | np.ndarray
@@ -116,10 +122,16 @@ class MatrixRegression:
             raise ValueError(f"worker_id {worker_id} out of range")
         return self.design_shards[worker_id], self.label_shards[worker_id]
 
-    def sample_batch(self, worker_id: int, batch_size: int, rng: np.random.Generator) -> Batch:
+    def sample_batch(
+        self, worker_id: int, batch_size: int, rng: np.random.Generator, count: int | None = None
+    ) -> Batch:
+        """One batch of distinct shard rows; with `count`, (count, B) indices of that many successive batches."""
         if not (1 <= batch_size <= self.rows_per_shard):
             raise ValueError(f"batch_size {batch_size} out of range for shard of {self.rows_per_shard}")
-        idx = rng.choice(self.rows_per_shard, size=batch_size, replace=False)
+        if count is None:
+            idx = rng.choice(self.rows_per_shard, size=batch_size, replace=False)
+        else:
+            idx = draw_rows(rng, self.rows_per_shard, batch_size, count)
         return Batch(worker_id=worker_id, indices=idx)
 
     def _rows(self, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
@@ -152,6 +164,50 @@ class MatrixRegression:
 
     def init_params(self) -> np.ndarray:
         return np.zeros((self.p, self.q))
+
+
+def draw_rows(rng: np.random.Generator, n: int, size: int, count: int) -> np.ndarray:
+    """`count` successive `rng.choice(n, size, replace=False)` draws as a (count, size) array.
+
+    The rows, and the state `rng` is left in, equal those of the `choice`
+    calls bit for bit. For size <= BLOCK_DRAW_MAX_BATCH, and so size <=
+    n // 50 whenever n > 10,000, `choice` runs Floyd's algorithm: slot k
+    draws t_k on [0, j_k], j_k = n - size + k, and keeps it unless an
+    earlier slot holds it, when it takes j_k. A Fisher-Yates shuffle then
+    swaps slot i with a draw on [0, i], for i = size - 1 down to 1. Every
+    bound is known in advance, so one `integers` call makes all of a
+    block's draws in `choice`'s order. Larger sizes loop `choice`.
+    """
+    if size > BLOCK_DRAW_MAX_BATCH:
+        return np.stack([rng.choice(n, size, replace=False) for _ in range(count)])
+    low = n - size
+    slots = np.arange(size)
+    bounds = np.concatenate([low + slots, slots[:0:-1]])
+    draws = rng.integers(0, np.tile(bounds, count), endpoint=True).reshape(count, 2 * size - 1)
+    t = draws[:, :size]
+    # t_k is held when it repeats an earlier t_i: sort (row, value, slot)
+    # keys, and every key whose predecessor has the same row and value repeats
+    keys = np.sort(((np.arange(count)[:, None] * n + t) * size + slots).ravel())
+    repeats = keys[1:][keys[1:] // size == keys[:-1] // size]
+    held = np.zeros(count * size, dtype=bool)
+    held[repeats // size // n * size + repeats % size] = True
+    # ... or when it equals j_i of an earlier slot i that took j_i
+    links = np.flatnonzero(((t >= low) & (t < low + slots)).ravel())
+    sources = links + t.ravel()[links] - low - links % size
+    while True:
+        grown = held[sources] & ~held[links]
+        if not grown.any():
+            break
+        held[links[grown]] = True
+    # the shuffle on a (size, count) layout, so that slot i of every row is one contiguous run
+    out = np.where(held.reshape(count, size), low + slots, t).T.copy()
+    flat = out.ravel()
+    swaps = draws[:, size:].T * count + np.arange(count)
+    for i, swap in zip(range(size - 1, 0, -1), swaps):
+        kept = flat[swap]
+        flat[swap] = out[i]
+        out[i] = kept
+    return out.T
 
 
 @dataclass(frozen=True)

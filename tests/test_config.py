@@ -22,8 +22,12 @@ BASE = {
 # `prefix` is how the message starts, naming the field
 RULES = [
     pytest.param({"master_seed": -1}, "master_seed", id="master_seed"),
+    pytest.param({"master_seed": 10**5000}, "master_seed must be an integer, got an integer of more than",
+                 id="master_seed_past_str_digit_limit"),
     pytest.param({"workers": 0}, "workers", id="workers"),
     pytest.param({"steps": 0}, "steps", id="steps"),
+    pytest.param({"steps": 10**5000}, "steps must be an integer, got an integer of more than",
+                 id="steps_past_str_digit_limit"),
     pytest.param({"problem": {"type": "logistic"}}, "problem.type", id="problem.type"),
     pytest.param({"problem": {"rows": 0}}, "problem.rows and problem.cols", id="problem.rows"),
     pytest.param({"problem": {"cols": 0}}, "problem.rows and problem.cols", id="problem.cols"),

@@ -212,8 +212,12 @@ def test_array_bytes_counts_what_the_engine_holds():
     engine = Engine(cfg)
     s, prob = engine.stack, engine.problem
     held = [prob.design, prob.labels, prob.x_star, s.x, s.error, s.u, s.v, s.basis, engine.anchor, engine.outer_velocity]
+    # the block of batch indices the engine draws at its first step
+    records = engine.records()
+    next(records)
+    block = records.gi_frame.f_locals["block"]
     # plus the one (M, p, q) buffer each local step carries its gradients in
-    assert _array_bytes(cfg) == sum(a.nbytes for a in held) + s.x.nbytes
+    assert _array_bytes(cfg) == sum(a.nbytes for a in held) + s.x.nbytes + block.nbytes
 
 
 # ---- degeneracy against a straight-line reference ----------------------------
@@ -269,11 +273,13 @@ def test_engine_matches_straightline_low_rank_reference():
 
 def test_engine_stacked_eval_equals_per_worker_loss_exactly():
     # each logged loss must be the 2-D loss of that worker's parameters on the
-    # eval batch its stream draws right after the step's training batch
+    # eval batch its stream draws right after the step's training batch; the
+    # engine draws a block of steps' batches ahead, so the streams are copied
+    # once, before step 0, and replayed in order across a block boundary
     cfg = from_dict(
         cfg_dict(
             workers=3,
-            steps=10,
+            steps=70,
             problem={"rows": 12, "cols": 5, "design_rows": 60, "batch_size": 8, "shard_policy": "feature_blocks"},
             schedule={"k_x": 4, "k_u": 2, "k_v": 3},
         )
@@ -281,8 +287,8 @@ def test_engine_stacked_eval_equals_per_worker_loss_exactly():
     engine = Engine(cfg)
     prob = engine.problem
     records = engine.records()
+    rngs = copy.deepcopy(engine.stack.rngs)
     for _ in range(cfg.steps):
-        rngs = copy.deepcopy(engine.stack.rngs)
         record = next(records)
         expected = []
         for m, rng in enumerate(rngs):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrdsim.linalg import svd
 from lrdsim.problems import (
+    BLOCK_DRAW_MAX_BATCH,
     Batch,
     MatrixRegression,
     PowerLawOracle,
+    draw_rows,
     gen_powerlaw_matrix,
 )
 from lrdsim.projection import projection_with_spectrum, sin_theta_distance, spectral_gap, stable_rank
@@ -138,6 +142,57 @@ def test_stacked_loss_and_gradient_bitwise_equal_per_worker_calls(policy, worker
     grads = prob.stoch_gradient(x, stacked)
     for m in range(workers):
         assert grads[m].tobytes() == prob.stoch_gradient(x[m], singles[m]).tobytes()
+
+
+def _assert_draws_equal_choice_calls(seed, n, size, count):
+    block_rng, choice_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = draw_rows(block_rng, n, size, count)
+    expected = np.stack([choice_rng.choice(n, size, replace=False) for _ in range(count)])
+    assert block.shape == (count, size)
+    assert block.tolist() == expected.tolist()
+    assert block_rng.bit_generator.state == choice_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "n, size, count",
+    [
+        (1, 1, 5),  # B = 1 = n: no draw at all
+        (1024, 1, 64),
+        (33, 33, 64),  # B = n: Floyd replaces often
+        (64, 64, 3),
+        (1024, 32, 128),  # the reference configs' shards
+        (1024, BLOCK_DRAW_MAX_BATCH, 130),  # the largest one-call block
+        (1024, BLOCK_DRAW_MAX_BATCH + 1, 3),  # the smallest `choice` loop
+        (20000, 400, 2),  # n > 10,000 and B = n // 50: still Floyd in `choice`
+        (20480, 512, 2),  # B > n // 50: `choice`'s tail-shuffle branch
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_draw_rows_equals_successive_choice_calls(seed, n, size, count):
+    _assert_draws_equal_choice_calls(seed, n, size, count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**63),
+    n=st.integers(1, 10_000),
+    size_fraction=st.floats(0.0, 1.0),
+    count=st.integers(1, 130),
+)
+def test_draw_rows_matches_choice_calls_on_any_small_block(seed, n, size_fraction, count):
+    size = 1 + round(size_fraction * (min(n, BLOCK_DRAW_MAX_BATCH) - 1))
+    _assert_draws_equal_choice_calls(seed, n, size, count)
+
+
+def test_sample_batch_count_draws_successive_batches():
+    prob = small_problem(n_rows=80, workers=2)
+    block_rng, batch_rng = np.random.default_rng(4), np.random.default_rng(4)
+    block = prob.sample_batch(1, 30, block_rng, count=64)
+    assert block.worker_id == 1 and block.size == 30
+    assert block.indices.tolist() == [prob.sample_batch(1, 30, batch_rng).indices.tolist() for _ in range(64)]
+    assert block_rng.bit_generator.state == batch_rng.bit_generator.state
+    with pytest.raises(ValueError):
+        prob.sample_batch(1, 41, block_rng, count=2)
 
 
 @pytest.mark.parametrize("bad", [-1, 2])
