@@ -198,7 +198,7 @@ def _costs_lines(inputs: costs_mod.CostInputs) -> list:
     for variant, mode in rows:
         pay = costs_mod.per_payload(variant, mode, inputs)
         if variant in strategies:
-            mem = costs_mod.memory_overhead(variant, mode, inputs)
+            mem = costs_mod.memory_overhead(inputs)
         elif variant == costs_mod.BASELINE_LOCAL_ADAM:
             mem = costs_mod.adam_memory(inputs)
         else:

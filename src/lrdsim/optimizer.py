@@ -15,7 +15,8 @@ The kernels take their state duck-typed: any object with the attributes
 a kernel's docstring names, such as the engine's stacked `WorkerStack`.
 Hyperparameters come as a `config.HyperConfig`, with QHM's omega passed
 beside them. A textbook full-rank Adam step lives here too, serving as
-the oracle for the exact-degeneracy checks.
+the oracle for the exact-degeneracy checks. Arguments are not re-checked:
+`config.validate` owns the run-setting rules and the engine fixes the shapes.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ def compress_gradient(
     by construction (the residual is computed from the same sum).
     `new_error` is written into `out` when given (which may be `error`).
     """
-    if grad.shape[0] != basis.shape[0] or grad.shape != error.shape:
-        raise ValueError(
-            f"gradient {grad.shape} incompatible with projection {basis.shape} / error {error.shape}"
-        )
     carried = np.add(grad, error, out=out)
     g = basis.T @ carried
     carried -= basis @ g
@@ -59,8 +56,6 @@ def compress_gradient(
 
 def update_moments(state, g: np.ndarray, beta1: float, beta2: float):
     """EMA update of `state.u` and `state.v` (over any leading worker axis); increments `state.step`."""
-    if g.shape != state.u.shape:
-        raise ValueError(f"compressed gradient {g.shape} does not match moments {state.u.shape}")
     state.u = beta1 * state.u + (1.0 - beta1) * g
     state.v = beta2 * state.v + (1.0 - beta2) * (g * g)
     state.step += 1
@@ -84,12 +79,6 @@ def compute_update(
     `omega` weighs the QHM branches and is required unless `mode` is
     'none'. The update goes to `out` when given (which may be `grad`).
     """
-    if mode not in QHM_MODES:
-        raise ValueError(f"unknown QHM mode {mode!r}")
-    if mode != QHM_NONE and omega is None:
-        raise ValueError(f"mode {mode!r} requires omega")
-    if state.step < 1:
-        raise ValueError("moments must be updated before computing an update")
     t = state.step
     uh = state.u / (1.0 - hp.beta1**t)
     vh = state.v / (1.0 - hp.beta2**t)
@@ -101,10 +90,8 @@ def compute_update(
         return np.matmul(q_mat, (omega * uh + (1.0 - omega) * g) / denom, out=out)
     if mu_semantics == MU_PER_COLUMN:
         scale = denom.mean(axis=-2, keepdims=True)
-    elif mu_semantics == MU_SCALAR:
-        scale = denom.mean(axis=(-2, -1), keepdims=True)
     else:
-        raise ValueError(f"unknown mu semantics {mu_semantics!r}")
+        scale = denom.mean(axis=(-2, -1), keepdims=True)
     # (1 - omega) G / mu + omega Q (uh / denom), in place on the full-size arrays
     full = np.multiply(grad, 1.0 - omega, out=out)
     full /= scale

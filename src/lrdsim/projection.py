@@ -5,6 +5,8 @@ gradients into a rank-r subspace (g = Q^T G) and back (Q g). New bases
 come from the thin SVD of a signal matrix; moments are re-expressed in
 the new basis through the rotation R = Q_new^T Q_old, and the subspace
 diagnostics (MSSV, sin-theta) of a refresh derive from that same R.
+Arguments are not re-checked: `config.validate` owns the run-setting
+rules and the engine fixes the shapes.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ def projection_with_spectrum(signal, rank: int) -> tuple[np.ndarray, np.ndarray]
     callers keep the previous basis in that case.
     """
     res = svd(signal)
-    if not (1 <= rank <= res.s.size):
-        raise ValueError(f"rank {rank} out of range for {res.u.shape[0]}x{res.v.shape[0]} signal")
     if res.s[0] == 0.0 or res.s[rank - 1] <= 1e-12 * res.s[0]:
         raise DegenerateSignalError(
             f"degenerate signal: singular value {rank} is {res.s[rank - 1]:.3e} "
@@ -50,16 +50,12 @@ def projection_with_spectrum(signal, rank: int) -> tuple[np.ndarray, np.ndarray]
 
 def random_projection(p: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded Gaussian (p, rank) basis orthonormalized by (twice-applied) Gram-Schmidt."""
-    if not (1 <= rank <= p):
-        raise ValueError(f"rank {rank} out of range for dimension {p}")
     raw = rng.standard_normal((p, rank))
     return _orthonormal(_gram_schmidt(raw))
 
 
 def identity_projection(p: int, rank: int) -> np.ndarray:
     """The first `rank` columns of the p x p identity."""
-    if not (1 <= rank <= p):
-        raise ValueError(f"rank {rank} out of range for dimension {p}")
     q = np.zeros((p, rank))
     q[np.arange(rank), np.arange(rank)] = 1.0
     return q
@@ -79,8 +75,6 @@ def _gram_schmidt(a: np.ndarray) -> np.ndarray:
 
 def rotation_matrix(q_new: np.ndarray, q_old: np.ndarray) -> np.ndarray:
     """R = Q_new^T Q_old; singular values lie in [0, 1]."""
-    if q_new.shape != q_old.shape:
-        raise ValueError(f"basis shapes differ: {q_new.shape} vs {q_old.shape}")
     return q_new.T @ q_old
 
 
@@ -125,8 +119,6 @@ def _sin_theta(q1: np.ndarray, q2: np.ndarray, r_mat: np.ndarray) -> float:
 
 def rotate_first_moment(r_mat, u) -> np.ndarray:
     """R u; `u` may carry leading batch axes."""
-    if r_mat.shape[1] != u.shape[-2]:
-        raise ValueError(f"rotation {r_mat.shape} incompatible with moment {u.shape}")
     return r_mat @ u
 
 
@@ -143,16 +135,6 @@ def rotate_second_moment(r_mat, u, v, beta1: float, beta2: float, step: int) -> 
     multiplication. Output is entrywise non-negative. `u` and `v` may
     carry leading batch axes.
     """
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
-    if not (0.0 <= beta1 < 1.0) or not (0.0 <= beta2 < 1.0):
-        raise ValueError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-    if u.shape != v.shape or r_mat.shape[1] != u.shape[-2]:
-        raise ValueError(
-            f"shape mismatch: rotation {r_mat.shape}, u {u.shape}, v {v.shape}"
-        )
-    if np.any(v < 0.0):
-        raise ValueError("second moment must be entrywise non-negative")
     cu = 1.0 - beta1**step
     cv = 1.0 - beta2**step
     uh = u / cu
@@ -163,18 +145,17 @@ def rotate_second_moment(r_mat, u, v, beta1: float, beta2: float, step: int) -> 
 
 
 def subspace_metrics_from_update(
-    q_new: np.ndarray, q_old: np.ndarray, r_mat: np.ndarray, signal_singular_values: np.ndarray
+    q_new: np.ndarray, q_old: np.ndarray, r_mat: np.ndarray, spectrum: np.ndarray
 ) -> dict:
     """The log's subspace entry for a basis update: mssv, sin_theta, stable_rank, spectral_gap.
 
     `r_mat` is the update's rotation R = Q_new^T Q_old, from which MSSV
     and sin-theta both derive; the spectrum gives stable rank and gap.
     """
-    s = np.asarray(signal_singular_values, dtype=np.float64)
     r = q_new.shape[1]
     return {
         "mssv": mssv(r_mat),
-        "stable_rank": stable_rank(s),
-        "spectral_gap": spectral_gap(s, r) if r < s.size else 0.0,
+        "stable_rank": stable_rank(spectrum),
+        "spectral_gap": spectral_gap(spectrum, r) if r < spectrum.size else 0.0,
         "sin_theta": _sin_theta(q_new, q_old, r_mat),
     }

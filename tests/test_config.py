@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from lrdsim.config import ConfigError, RunConfig, from_dict
 
+import loghash
+
 BASE = {
     "master_seed": 0,
     "workers": 2,
@@ -118,3 +120,9 @@ def test_from_dict_raises_only_config_error_on_huge_ints(data):
         from_dict(cfg)
     except ConfigError:
         pass
+
+
+# a schema change that orphans a byte-identity variant fails here, without running it
+@pytest.mark.parametrize("name", list(loghash.VARIANTS))
+def test_loghash_variant_builds(name):
+    from_dict(loghash.variant_dict(name))

@@ -56,16 +56,6 @@ def test_degenerate_rank_matches_fullrank_baseline():
     assert g_none.uplink_total == 3 * 512 * 512
 
 
-def test_per_payload_validation():
-    i = inputs()
-    with pytest.raises(ValueError):
-        per_payload("bogus", "none", i)
-    with pytest.raises(ValueError):
-        per_payload("global", "bogus", i)
-    with pytest.raises(ValueError):
-        per_payload(BASELINE_DDP, "none", i)
-
-
 def test_reduction_vs_lowrank_ddp_headline():
     assert reduction_vs_lowrank_ddp(inputs()) == pytest.approx(10.24, abs=0.01)
 
@@ -119,15 +109,13 @@ def test_memory_overhead_table():
     p, q, r = i.p, i.q, i.r
     pq, rq, pr = p * q, r * q, p * r
     assert adam_memory(i) == 3 * pq
-    assert memory_overhead("global", "none", i) == pq + pr + 3 * rq
-    assert memory_overhead("global", "low_rank", i) == pq + pr + 3 * rq
-    assert memory_overhead("global", "full_rank", i) == pq + pr + 3 * rq
+    assert memory_overhead(i) == pq + pr + 3 * rq
 
 
 def test_memory_overhead_degenerate_rank_exceeds_adam():
     i = CostInputs(p=100, q=100, r=100)
-    assert memory_overhead("global", "none", i) == 5 * 100 * 100
-    assert memory_overhead("global", "none", i) > adam_memory(i)
+    assert memory_overhead(i) == 5 * 100 * 100
+    assert memory_overhead(i) > adam_memory(i)
 
 
 def test_ratios_exceed_one_with_compression_and_infrequency():

@@ -222,19 +222,6 @@ def test_v_nonnegative_across_rotations():
             assert np.all(state.v >= 0.0)
 
 
-def test_compute_update_validation():
-    state = make_state(4, 3, 2)
-    grad = np.zeros((4, 3))
-    g = np.zeros((2, 3))
-    with pytest.raises(ValueError):
-        compute_update(state, grad, g, QHM_NONE, HyperConfig())  # step 0
-    update_moments(state, g, 0.9, 0.99)
-    with pytest.raises(ValueError):
-        compute_update(state, grad, g, "bogus", HyperConfig())
-    with pytest.raises(ValueError):
-        compute_update(state, grad, g, QHM_LOW_RANK, HyperConfig(), None)
-
-
 def test_hyperparams_lr_schedule():
     hp = HyperConfig(lr=0.1, warmup_steps=10)
     assert hp.lr_at(0) == pytest.approx(0.01)
