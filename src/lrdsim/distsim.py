@@ -267,8 +267,8 @@ class Engine:
             uplink, downlink, entry = self._sync_phase(t, self._local_step(t, block[:, row]))
             # held-out evaluation: a fresh batch from each worker's stream,
             # drawn after the step's training batch, scored in one stacked call
-            losses = prob.loss(s.x, Batch(workers, block[:, row + 1])).tolist()
-            worker_losses = [x if math.isfinite(x) else None for x in losses]
+            losses = prob.loss(s.x, Batch(workers, block[:, row + 1]))
+            worker_losses = [x if math.isfinite(x) else None for x in losses.tolist()]
             diverged = None in worker_losses or not np.isfinite(s.x).all()
             # a diverging signal can overflow its spectrum's diagnostics
             if entry is not None and not all(map(math.isfinite, entry.values())):

@@ -73,12 +73,15 @@ def frobenius_norm(a) -> float:
 def clip_frobenius(g, radius: float, out=None) -> np.ndarray:
     """Scale `g` onto the Frobenius ball of the given radius if it lies outside.
 
-    Each trailing 2-D matrix is clipped on its own; the result goes to
-    `out` when given (which may be `g` itself).
+    Each trailing 2-D matrix is clipped on its own; its norm is one
+    pairwise sum over its entries' squares, as `np.sum` takes over a
+    C-contiguous matrix. The result goes to `out` when given (which may
+    be `g` itself).
     """
     if radius <= 0:
         raise ValueError(f"clip radius must be positive, got {radius}")
     g = np.asarray(g, dtype=np.float64)
-    norm = np.sqrt(np.sum(g * g, axis=(-2, -1), keepdims=True))
+    lead = g.shape[:-2]
+    norm = np.sqrt(np.add.reduce(np.square(g).reshape(lead + (-1,)), axis=-1)).reshape(lead + (1, 1))
     # radius / max(norm, radius) is exactly 1 inside the ball
     return np.multiply(g, radius / np.maximum(norm, radius), out=out)

@@ -13,6 +13,9 @@ over the r rows (per column by default, or a single scalar).
 
 The kernels take their state duck-typed: any object with the attributes
 a kernel's docstring names, such as the engine's stacked `WorkerStack`.
+`update_moments` writes `u` and `v` in place, so they must be writable
+float64 arrays of g's shape that no other state shares; each keeps its
+identity across steps.
 Hyperparameters come as a `config.HyperConfig`, with QHM's omega passed
 beside them. A textbook full-rank Adam step lives here too, serving as
 the oracle for the exact-degeneracy checks. Arguments are not re-checked:
@@ -55,9 +58,17 @@ def compress_gradient(
 
 
 def update_moments(state, g: np.ndarray, beta1: float, beta2: float):
-    """EMA update of `state.u` and `state.v` (over any leading worker axis); increments `state.step`."""
-    state.u = beta1 * state.u + (1.0 - beta1) * g
-    state.v = beta2 * state.v + (1.0 - beta2) * (g * g)
+    """EMA update of `state.u` and `state.v` (over any leading worker axis); increments `state.step`.
+
+    Both are updated in place and keep their identity: u becomes
+    beta1 u + (1-beta1) g and v becomes beta2 v + (1-beta2) g^2.
+    """
+    state.u *= beta1
+    state.u += (1.0 - beta1) * g
+    sq = np.square(g)
+    sq *= 1.0 - beta2
+    state.v *= beta2
+    state.v += sq
     state.step += 1
     return state
 
@@ -82,20 +93,23 @@ def compute_update(
     t = state.step
     uh = state.u / (1.0 - hp.beta1**t)
     vh = state.v / (1.0 - hp.beta2**t)
-    denom = np.sqrt(vh) + hp.eps
+    denom = np.sqrt(vh, out=vh)
+    denom += hp.eps
     q_mat = state.basis
-    if mode == QHM_NONE:
-        return np.matmul(q_mat, uh / denom, out=out)
     if mode == QHM_LOW_RANK:
-        return np.matmul(q_mat, (omega * uh + (1.0 - omega) * g) / denom, out=out)
-    if mu_semantics == MU_PER_COLUMN:
-        scale = denom.mean(axis=-2, keepdims=True)
-    else:
-        scale = denom.mean(axis=(-2, -1), keepdims=True)
+        uh *= omega
+        uh += (1.0 - omega) * g
+    uh /= denom
+    if mode in (QHM_NONE, QHM_LOW_RANK):
+        return np.matmul(q_mat, uh, out=out)
+    # mu: denom's sum over the r rows (per column) or all entries, divided by the count, as np.mean does
+    axis = -2 if mu_semantics == MU_PER_COLUMN else (-2, -1)
+    scale = np.add.reduce(denom, axis=axis, keepdims=True)
+    scale /= denom.size // scale.size
     # (1 - omega) G / mu + omega Q (uh / denom), in place on the full-size arrays
     full = np.multiply(grad, 1.0 - omega, out=out)
     full /= scale
-    low = q_mat @ (uh / denom)
+    low = q_mat @ uh
     low *= omega
     full += low
     return full

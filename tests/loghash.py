@@ -68,6 +68,8 @@ VARIANTS = {
     "full_shard_b1024": ("reference_global", {"problem": {"batch_size": 1024}}),
     "ref_local_129_b7": ("reference_local", {"steps": 129, "problem": {"batch_size": 7}}),
     "tail_shuffle": ("reference_global", {"workers": 1, "problem": {"design_rows": 20480, "batch_size": 512}}),
+    # every local signal has rank <= 4 < r = 8, so every refresh is skipped and logs `subspace: null`
+    "local_degenerate": ("reference_local", {"flags": {"error_feedback": False}, "problem": {"batch_size": 4}}),
 }
 
 SWEEP = ("reference_local", "batch_and_workers", "1,2")

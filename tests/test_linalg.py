@@ -152,3 +152,17 @@ def test_as_matrix_validation():
         linalg.as_matrix(np.ones(3))
     with pytest.raises(ValueError):
         linalg.as_matrix(np.ones((0, 3)))
+
+
+# (M, p, q) stacks with M = 1 and 4 and one plain matrix; scale 1e-3 lies inside the ball, 10 outside
+@pytest.mark.parametrize("shape", [(1, 64, 48), (4, 64, 48), (64, 48)])
+@pytest.mark.parametrize("scale", [1e-3, 10.0])
+def test_clip_frobenius_bitwise_per_matrix(shape, scale):
+    radius = 1.0
+    g = scale * np.random.default_rng(23).standard_normal(shape)
+    # each matrix scaled by radius / max(||g_m||_F, radius), its norm one np.sum over g_m * g_m
+    want = np.stack([g_m * (radius / max(np.sqrt(np.sum(g_m * g_m)), radius)) for g_m in g.reshape(-1, 64, 48)])
+    assert clip_frobenius(g, radius).tobytes() == want.tobytes()
+    buf = g.copy()
+    assert clip_frobenius(buf, radius, out=buf) is buf
+    assert buf.tobytes() == want.tobytes()

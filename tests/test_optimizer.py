@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from lrdsim.optimizer import (
     QHM_FULL_RANK,
     QHM_LOW_RANK,
     QHM_NONE,
+    MU_PER_COLUMN,
+    MU_SCALAR,
     adam_reference_step,
     compress_gradient,
     compute_update,
@@ -105,6 +109,58 @@ def test_update_moments_cases():
     np.testing.assert_array_equal(state.u, g)
     np.testing.assert_array_equal(state.v, g * g)
     assert np.all(state.v >= 0)
+
+
+@pytest.mark.parametrize("lead", [(), (4,)])
+def test_update_moments_bitwise_in_place(lead):
+    rng = np.random.default_rng(13)
+    beta1, beta2 = 0.9, 0.999
+    # v small against (1 - beta2) g^2, so the rounding of that term shows in the sum
+    u, v = rng.standard_normal(lead + (8, 64)), 1e-6 * rng.random(lead + (8, 64))
+    state = SimpleNamespace(u=u, v=v, step=2)
+    u_prev, v_prev = u.copy(), v.copy()
+    g = rng.standard_normal(lead + (8, 64))
+    update_moments(state, g, beta1, beta2)
+    assert state.u is u and state.v is v
+    assert state.u.tobytes() == (beta1 * u_prev + (1.0 - beta1) * g).tobytes()
+    assert state.v.tobytes() == (beta2 * v_prev + (1.0 - beta2) * (g * g)).tobytes()
+    assert state.step == 3
+
+
+def _update_by_mean(state, grad, g, mode, hp, omega, mu_semantics):
+    """compute_update's arithmetic written out with np.mean for mu."""
+    t = state.step
+    uh = state.u / (1.0 - hp.beta1**t)
+    vh = state.v / (1.0 - hp.beta2**t)
+    denom = np.sqrt(vh) + hp.eps
+    if mode == QHM_NONE:
+        return state.basis @ (uh / denom)
+    if mode == QHM_LOW_RANK:
+        return state.basis @ ((omega * uh + (1.0 - omega) * g) / denom)
+    axis = -2 if mu_semantics == MU_PER_COLUMN else (-2, -1)
+    mu = denom.mean(axis=axis, keepdims=True)
+    return (1.0 - omega) * grad / mu + omega * (state.basis @ (uh / denom))
+
+
+# r = 3 and q = 5 make both of mu's counts (3 and 15) other than powers of two
+@pytest.mark.parametrize("lead", [(), (4,)])
+@pytest.mark.parametrize("mu_semantics", [MU_PER_COLUMN, MU_SCALAR])
+@pytest.mark.parametrize("mode", [QHM_NONE, QHM_LOW_RANK, QHM_FULL_RANK])
+def test_compute_update_bitwise_equals_mean_form(mode, mu_semantics, lead):
+    rng = np.random.default_rng(17)
+    hp, omega = HyperConfig(beta1=0.9, beta2=0.999, eps=1e-8), 0.95
+    p, q, r = 7, 5, 3
+    bases = np.stack([random_projection(p, r, rng) for _ in range(4)])
+    basis = bases if lead else bases[0]
+    state = SimpleNamespace(u=rng.standard_normal(lead + (r, q)), v=rng.random(lead + (r, q)), basis=basis, step=5)
+    moments = state.u.tobytes() + state.v.tobytes()
+    grad, g = rng.standard_normal(lead + (p, q)), rng.standard_normal(lead + (r, q))
+    want = _update_by_mean(state, grad, g, mode, hp, omega, mu_semantics)
+    assert compute_update(state, grad, g, mode, hp, omega, mu_semantics).tobytes() == want.tobytes()
+    buf = grad.copy()
+    assert compute_update(state, buf, g, mode, hp, omega, mu_semantics, out=buf) is buf
+    assert buf.tobytes() == want.tobytes()
+    assert state.u.tobytes() + state.v.tobytes() == moments
 
 
 def test_qhm_omega_one_matches_no_qhm_bitwise():
