@@ -12,8 +12,8 @@ basis from its clipped gradient plus error buffer at steps with
 stack of signals: the global signal's rotation turns every worker's
 moments, a local signal's only its own worker's. Each refresh forms the
 rotation R = Q_new^T Q_old once, rotates the moments with it, and
-derives the logged MSSV and sin-theta from it; a degenerate signal
-keeps its stale basis and moments.
+derives the logged MSSV and sin-theta from it; a degenerate or
+non-finite signal keeps its stale basis and moments.
 
 The M workers are stacked: parameters and error buffers are one
 (M, p, q) array, moments one (M, r, q) array and bases one (M, p, r)
@@ -25,11 +25,13 @@ mix. Each worker draws its batches from its own stream, training batch
 then eval batch, a block of BLOCK_STEPS steps at a time: at the block's
 first step one `sample_batch` call per worker draws all of the block's
 batches, bit for bit the rows and stream of one `choice` call per batch.
-The held-out eval scores all M workers in one stacked `loss` call,
-bitwise equal to M per-worker calls. The training gradients and their
-compression stay one (p, q) call per worker: the benchmark's per-layer
-counters read those calls' 2-D shapes and batch size, so they move only
-with the benchmark.
+Batches are plain arrays of shard row indices. The held-out eval scores
+all M workers in one stacked `loss` call on (M, B) rows, bitwise equal
+to M per-worker calls. The training gradients and their compression
+stay one (p, q) call per worker: the benchmark's per-layer counters read
+those calls' 2-D shapes, and the batch size as the `.size` of the
+gradient's third positional argument, the worker's (B,) rows, so they
+move only with the benchmark.
 
 `Engine.records()` yields each step's log record as the dict that
 `logio.write_log` writes, and stops after the first diverged one; the
@@ -47,9 +49,9 @@ import numpy as np
 from . import costs
 from .config import BLOCK_STEPS, OUTER_NESTEROV, PROJECTION_INIT_IDENTITY, RunConfig
 from .costs import STRATEGY_GLOBAL, STRATEGY_LOCAL, CostInputs
-from .linalg import clip_frobenius
+from .linalg import NonFiniteError, clip_frobenius
 from .optimizer import QHM_NONE, compress_gradient, compute_update, update_moments
-from .problems import Batch, MatrixRegression
+from .problems import MatrixRegression
 from .projection import (
     DegenerateSignalError,
     identity_projection,
@@ -152,7 +154,7 @@ class Engine:
         # one full-size buffer carries the gradients, their clipped form and the update
         grad = np.empty_like(s.x)
         for m in range(cfg.workers):
-            self.problem.stoch_gradient(s.x[m], Batch(m, rows[m]), out=grad[m])
+            self.problem.stoch_gradient(s.x[m], rows[m], m, out=grad[m])
         clip_frobenius(grad, hp.clip_radius, out=grad)
         entry = None
         if (
@@ -178,8 +180,10 @@ class Engine:
         whose basis every worker shares, and k = M one signal per worker.
         Signal j's rotation turns the moments of every worker when k = 1
         and of worker j otherwise. A degenerate signal keeps its stale
-        basis. The entry holds each metric's mean over the bases that
-        moved, or is None when none moved.
+        basis, and so does a non-finite one: the step's parameters are
+        then non-finite too, which marks it diverged. The entry holds
+        each metric's mean over the bases that moved, or is None when
+        none moved.
         """
         s = self.stack
         hp = self.cfg.hyperparams
@@ -188,7 +192,7 @@ class Engine:
         for j, signal in enumerate(signals):
             try:
                 new, sig_s = projection_with_spectrum(signal, self.rank)
-            except DegenerateSignalError:
+            except (DegenerateSignalError, NonFiniteError):
                 continue
             rows = slice(None) if len(signals) == 1 else slice(j, j + 1)
             old = s.basis[j]
@@ -255,19 +259,16 @@ class Engine:
         prob = self.problem
         steps = self.cfg.steps
         batch_size = self.cfg.problem.batch_size
-        workers = np.arange(self.cfg.workers)
         for t in range(steps):
             row = 2 * (t % BLOCK_STEPS)
             if row == 0:
                 # (M, 2 x the block's steps, B): the block's step i trains on row 2i, evaluates on row 2i+1
                 count = 2 * min(BLOCK_STEPS, steps - t)
-                block = np.stack(
-                    [prob.sample_batch(m, batch_size, rng, count).indices for m, rng in enumerate(s.rngs)]
-                )
+                block = np.stack([prob.sample_batch(batch_size, rng, count) for rng in s.rngs])
             uplink, downlink, entry = self._sync_phase(t, self._local_step(t, block[:, row]))
             # held-out evaluation: a fresh batch from each worker's stream,
             # drawn after the step's training batch, scored in one stacked call
-            losses = prob.loss(s.x, Batch(workers, block[:, row + 1]))
+            losses = prob.loss(s.x, block[:, row + 1])
             worker_losses = [x if math.isfinite(x) else None for x in losses.tolist()]
             diverged = None in worker_losses or not np.isfinite(s.x).all()
             # a diverging signal can overflow its spectrum's diagnostics

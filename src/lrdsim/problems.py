@@ -4,7 +4,8 @@ Two problem families:
 
 * MatrixRegression: sharded least squares (1/2B)||A_b X - Y_b||_F^2 with
   labels Y = A X* + noise. Workers own disjoint row blocks of the global
-  design, so the mean of shard gradients is the global gradient. The
+  design, so the mean of shard gradients is the global gradient. A batch
+  is a plain array of row indices into a shard (`sample_batch`). The
   ground truth X* is either dense Gaussian or a seeded low-rank matrix
   with a power-law spectrum (rank phenomena need a low-rank target at
   desk scale).
@@ -31,29 +32,6 @@ SHARD_POLICIES = (SHARD_IID, SHARD_FEATURE_BLOCKS)
 BLOCK_DRAW_MAX_BATCH = 96
 
 
-@dataclass(frozen=True)
-class Batch:
-    """Row indices into worker shards.
-
-    One worker: an int `worker_id` and (B,) `indices`, or (count, B) for
-    `count` successive batches (`sample_batch` with `count`). Stacked
-    workers: an (M,) array of worker ids and (M, B) `indices`, one row per
-    worker.
-    """
-
-    worker_id: int | np.ndarray
-    indices: np.ndarray
-
-    def __post_init__(self):
-        if self.indices.shape[-1] < 1:
-            raise ValueError("batch must contain at least one row")
-
-    @property
-    def size(self) -> int:
-        """Rows per worker (B)."""
-        return self.indices.shape[-1]
-
-
 class MatrixRegression:
     """Sharded matrix least squares with label noise.
 
@@ -65,9 +43,10 @@ class MatrixRegression:
     feature block, which confines worker gradients to disjoint coordinate
     rows (used for the orthogonal-subspace constructions).
 
-    `loss` and `stoch_gradient` take one worker's batch with (p, q)
-    parameters, or a stacked batch with (M, p, q) parameters and then
-    answer for every worker at once, each bitwise equal to its own call.
+    `loss` and `stoch_gradient` take (B,) shard rows of one `worker` with
+    (p, q) parameters, or, with no worker, (M, B) rows, row m from shard
+    m, with (M, p, q) parameters and then answer for every worker at once,
+    each bitwise equal to its own call.
     """
 
     def __init__(
@@ -122,44 +101,41 @@ class MatrixRegression:
             raise ValueError(f"worker_id {worker_id} out of range")
         return self.design_shards[worker_id], self.label_shards[worker_id]
 
-    def sample_batch(
-        self, worker_id: int, batch_size: int, rng: np.random.Generator, count: int | None = None
-    ) -> Batch:
-        """One batch of distinct shard rows; with `count`, (count, B) indices of that many successive batches."""
+    def sample_batch(self, batch_size: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+        """(B,) distinct shard rows; with `count`, (count, B) rows of that many successive batches."""
         if not (1 <= batch_size <= self.rows_per_shard):
             raise ValueError(f"batch_size {batch_size} out of range for shard of {self.rows_per_shard}")
         if count is None:
-            idx = rng.choice(self.rows_per_shard, size=batch_size, replace=False)
-        else:
-            idx = draw_rows(rng, self.rows_per_shard, batch_size, count)
-        return Batch(worker_id=worker_id, indices=idx)
+            return rng.choice(self.rows_per_shard, size=batch_size, replace=False)
+        return draw_rows(rng, self.rows_per_shard, batch_size, count)
 
-    def _rows(self, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+    def _rows(self, rows: np.ndarray, worker: int | None) -> tuple[np.ndarray, np.ndarray]:
         """(A_b, Y_b): (B, p) and (B, q) for one worker, (M, B, p) and (M, B, q) stacked."""
-        ids = batch.worker_id
-        if isinstance(ids, np.ndarray):
-            if ids.min() < 0 or ids.max() >= self.workers:
-                raise ValueError(f"worker_id {ids} out of range")
-            rows = (ids[:, None], batch.indices)
-            return self.design_shards[rows], self.label_shards[rows]
-        a, y = self.shard(ids)
-        return a.take(batch.indices, axis=0), y.take(batch.indices, axis=0)
+        if rows.shape[-1] < 1:
+            raise ValueError("batch must contain at least one row")
+        if worker is not None:
+            a, y = self.shard(worker)
+            return a.take(rows, axis=0), y.take(rows, axis=0)
+        if rows.ndim != 2 or rows.shape[0] != self.workers:
+            raise ValueError(f"stacked rows must be ({self.workers}, B), got shape {rows.shape}")
+        index = (np.arange(self.workers)[:, None], rows)
+        return self.design_shards[index], self.label_shards[index]
 
-    def loss(self, x: np.ndarray, batch: Batch) -> float | np.ndarray:
+    def loss(self, x: np.ndarray, rows: np.ndarray, worker: int | None = None) -> float | np.ndarray:
         """(1/2B)||A_b X - Y_b||_F^2: a float for one worker, an (M,) array stacked."""
-        ab, yb = self._rows(batch)
+        ab, yb = self._rows(rows, worker)
         resid = ab @ x - yb
         squares = np.multiply(resid, resid, out=resid)
         # one pairwise sum over each worker's B*q squares, as np.sum does for one
         total = np.add.reduce(squares.reshape(squares.shape[:-2] + (-1,)), axis=-1)
-        out = 0.5 * total / batch.size
+        out = 0.5 * total / rows.shape[-1]
         return float(out) if out.ndim == 0 else out
 
-    def stoch_gradient(self, x: np.ndarray, batch: Batch, out=None) -> np.ndarray:
+    def stoch_gradient(self, x: np.ndarray, rows: np.ndarray, worker: int | None = None, out=None) -> np.ndarray:
         """A_b^T (A_b X - Y_b) / B, written into `out` when given."""
-        ab, yb = self._rows(batch)
+        ab, yb = self._rows(rows, worker)
         grad = np.matmul(ab.swapaxes(-1, -2), ab @ x - yb, out=out)
-        grad /= batch.size
+        grad /= rows.shape[-1]
         return grad
 
     def init_params(self) -> np.ndarray:

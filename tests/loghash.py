@@ -2,7 +2,7 @@
 
     python3 tests/loghash.py                            # this checkout's src
     python3 tests/loghash.py --tree ../parent           # another checkout's src
-    python3 tests/loghash.py --compare BENCH_12.json    # exit 1 on any difference
+    python3 tests/loghash.py --compare BENCH_15.json    # exit 1 on any difference
 
 Each variant is a base config file plus a dict of overrides, named as in
 the `log_hashes` of the BENCH_<n>.json files. Each runs through
@@ -70,6 +70,9 @@ VARIANTS = {
     "tail_shuffle": ("reference_global", {"workers": 1, "problem": {"design_rows": 20480, "batch_size": 512}}),
     # every local signal has rank <= 4 < r = 8, so every refresh is skipped and logs `subspace: null`
     "local_degenerate": ("reference_local", {"flags": {"error_feedback": False}, "problem": {"batch_size": 4}}),
+    # the step-0 pseudo-gradient overflows to -inf, so the K = 1 refresh's signal is non-finite
+    "diverge_inf_refresh": ("reference_global", {"hyperparams": {"lr": 1.7e308, "warmup_steps": 0},
+                                                 "qhm": {"start_step": 0}, "schedule": {"k_x": 1}, "steps": 50}),
 }
 
 SWEEP = ("reference_local", "batch_and_workers", "1,2")

@@ -110,10 +110,10 @@ def test_criterion_01_adam_degeneracy():
     u = np.zeros((p, q))
     v = np.zeros((p, q))
     for t in range(steps):
-        batch = prob.sample_batch(0, 32, rng)
-        grad = clip_frobenius(prob.stoch_gradient(x, batch), hp.clip_radius)
+        rows = prob.sample_batch(32, rng)
+        grad = clip_frobenius(prob.stoch_gradient(x, rows, 0), hp.clip_radius)
         x, u, v = adam_reference_step(x, grad, u, v, hp, t)
-        prob.sample_batch(0, 32, rng)  # the engine draws a held-out eval batch per step
+        prob.sample_batch(32, rng)  # the engine draws a held-out eval batch per step
     elapsed = time.perf_counter() - started
     assert np.max(np.abs(x_engine - x)) < 1e-10
     assert elapsed < 5.0, f"runtime {elapsed:.2f}s exceeds 5s"
@@ -449,13 +449,13 @@ def test_criterion_13_gradient_correctness():
     for inst in range(10):
         prob = MatrixRegression(p=8, q=6, n_rows=48, workers=2, noise_std=0.3, seed=inst)
         x = rng.standard_normal((8, 6))
-        batch = prob.sample_batch(inst % 2, 12, rng)
-        grad = prob.stoch_gradient(x, batch)
+        rows = prob.sample_batch(12, rng)
+        grad = prob.stoch_gradient(x, rows, inst % 2)
         scale = max(1.0, float(np.linalg.norm(grad)))
         for _ in range(20):
             d = rng.standard_normal(x.shape)
             d /= np.linalg.norm(d)
-            numeric = central_difference(lambda z: prob.loss(z, batch), x, d)
+            numeric = central_difference(lambda z: prob.loss(z, rows, inst % 2), x, d)
             analytic = float(np.sum(grad * d))
             assert abs(numeric - analytic) < 1e-6 * scale
     report(13, "finite-difference gradient check passes at 1e-6 for 20 directions on 10 instances")

@@ -238,6 +238,36 @@ def test_divergence_prints_one_stderr_line(cfg_path, tmp_path, name):
     assert proc.stderr.splitlines() == [f"run diverged after 1 steps; log at {out}"]
 
 
+# lr 1.7e308 from step 0 overflows the first pseudo-gradient to -inf, so
+# the K = 1 global refresh at step 0 gets a non-finite signal
+INF_REFRESH = {
+    "hyperparams": {"lr": 1.7e308, "warmup_steps": 0},
+    "qhm": {"mode": "full_rank", "omega": 0.95, "start_step": 0},
+    "schedule": {"k_x": 1},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_non_finite_refresh_signal_logs_divergence(cfg_path, tmp_path, command):
+    cfg = cfg_path(INF_REFRESH)
+    if command == "run":
+        out = tmp_path / "inf.log"
+        args = ["run", "--config", cfg, "--out", str(out)]
+        stderr = [f"run diverged after 1 steps; log at {out}"]
+    else:
+        out = tmp_path / "sweep" / "K1.log"
+        args = ["sweep", "--config", cfg, "--axis", "K", "--values", "1", "--out-dir", str(out.parent)]
+        stderr = []  # sweep reports a diverged point by its exit code and summary.csv
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "lrdsim.cli", *args], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == stderr
+    _, steps = read_log(str(out))
+    assert len(steps) == 1
+    assert steps[-1]["diverged"] is True
+    assert steps[-1]["subspace"] is None
+
+
 def test_missing_argument_usage_exit_one(capsys):
     assert main(["run", "--config", "whatever.yaml"]) == 1
     err = capsys.readouterr().err

@@ -251,8 +251,8 @@ def test_engine_matches_straightline_low_rank_reference():
     anchor = x.copy()
     losses = []
     for t in range(steps):
-        batch = prob.sample_batch(0, 5, rng)
-        grad = clip_frobenius(prob.stoch_gradient(x, batch), hp.clip_radius)
+        rows = prob.sample_batch(5, rng)
+        grad = clip_frobenius(prob.stoch_gradient(x, rows, 0), hp.clip_radius)
         g, state.error = compress_gradient(grad, state.error, state.basis)
         update_moments(state, g, hp.beta1, hp.beta2)
         upd = compute_update(state, grad, g, QHM_NONE, hp)
@@ -265,8 +265,8 @@ def test_engine_matches_straightline_low_rank_reference():
         state.u = rotate_first_moment(r_mat, state.u)
         state.basis = new_proj
         anchor = x.copy()
-        eval_batch = prob.sample_batch(0, 5, rng)
-        losses.append(prob.loss(x, eval_batch))
+        eval_rows = prob.sample_batch(5, rng)
+        losses.append(prob.loss(x, eval_rows, 0))
     np.testing.assert_allclose(engine_final, x, atol=1e-12)
     np.testing.assert_allclose([r["mean_loss"] for r in engine_records], losses, atol=1e-12)
 
@@ -292,8 +292,8 @@ def test_engine_stacked_eval_equals_per_worker_loss_exactly():
         record = next(records)
         expected = []
         for m, rng in enumerate(rngs):
-            prob.sample_batch(m, 8, rng)  # the step's training batch
-            expected.append(prob.loss(engine.stack.x[m], prob.sample_batch(m, 8, rng)))
+            prob.sample_batch(8, rng)  # the step's training batch
+            expected.append(prob.loss(engine.stack.x[m], prob.sample_batch(8, rng), m))
         assert record["worker_losses"] == expected
         assert record["mean_loss"] == float(np.mean(expected))
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from lrdsim.linalg import svd
 from lrdsim.problems import (
     BLOCK_DRAW_MAX_BATCH,
-    Batch,
     MatrixRegression,
     PowerLawOracle,
     draw_rows,
@@ -25,18 +24,18 @@ def small_problem(**kw):
 
 def test_loss_zero_at_truth_without_noise():
     prob = small_problem(noise_std=0.0)
-    batch = Batch(0, np.arange(prob.rows_per_shard))
-    assert prob.loss(prob.x_star, batch) == pytest.approx(0.0, abs=1e-20)
+    rows = np.arange(prob.rows_per_shard)
+    assert prob.loss(prob.x_star, rows, 0) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_loss_matches_naive_double_loop():
     prob = small_problem(seed=3)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((6, 4))
-    batch = prob.sample_batch(1, 7, rng)
+    rows = prob.sample_batch(7, rng)
     a, y = prob.shard(1)
-    expected = naive_regression_loss(a[batch.indices], y[batch.indices], x)
-    assert prob.loss(x, batch) == pytest.approx(expected, rel=1e-12)
+    expected = naive_regression_loss(a[rows], y[rows], x)
+    assert prob.loss(x, rows, 1) == pytest.approx(expected, rel=1e-12)
 
 
 def test_loss_identity_design_quadratic():
@@ -46,13 +45,12 @@ def test_loss_identity_design_quadratic():
     prob.design[:4, :4] = np.eye(4)
     prob.labels[:] = 0.0
     x = np.random.default_rng(1).standard_normal((4, 3))
-    batch = Batch(worker_id=0, indices=np.arange(4))
-    assert prob.loss(x, batch) == pytest.approx(0.5 * np.sum(x * x) / 4)
+    assert prob.loss(x, np.arange(4), 0) == pytest.approx(0.5 * np.sum(x * x) / 4)
 
 
 def test_gradient_zero_at_truth_without_noise():
     prob = small_problem(noise_std=0.0)
-    g = prob.stoch_gradient(prob.x_star, Batch(1, np.arange(prob.rows_per_shard)))
+    g = prob.stoch_gradient(prob.x_star, np.arange(prob.rows_per_shard), 1)
     assert np.max(np.abs(g)) < 1e-12
 
 
@@ -61,13 +59,13 @@ def test_gradient_matches_finite_differences():
     for inst in range(10):
         prob = small_problem(seed=inst, noise_std=0.3)
         x = rng.standard_normal((prob.p, prob.q))
-        batch = prob.sample_batch(0, 9, rng)
-        grad = prob.stoch_gradient(x, batch)
+        rows = prob.sample_batch(9, rng)
+        grad = prob.stoch_gradient(x, rows, 0)
         scale = max(1.0, float(np.linalg.norm(grad)))
         for _ in range(20):
             d = rng.standard_normal(x.shape)
             d /= np.linalg.norm(d)
-            numeric = central_difference(lambda z: prob.loss(z, batch), x, d)
+            numeric = central_difference(lambda z: prob.loss(z, rows, 0), x, d)
             analytic = float(np.sum(grad * d))
             assert abs(numeric - analytic) < 1e-6 * scale
 
@@ -75,18 +73,15 @@ def test_gradient_matches_finite_differences():
 def test_full_batch_gradient_is_mean_of_halves():
     prob = small_problem(noise_std=0.2)
     x = np.random.default_rng(4).standard_normal((prob.p, prob.q))
-    full = Batch(worker_id=0, indices=np.arange(20))
-    first = Batch(worker_id=0, indices=np.arange(10))
-    second = Batch(worker_id=0, indices=np.arange(10, 20))
-    g_full = prob.stoch_gradient(x, full)
-    g_mean = 0.5 * (prob.stoch_gradient(x, first) + prob.stoch_gradient(x, second))
+    g_full = prob.stoch_gradient(x, np.arange(20), 0)
+    g_mean = 0.5 * (prob.stoch_gradient(x, np.arange(10), 0) + prob.stoch_gradient(x, np.arange(10, 20), 0))
     np.testing.assert_allclose(g_full, g_mean, atol=1e-13)
 
 
 def test_global_gradient_is_mean_of_shard_gradients():
     prob = small_problem(workers=4, n_rows=40, noise_std=0.15)
     x = np.random.default_rng(8).standard_normal((prob.p, prob.q))
-    shard_grads = [prob.stoch_gradient(x, Batch(m, np.arange(prob.rows_per_shard))) for m in range(4)]
+    shard_grads = [prob.stoch_gradient(x, np.arange(prob.rows_per_shard), m) for m in range(4)]
     resid = prob.design @ x - prob.labels
     global_grad = prob.design.T @ resid / prob.n_rows
     np.testing.assert_allclose(np.mean(shard_grads, axis=0), global_grad, atol=1e-13)
@@ -94,9 +89,9 @@ def test_global_gradient_is_mean_of_shard_gradients():
 
 def test_loss_at_truth_near_noise_floor():
     prob = MatrixRegression(p=8, q=16, n_rows=1024, workers=2, noise_std=0.5, seed=1)
-    batch = Batch(0, np.arange(prob.rows_per_shard))
+    rows = np.arange(prob.rows_per_shard)
     floor = 0.5 * prob.q * prob.noise_std**2
-    assert prob.loss(prob.x_star, batch) == pytest.approx(floor, rel=0.15)
+    assert prob.loss(prob.x_star, rows, 0) == pytest.approx(floor, rel=0.15)
 
 
 def test_feature_blocks_give_disjoint_gradient_support():
@@ -104,8 +99,8 @@ def test_feature_blocks_give_disjoint_gradient_support():
         p=8, q=4, n_rows=16, workers=2, noise_std=0.0, shard_policy="feature_blocks"
     )
     x = np.zeros((8, 4))
-    g0 = prob.stoch_gradient(x, Batch(0, np.arange(prob.rows_per_shard)))
-    g1 = prob.stoch_gradient(x, Batch(1, np.arange(prob.rows_per_shard)))
+    g0 = prob.stoch_gradient(x, np.arange(prob.rows_per_shard), 0)
+    g1 = prob.stoch_gradient(x, np.arange(prob.rows_per_shard), 1)
     assert np.max(np.abs(g0[4:])) == 0.0
     assert np.max(np.abs(g1[:4])) == 0.0
     q0 = projection_with_spectrum(g0 + 1e-30 * np.eye(8, 4), 2)[0]
@@ -115,14 +110,34 @@ def test_feature_blocks_give_disjoint_gradient_support():
 
 def test_batch_validation():
     prob = small_problem()
+    x = np.zeros((prob.p, prob.q))
+    empty_single = np.array([], dtype=int)
+    empty_stacked = np.empty((prob.workers, 0), dtype=int)
+    for params, rows, worker in ((x, empty_single, 0), (np.stack([x] * prob.workers), empty_stacked, None)):
+        with pytest.raises(ValueError, match="at least one row"):
+            prob.loss(params, rows, worker)
+        with pytest.raises(ValueError, match="at least one row"):
+            prob.stoch_gradient(params, rows, worker)
     with pytest.raises(ValueError):
-        Batch(worker_id=0, indices=np.array([], dtype=int))
+        prob.sample_batch(0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        Batch(worker_id=np.arange(3), indices=np.empty((3, 0), dtype=int))
-    with pytest.raises(ValueError):
-        prob.sample_batch(0, 0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        prob.sample_batch(0, 10_000, np.random.default_rng(0))
+        prob.sample_batch(10_000, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(3,), (1, 3), (3, 3), (2, 1, 3)],
+    ids=["single_without_worker", "too_few_workers", "too_many_workers", "three_dims"],
+)
+def test_stacked_rows_of_wrong_shape_rejected(shape):
+    # (B,) rows without a worker would otherwise broadcast across the (M, n/M, p) shard views
+    prob = small_problem(workers=2)
+    rows = np.zeros(shape, dtype=int)
+    x = np.zeros((prob.workers, prob.p, prob.q))
+    with pytest.raises(ValueError, match="stacked rows"):
+        prob.loss(x, rows)
+    with pytest.raises(ValueError, match="stacked rows"):
+        prob.stoch_gradient(x, rows)
 
 
 @pytest.mark.parametrize("policy", ["iid", "feature_blocks"])
@@ -133,15 +148,15 @@ def test_stacked_loss_and_gradient_bitwise_equal_per_worker_calls(policy, worker
     b = prob.rows_per_shard if full_shard else 1
     rng = np.random.default_rng(5)
     x = rng.standard_normal((workers, prob.p, prob.q))
-    singles = [prob.sample_batch(m, b, rng) for m in range(workers)]
-    stacked = Batch(np.arange(workers), np.stack([batch.indices for batch in singles]))
-    assert stacked.size == b
+    singles = [prob.sample_batch(b, rng) for _ in range(workers)]
+    stacked = np.stack(singles)
+    assert stacked.shape[-1] == b
     losses = prob.loss(x, stacked)
     assert losses.shape == (workers,)
-    assert losses.tolist() == [prob.loss(x[m], singles[m]) for m in range(workers)]
+    assert losses.tolist() == [prob.loss(x[m], singles[m], m) for m in range(workers)]
     grads = prob.stoch_gradient(x, stacked)
     for m in range(workers):
-        assert grads[m].tobytes() == prob.stoch_gradient(x[m], singles[m]).tobytes()
+        assert grads[m].tobytes() == prob.stoch_gradient(x[m], singles[m], m).tobytes()
 
 
 def _assert_draws_equal_choice_calls(seed, n, size, count):
@@ -187,12 +202,12 @@ def test_draw_rows_matches_choice_calls_on_any_small_block(seed, n, size_fractio
 def test_sample_batch_count_draws_successive_batches():
     prob = small_problem(n_rows=80, workers=2)
     block_rng, batch_rng = np.random.default_rng(4), np.random.default_rng(4)
-    block = prob.sample_batch(1, 30, block_rng, count=64)
-    assert block.worker_id == 1 and block.size == 30
-    assert block.indices.tolist() == [prob.sample_batch(1, 30, batch_rng).indices.tolist() for _ in range(64)]
+    block = prob.sample_batch(30, block_rng, count=64)
+    assert block.shape == (64, 30)
+    assert block.tolist() == [prob.sample_batch(30, batch_rng).tolist() for _ in range(64)]
     assert block_rng.bit_generator.state == batch_rng.bit_generator.state
     with pytest.raises(ValueError):
-        prob.sample_batch(1, 41, block_rng, count=2)
+        prob.sample_batch(41, block_rng, count=2)
 
 
 @pytest.mark.parametrize("bad", [-1, 2])
@@ -200,15 +215,13 @@ def test_worker_id_out_of_range_rejected(bad):
     # the (M, n/M, p) shard views would silently wrap -1 to the last worker
     prob = small_problem(workers=2)
     x = np.zeros((prob.p, prob.q))
-    single = Batch(bad, np.arange(3))
-    stacked = Batch(np.array([0, bad]), np.tile(np.arange(3), (2, 1)))
+    rows = np.arange(3)
     with pytest.raises(ValueError):
         prob.shard(bad)
-    for params, batch in ((x, single), (np.stack([x, x]), stacked)):
-        with pytest.raises(ValueError):
-            prob.loss(params, batch)
-        with pytest.raises(ValueError):
-            prob.stoch_gradient(params, batch)
+    with pytest.raises(ValueError):
+        prob.loss(x, rows, bad)
+    with pytest.raises(ValueError):
+        prob.stoch_gradient(x, rows, bad)
 
 
 def test_powerlaw_matrix_spectrum():
