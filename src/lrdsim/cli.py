@@ -167,6 +167,8 @@ def cmd_sweep(args) -> int:
         for label, (raw, cfg) in points.items():
             path = out_dir / f"{label}.log"
             summary = _write_run(cfg, path)
+            if summary["diverged"]:
+                print(f"sweep point {label} diverged after {summary['steps']} steps; log at {path}", file=sys.stderr)
             rows.append((raw, str(path), summary["mean_loss"], summary["diverged"]))
         with open(summary_path, "w", encoding="utf-8") as fh:
             fh.write("axis,value,final_loss,diverged,log\n")

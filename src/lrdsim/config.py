@@ -24,7 +24,9 @@ PROJECTION_INITS = (PROJECTION_INIT_DEFAULT, PROJECTION_INIT_RANDOM, PROJECTION_
 OUTER_AVERAGE = "average"
 OUTER_NESTEROV = "nesterov"
 
-MAX_ARRAY_BYTES = 1 << 30  # cap on the arrays a run allocates at set-up
+# Cap on the arrays `_array_bytes` counts. Set-up holds exactly these, plus
+# one `problems.NOISE_BLOCK_ROWS`-row block of label noise and small temporaries for x_star.
+MAX_ARRAY_BYTES = 1 << 30
 BLOCK_STEPS = 64  # steps whose batches the engine draws from each worker's stream at once
 
 
@@ -184,8 +186,6 @@ def _array_bytes(cfg: RunConfig) -> int:
     p = cfg.problem
     # design, labels; x_star, the anchor and the outer velocity
     shared = p.design_rows * (p.rows + p.cols) + 3 * p.rows * p.cols
-    if p.shard_policy == SHARD_FEATURE_BLOCKS:
-        shared += p.design_rows * p.rows  # the feature-block mask
     # x, error and the gradient buffer; u and v; the bases
     stack = 3 * p.rows * p.cols + 2 * cfg.rank * p.cols + p.rows * cfg.rank
     # a block's int64 training and eval indices; a batch past its shard is rejected below, by name
@@ -220,7 +220,7 @@ def validate(cfg: RunConfig) -> None:
            f"problem.design_rows={p.design_rows} must divide evenly across workers={cfg.workers}")
     _check(p.noise_std >= 0.0, "problem.noise_std must be >= 0")
     _check(p.shard_policy in SHARD_POLICIES, f"problem.shard_policy must be one of {SHARD_POLICIES}")
-    if p.shard_policy == "feature_blocks":
+    if p.shard_policy == SHARD_FEATURE_BLOCKS:
         _check(p.rows % cfg.workers == 0, "problem.rows must divide evenly across workers for feature_blocks")
     shard_rows = p.design_rows // cfg.workers
     _check(1 <= p.batch_size <= shard_rows,

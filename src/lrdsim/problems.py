@@ -30,6 +30,8 @@ SHARD_POLICIES = (SHARD_IID, SHARD_FEATURE_BLOCKS)
 # Batch sizes up to this draw a block of batches in one `integers` call
 # (`draw_rows`); above it a loop of `choice` calls is faster.
 BLOCK_DRAW_MAX_BATCH = 96
+# Rows of label noise `MatrixRegression` draws at a time into one buffer.
+NOISE_BLOCK_ROWS = 256
 
 
 class MatrixRegression:
@@ -79,12 +81,11 @@ class MatrixRegression:
         self.shard_policy = shard_policy
         self.rows_per_shard = n_rows // workers
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-        design = rng.standard_normal((n_rows, p))
+        self.design = design = rng.standard_normal((n_rows, p))
+        self.design_shards = design.reshape(workers, self.rows_per_shard, p)
         if shard_policy == SHARD_FEATURE_BLOCKS:
             # row m of the mask keeps worker m's own p/workers columns
-            mask = np.repeat(np.eye(workers), p // workers, axis=1)
-            design = (design.reshape(workers, self.rows_per_shard, p) * mask[:, None, :]).reshape(n_rows, p)
-        self.design = design
+            self.design_shards *= np.repeat(np.eye(workers), p // workers, axis=1)[:, None, :]
         if target_rank is None:
             self.x_star = rng.standard_normal((p, q)) / np.sqrt(p)
         else:
@@ -92,9 +93,16 @@ class MatrixRegression:
             right, _ = np.linalg.qr(rng.standard_normal((q, target_rank)))
             spectrum = np.arange(1, target_rank + 1, dtype=np.float64) ** -target_alpha
             self.x_star = (left * spectrum) @ right.T
-        self.labels = design @ self.x_star + noise_std * rng.standard_normal((n_rows, q))
-        self.design_shards = self.design.reshape(workers, self.rows_per_shard, p)
-        self.label_shards = self.labels.reshape(workers, self.rows_per_shard, q)
+        self.labels = labels = design @ self.x_star
+        # the noise a block of rows at a time: the same draws and generator
+        # state as one (n_rows, q) draw, and the same sums as labels + noise
+        noise = np.empty((min(NOISE_BLOCK_ROWS, n_rows), q))
+        for start in range(0, n_rows, NOISE_BLOCK_ROWS):
+            block = noise[:n_rows - start]
+            rng.standard_normal(out=block)
+            block *= noise_std
+            labels[start:start + len(block)] += block
+        self.label_shards = labels.reshape(workers, self.rows_per_shard, q)
 
     def shard(self, worker_id: int) -> tuple[np.ndarray, np.ndarray]:
         if not (0 <= worker_id < self.workers):

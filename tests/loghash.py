@@ -2,7 +2,7 @@
 
     python3 tests/loghash.py                            # this checkout's src
     python3 tests/loghash.py --tree ../parent           # another checkout's src
-    python3 tests/loghash.py --compare BENCH_15.json    # exit 1 on any difference
+    python3 tests/loghash.py --compare BENCH_16.json    # exit 1 on any difference
 
 Each variant is a base config file plus a dict of overrides, named as in
 the `log_hashes` of the BENCH_<n>.json files. Each runs through
@@ -73,6 +73,12 @@ VARIANTS = {
     # the step-0 pseudo-gradient overflows to -inf, so the K = 1 refresh's signal is non-finite
     "diverge_inf_refresh": ("reference_global", {"hyperparams": {"lr": 1.7e308, "warmup_steps": 0},
                                                  "qhm": {"start_step": 0}, "schedule": {"k_x": 1}, "steps": 50}),
+    # set-up paths of `MatrixRegression`: no label noise, a dense target, and a last noise block of 4 rows
+    "noise_free": ("reference_global", {"problem": {"noise_std": 0.0}}),
+    "dense_target": ("reference_global", {"problem": {"target_rank": None}}),
+    "ragged_rows": ("reference_local", {"problem": {"design_rows": 4100}}),
+    "ragged_feature_blocks": ("reference_global", {"problem": {"design_rows": 4100,
+                                                               "shard_policy": "feature_blocks"}}),
 }
 
 SWEEP = ("reference_local", "batch_and_workers", "1,2")

@@ -257,7 +257,7 @@ def test_non_finite_refresh_signal_logs_divergence(cfg_path, tmp_path, command):
     else:
         out = tmp_path / "sweep" / "K1.log"
         args = ["sweep", "--config", cfg, "--axis", "K", "--values", "1", "--out-dir", str(out.parent)]
-        stderr = []  # sweep reports a diverged point by its exit code and summary.csv
+        stderr = [f"sweep point K1 diverged after 1 steps; log at {out}"]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-m", "lrdsim.cli", *args], env=env, capture_output=True, text=True)
     assert proc.returncode == 2

@@ -208,16 +208,19 @@ def test_every_worker_holds_the_anchor_after_each_parameter_sync(strategy, kind)
 
 
 def test_array_bytes_counts_what_the_engine_holds():
-    cfg = from_dict(cfg_dict(workers=3, problem={"design_rows": 48}))
-    engine = Engine(cfg)
-    s, prob = engine.stack, engine.problem
-    held = [prob.design, prob.labels, prob.x_star, s.x, s.error, s.u, s.v, s.basis, engine.anchor, engine.outer_velocity]
-    # the block of batch indices the engine draws at its first step
-    records = engine.records()
-    next(records)
-    block = records.gi_frame.f_locals["block"]
-    # plus the one (M, p, q) buffer each local step carries its gradients in
-    assert _array_bytes(cfg) == sum(a.nbytes for a in held) + s.x.nbytes + block.nbytes
+    # feature_blocks needs problem.rows = 16 to divide across the workers
+    for policy, workers in (("iid", 3), ("feature_blocks", 4)):
+        cfg = from_dict(cfg_dict(workers=workers, problem={"design_rows": 48, "shard_policy": policy}))
+        engine = Engine(cfg)
+        s, prob = engine.stack, engine.problem
+        held = [prob.design, prob.labels, prob.x_star, s.x, s.error, s.u, s.v, s.basis, engine.anchor,
+                engine.outer_velocity]
+        # the block of batch indices the engine draws at its first step
+        records = engine.records()
+        next(records)
+        block = records.gi_frame.f_locals["block"]
+        # plus the one (M, p, q) buffer each local step carries its gradients in
+        assert _array_bytes(cfg) == sum(a.nbytes for a in held) + s.x.nbytes + block.nbytes, policy
 
 
 # ---- degeneracy against a straight-line reference ----------------------------

@@ -1,4 +1,7 @@
+import tracemalloc
+
 import numpy as np
+import numpy.random  # noqa: F401  loaded before any traced set-up
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from lrdsim.linalg import svd
 from lrdsim.problems import (
     BLOCK_DRAW_MAX_BATCH,
+    NOISE_BLOCK_ROWS,
     MatrixRegression,
     PowerLawOracle,
     draw_rows,
@@ -106,6 +110,35 @@ def test_feature_blocks_give_disjoint_gradient_support():
     q0 = projection_with_spectrum(g0 + 1e-30 * np.eye(8, 4), 2)[0]
     q1 = projection_with_spectrum(g1, 2)[0]
     assert sin_theta_distance(q0, q1) == pytest.approx(np.sqrt(2.0), abs=1e-8)
+
+
+@pytest.mark.parametrize("n_rows", [40, 600])
+def test_labels_equal_one_noise_draw(n_rows):
+    # the blockwise noise equals labels = A X* + sigma * Z with Z drawn at once, bit for bit
+    prob = small_problem(n_rows=n_rows, noise_std=0.7, seed=5)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(0,)))
+    design = rng.standard_normal((n_rows, prob.p))
+    x_star = rng.standard_normal((prob.p, prob.q)) / np.sqrt(prob.p)
+    labels = design @ x_star + 0.7 * rng.standard_normal((n_rows, prob.q))
+    assert prob.design.tobytes() == design.tobytes()
+    assert prob.labels.tobytes() == labels.tobytes()
+
+
+@pytest.mark.parametrize("n_rows", [4096, 4100])
+@pytest.mark.parametrize("policy", ["iid", "feature_blocks"])
+def test_set_up_holds_the_problem_arrays_and_one_noise_block(policy, n_rows):
+    kw = dict(p=64, q=64, n_rows=n_rows, workers=4, noise_std=0.5, seed=0, shard_policy=policy,
+              target_rank=32, target_alpha=0.25)
+    tracemalloc.start()
+    try:
+        prob = MatrixRegression(**kw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    noise_block = NOISE_BLOCK_ROWS * prob.q * 8
+    # slack for x_star and the low-rank target's factors, none larger than p-by-q
+    slack = 4 * prob.x_star.nbytes
+    assert peak - prob.design.nbytes - prob.labels.nbytes <= noise_block + slack
 
 
 def test_batch_validation():
