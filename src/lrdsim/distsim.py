@@ -27,7 +27,12 @@ first step one `sample_batch` call per worker draws all of the block's
 batches, bit for bit the rows and stream of one `choice` call per batch.
 Batches are plain arrays of shard row indices. The held-out eval scores
 all M workers in one stacked `loss` call on (M, B) rows, bitwise equal
-to M per-worker calls. The training gradients and their compression
+to M per-worker calls; it gathers the rows with one guarded flat `take`
+per array, and rejects a row outside [-n/M, n/M). Every mean the step
+and sync paths take (the u and v syncs, the pseudo-gradient, the logged
+mean loss, the refresh metrics) is `np.add.reduce(a, axis=0) / count`:
+the pairwise sum and true division of `np.mean`, without its
+Python-level wrapper. The training gradients and their compression
 stay one (p, q) call per worker: the benchmark's per-layer counters read
 those calls' 2-D shapes, and the batch size as the `.size` of the
 gradient's third positional argument, the worker's (B,) rows, so they
@@ -205,7 +210,7 @@ class Engine:
             s.basis[rows] = new
         if not moved:
             return None
-        return {key: float(np.mean([m[key] for m in moved])) for key in moved[0]}
+        return {key: float(np.add.reduce([m[key] for m in moved]) / len(moved)) for key in moved[0]}
 
     def _sync_phase(self, t: int, entry: Optional[dict]) -> tuple[int, int, Optional[list]]:
         """Fire the syncs due after step t; `entry` is the step's local-refresh subspace entry."""
@@ -215,11 +220,11 @@ class Engine:
         pay = self._payload
         uplink = downlink = 0
         if (t + 1) % sched.k_u == 0:
-            s.u[:] = s.u.mean(axis=0)
+            s.u[:] = np.add.reduce(s.u, axis=0) / cfg.workers
             uplink += pay.up_first
             downlink += pay.down_first
         if (t + 1) % sched.k_v == 0:
-            s.v[:] = s.v.mean(axis=0)
+            s.v[:] = np.add.reduce(s.v, axis=0) / cfg.workers
             uplink += pay.up_second
             downlink += pay.down_second
         if (t + 1) % sched.k_x == 0:
@@ -237,7 +242,7 @@ class Engine:
         if cfg.flags.sparsify_keep < 1.0:
             for m in range(cfg.workers):
                 deltas[m] = sparsify_topk(deltas[m], cfg.flags.sparsify_keep)
-        delta = deltas.mean(axis=0)
+        delta = np.add.reduce(deltas, axis=0) / cfg.workers
         if cfg.outer.kind == OUTER_NESTEROV:
             self.outer_velocity = cfg.outer.outer_momentum * self.outer_velocity + delta
             x_new = self.anchor + cfg.outer.outer_lr * (
@@ -278,7 +283,7 @@ class Engine:
                 "kind": "step",
                 "step": t,
                 "worker_losses": worker_losses,
-                "mean_loss": None if diverged else float(np.mean(losses)),
+                "mean_loss": None if diverged else float(np.add.reduce(losses) / len(losses)),
                 "bytes_uplink": uplink,
                 "bytes_downlink": downlink,
                 "subspace": None if entry is None else [entry],

@@ -6,6 +6,8 @@ Two problem families:
   labels Y = A X* + noise. Workers own disjoint row blocks of the global
   design, so the mean of shard gradients is the global gradient. A batch
   is a plain array of row indices into a shard (`sample_batch`). The
+  stacked (M, B) form gathers every worker's rows with one guarded flat
+  `take` per array: a row must lie in [-n/M, n/M) of its own shard. The
   ground truth X* is either dense Gaussian or a seeded low-rank matrix
   with a power-law spectrum (rank phenomena need a low-rank target at
   desk scale).
@@ -48,7 +50,11 @@ class MatrixRegression:
     `loss` and `stoch_gradient` take (B,) shard rows of one `worker` with
     (p, q) parameters, or, with no worker, (M, B) rows, row m from shard
     m, with (M, p, q) parameters and then answer for every worker at once,
-    each bitwise equal to its own call.
+    each bitwise equal to its own call. The stacked form adds each shard's
+    first design row to its rows and gathers with one `take` per array
+    from `design` and `labels`. So that no row reads another shard's data,
+    it first raises IndexError unless every row lies in [-n/M, n/M); a
+    negative row wraps within its own shard, as the per-worker `take` does.
     """
 
     def __init__(
@@ -103,6 +109,8 @@ class MatrixRegression:
             block *= noise_std
             labels[start:start + len(block)] += block
         self.label_shards = labels.reshape(workers, self.rows_per_shard, q)
+        # (M, 1): the global index of each shard's first row
+        self._shard_starts = np.arange(0, n_rows, self.rows_per_shard)[:, None]
 
     def shard(self, worker_id: int) -> tuple[np.ndarray, np.ndarray]:
         if not (0 <= worker_id < self.workers):
@@ -119,20 +127,31 @@ class MatrixRegression:
 
     def _rows(self, rows: np.ndarray, worker: int | None) -> tuple[np.ndarray, np.ndarray]:
         """(A_b, Y_b): (B, p) and (B, q) for one worker, (M, B, p) and (M, B, q) stacked."""
+        if worker is not None:
+            if rows.ndim != 1:
+                raise ValueError(f"rows of one worker must be (B,), got shape {rows.shape}")
+        elif rows.ndim != 2 or rows.shape[0] != self.workers:
+            raise ValueError(f"stacked rows must be ({self.workers}, B), got shape {rows.shape}")
         if rows.shape[-1] < 1:
             raise ValueError("batch must contain at least one row")
         if worker is not None:
             a, y = self.shard(worker)
             return a.take(rows, axis=0), y.take(rows, axis=0)
-        if rows.ndim != 2 or rows.shape[0] != self.workers:
-            raise ValueError(f"stacked rows must be ({self.workers}, B), got shape {rows.shape}")
-        index = (np.arange(self.workers)[:, None], rows)
-        return self.design_shards[index], self.label_shards[index]
+        # one flat `take` per array; the guard keeps a row inside its own shard
+        n = self.rows_per_shard
+        low, high = np.minimum.reduce(rows, axis=None), np.maximum.reduce(rows, axis=None)
+        if low < -n or high >= n:
+            raise IndexError(f"stacked rows must lie in [{-n}, {n}), got rows in [{low}, {high}]")
+        flat = rows + self._shard_starts
+        if low < 0:
+            np.add(flat, n, out=flat, where=rows < 0)
+        return self.design.take(flat, axis=0), self.labels.take(flat, axis=0)
 
     def loss(self, x: np.ndarray, rows: np.ndarray, worker: int | None = None) -> float | np.ndarray:
         """(1/2B)||A_b X - Y_b||_F^2: a float for one worker, an (M,) array stacked."""
         ab, yb = self._rows(rows, worker)
-        resid = ab @ x - yb
+        resid = ab @ x
+        resid -= yb
         squares = np.multiply(resid, resid, out=resid)
         # one pairwise sum over each worker's B*q squares, as np.sum does for one
         total = np.add.reduce(squares.reshape(squares.shape[:-2] + (-1,)), axis=-1)
@@ -142,7 +161,9 @@ class MatrixRegression:
     def stoch_gradient(self, x: np.ndarray, rows: np.ndarray, worker: int | None = None, out=None) -> np.ndarray:
         """A_b^T (A_b X - Y_b) / B, written into `out` when given."""
         ab, yb = self._rows(rows, worker)
-        grad = np.matmul(ab.swapaxes(-1, -2), ab @ x - yb, out=out)
+        resid = ab @ x
+        resid -= yb
+        grad = np.matmul(ab.swapaxes(-1, -2), resid, out=out)
         grad /= rows.shape[-1]
         return grad
 

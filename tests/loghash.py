@@ -2,7 +2,7 @@
 
     python3 tests/loghash.py                            # this checkout's src
     python3 tests/loghash.py --tree ../parent           # another checkout's src
-    python3 tests/loghash.py --compare BENCH_16.json    # exit 1 on any difference
+    python3 tests/loghash.py --compare BENCH_17.json    # exit 1 on any difference
 
 Each variant is a base config file plus a dict of overrides, named as in
 the `log_hashes` of the BENCH_<n>.json files. Each runs through
@@ -79,6 +79,9 @@ VARIANTS = {
     "ragged_rows": ("reference_local", {"problem": {"design_rows": 4100}}),
     "ragged_feature_blocks": ("reference_global", {"problem": {"design_rows": 4100,
                                                                "shard_policy": "feature_blocks"}}),
+    # M = 3: x / M and x * (1 / M) round differently, so a worker mean computed by a reciprocal shows
+    "ref_global_m3": ("reference_global", {"workers": 3, "problem": {"design_rows": 3072}}),
+    "ref_local_m3": ("reference_local", {"workers": 3, "problem": {"design_rows": 3072}}),
 }
 
 SWEEP = ("reference_local", "batch_and_workers", "1,2")

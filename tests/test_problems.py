@@ -159,8 +159,8 @@ def test_batch_validation():
 
 @pytest.mark.parametrize(
     "shape",
-    [(3,), (1, 3), (3, 3), (2, 1, 3)],
-    ids=["single_without_worker", "too_few_workers", "too_many_workers", "three_dims"],
+    [(), (3,), (1, 3), (3, 3), (2, 1, 3)],
+    ids=["scalar", "single_without_worker", "too_few_workers", "too_many_workers", "three_dims"],
 )
 def test_stacked_rows_of_wrong_shape_rejected(shape):
     # (B,) rows without a worker would otherwise broadcast across the (M, n/M, p) shard views
@@ -171,6 +171,49 @@ def test_stacked_rows_of_wrong_shape_rejected(shape):
         prob.loss(x, rows)
     with pytest.raises(ValueError, match="stacked rows"):
         prob.stoch_gradient(x, rows)
+
+
+@pytest.mark.parametrize("shape", [(), (1, 3), (2, 3)], ids=["scalar", "one_by_three", "two_by_three"])
+def test_single_worker_rows_of_wrong_shape_rejected(shape):
+    # (M, B) rows with a worker would otherwise gather an (M, B, p) block and answer with an array
+    prob = small_problem(workers=2)
+    rows = np.zeros(shape, dtype=int)
+    x = np.zeros((prob.p, prob.q))
+    with pytest.raises(ValueError, match="one worker"):
+        prob.loss(x, rows, 0)
+    with pytest.raises(ValueError, match="one worker"):
+        prob.stoch_gradient(x, rows, 0)
+
+
+def _assert_stacked_equals_per_worker_calls(prob, x, rows):
+    losses = prob.loss(x, rows)
+    assert losses.tolist() == [prob.loss(x[m], rows[m], m) for m in range(prob.workers)]
+    grads = prob.stoch_gradient(x, rows)
+    for m in range(prob.workers):
+        assert grads[m].tobytes() == prob.stoch_gradient(x[m], rows[m], m).tobytes()
+
+
+@pytest.mark.parametrize("policy", ["iid", "feature_blocks"])
+@pytest.mark.parametrize("workers", [1, 3, 4])
+def test_stacked_gather_stays_inside_each_shard(policy, workers):
+    # the stacked form gathers from the whole design with one flat index:
+    # a row past its own shard must raise, never read a neighbour's rows
+    prob = small_problem(p=12, q=5, n_rows=48, workers=workers, shard_policy=policy, noise_std=0.3)
+    n = prob.rows_per_shard
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((workers, prob.p, prob.q))
+    # each shard's first and last row, from either end
+    edges = np.tile([0, n - 1, -1, -n], (workers, 1))
+    _assert_stacked_equals_per_worker_calls(prob, x, edges)
+    _assert_stacked_equals_per_worker_calls(prob, x, rng.integers(-n, n, size=(workers, 6)))
+    for m in range(workers):
+        for bad in (n, -n - 1):
+            rows = edges.copy()
+            rows[m, 1] = bad
+            with pytest.raises(IndexError, match=rf"\[{-n}, {n}\)"):
+                prob.loss(x, rows)
+            with pytest.raises(IndexError, match=rf"\[{-n}, {n}\)"):
+                prob.stoch_gradient(x, rows)
 
 
 @pytest.mark.parametrize("policy", ["iid", "feature_blocks"])
