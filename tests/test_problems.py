@@ -227,12 +227,8 @@ def test_stacked_loss_and_gradient_bitwise_equal_per_worker_calls(policy, worker
     singles = [prob.sample_batch(b, rng) for _ in range(workers)]
     stacked = np.stack(singles)
     assert stacked.shape[-1] == b
-    losses = prob.loss(x, stacked)
-    assert losses.shape == (workers,)
-    assert losses.tolist() == [prob.loss(x[m], singles[m], m) for m in range(workers)]
-    grads = prob.stoch_gradient(x, stacked)
-    for m in range(workers):
-        assert grads[m].tobytes() == prob.stoch_gradient(x[m], singles[m], m).tobytes()
+    assert prob.loss(x, stacked).shape == (workers,)
+    _assert_stacked_equals_per_worker_calls(prob, x, stacked)
 
 
 def _assert_draws_equal_choice_calls(seed, n, size, count):
