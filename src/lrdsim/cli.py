@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
     p_sweep.add_argument("--out-dir", required=True, help="directory for per-point logs and summary.csv")
     p_sweep.add_argument("--threads", type=_positive_int, default=None, help=THREADS_HELP)
-    p_sweep.add_argument("--parallel", type=_positive_int, default=None, help=THREADS_HELP)
     p_sweep.add_argument("--seed", type=int, default=None, help="override master_seed for every point")
 
     p_costs = sub.add_parser("costs", help="print per-variant payload/memory counts and reduction ratios")

@@ -128,7 +128,7 @@ class Engine:
         else:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=config.master_seed, spawn_key=(2, 0)))
             basis = random_projection(pc.rows, self.rank, rng)
-        self.anchor = self.problem.init_params()  # (p, q) parameters at the last sync
+        self.anchor = np.zeros((pc.rows, pc.cols))  # (p, q) parameters at the last sync
         x = np.stack([self.anchor] * m_count)
         self.stack = WorkerStack(
             x=x,

@@ -1,7 +1,8 @@
 """Newline-delimited JSON metric logs.
 
-First line is a header record carrying the fully resolved config and
-artifact version; each subsequent line is one step record. Logs are
+The first line is a header record carrying the fully resolved config and
+artifact version; each subsequent line is one step record. Readers skip
+blank lines, so the header is the first non-blank line. Logs are
 append-only and parseable line by line. Serialization is deterministic
 (sorted keys, no NaN) so identical runs produce byte-identical files.
 """
@@ -91,9 +92,9 @@ def read_log(path: str) -> tuple[dict, list]:
                 raise LogFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
             except ValueError as exc:  # an int longer than the interpreter's int-from-str digit limit
                 raise LogFormatError(f"line {lineno}: {exc}") from exc
-            if lineno == 1:
+            if header is None:
                 if not isinstance(obj, dict) or obj.get("kind") != "header":
-                    raise LogFormatError("line 1: expected a header record")
+                    raise LogFormatError(f"line {lineno}: expected a header record")
                 header = obj
             else:
                 if not isinstance(obj, dict) or obj.get("kind") != "step":

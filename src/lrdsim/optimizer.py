@@ -17,9 +17,10 @@ a kernel's docstring names, such as the engine's stacked `WorkerStack`.
 float64 arrays of g's shape that no other state shares; each keeps its
 identity across steps.
 Hyperparameters come as a `config.HyperConfig`, with QHM's omega passed
-beside them. A textbook full-rank Adam step lives here too, serving as
-the oracle for the exact-degeneracy checks. Arguments are not re-checked:
-`config.validate` owns the run-setting rules and the engine fixes the shapes.
+beside them. Arguments are not re-checked: `config.validate` owns the
+run-setting rules and the engine fixes the shapes. The textbook
+full-rank Adam step that the exact-degeneracy checks compare against is
+a test oracle (`tests/oracles.py`), not part of the simulator.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .linalg import as_matrix
+# unused here, but kept: the benchmark's tracer rebinds `lrdsim.optimizer.as_matrix`,
+# and its self-test and tests/test_bench_tracer.py read that binding
+from .linalg import as_matrix  # noqa: F401
 
 if TYPE_CHECKING:  # config imports this module's constants
     from .config import HyperConfig
@@ -114,26 +117,3 @@ def compute_update(
     full += low
     return full
 
-
-def adam_reference_step(
-    x: np.ndarray,
-    grad: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    hp: HyperConfig,
-    t: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One textbook full-rank Adam step with bias correction.
-
-    `t` is the step index starting at 0; the returned state has seen
-    t+1 moment updates. Serves as the oracle for degeneracy checks.
-    """
-    grad = as_matrix(grad, "gradient")
-    if x.shape != grad.shape or u.shape != grad.shape or v.shape != grad.shape:
-        raise ValueError("adam reference requires full-rank shapes throughout")
-    u = hp.beta1 * u + (1.0 - hp.beta1) * grad
-    v = hp.beta2 * v + (1.0 - hp.beta2) * (grad * grad)
-    uh = u / (1.0 - hp.beta1 ** (t + 1))
-    vh = v / (1.0 - hp.beta2 ** (t + 1))
-    x = x - hp.lr_at(t) * (uh / (np.sqrt(vh) + hp.eps))
-    return x, u, v

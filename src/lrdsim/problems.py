@@ -1,27 +1,17 @@
-"""Synthetic matrix-valued objectives with closed-form stochastic gradients.
+"""The simulator's objective: sharded matrix regression with closed-form gradients.
 
-Two problem families:
-
-* MatrixRegression: sharded least squares (1/2B)||A_b X - Y_b||_F^2 with
-  labels Y = A X* + noise. Workers own disjoint row blocks of the global
-  design, so the mean of shard gradients is the global gradient. A batch
-  is a plain array of row indices into a shard (`sample_batch`). The
-  stacked (M, B) form gathers every worker's rows with one guarded flat
-  `take` per array: a row must lie in [-n/M, n/M) of its own shard. The
-  ground truth X* is either dense Gaussian or a seeded low-rank matrix
-  with a power-law spectrum (rank phenomena need a low-rank target at
-  desk scale).
-
-* PowerLawOracle: a fixed matrix with singular values C k^(-alpha) plus
-  controllable Gaussian observation noise whose Frobenius norm
-  concentrates at kappa / sqrt(B). Used for projection-stability
-  studies; kappa is pinned operationally as the expected Frobenius
-  perturbation at B = 1.
+MatrixRegression is sharded least squares (1/2B)||A_b X - Y_b||_F^2 with
+labels Y = A X* + noise. Workers own disjoint row blocks of the global
+design, so the mean of shard gradients is the global gradient. A batch
+is a plain array of row indices into a shard; `sample_batch` draws a
+block of successive batches at once. The stacked (M, B) form gathers
+every worker's rows with one guarded flat `take` per array: a row must
+lie in [-n/M, n/M) of its own shard. The ground truth X* is either dense
+Gaussian or a seeded low-rank matrix with a power-law spectrum (rank
+phenomena need a low-rank target at desk scale).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,12 +107,10 @@ class MatrixRegression:
             raise ValueError(f"worker_id {worker_id} out of range")
         return self.design_shards[worker_id], self.label_shards[worker_id]
 
-    def sample_batch(self, batch_size: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
-        """(B,) distinct shard rows; with `count`, (count, B) rows of that many successive batches."""
+    def sample_batch(self, batch_size: int, rng: np.random.Generator, count: int) -> np.ndarray:
+        """(count, B) shard rows: `count` successive batches of B distinct rows (`draw_rows`)."""
         if not (1 <= batch_size <= self.rows_per_shard):
             raise ValueError(f"batch_size {batch_size} out of range for shard of {self.rows_per_shard}")
-        if count is None:
-            return rng.choice(self.rows_per_shard, size=batch_size, replace=False)
         return draw_rows(rng, self.rows_per_shard, batch_size, count)
 
     def _rows(self, rows: np.ndarray, worker: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -166,9 +154,6 @@ class MatrixRegression:
         grad = np.matmul(ab.swapaxes(-1, -2), resid, out=out)
         grad /= rows.shape[-1]
         return grad
-
-    def init_params(self) -> np.ndarray:
-        return np.zeros((self.p, self.q))
 
 
 def draw_rows(rng: np.random.Generator, n: int, size: int, count: int) -> np.ndarray:
@@ -214,52 +199,3 @@ def draw_rows(rng: np.random.Generator, n: int, size: int, count: int) -> np.nda
         out[i] = kept
     return out.T
 
-
-@dataclass(frozen=True)
-class PowerLawOracle:
-    """Fixed signal matrix with power-law spectrum plus batch-scaled noise."""
-
-    c: float
-    alpha: float
-    p: int
-    q: int
-    kappa: float
-    seed: int = 0
-    true_matrix: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.c <= 0 or self.alpha <= 0:
-            raise ValueError("C and alpha must be positive")
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
-        object.__setattr__(self, "true_matrix", gen_powerlaw_matrix(self.c, self.alpha, self.p, self.q, self.seed))
-
-    def noisy_observation(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-        """true_matrix + N with E||N||_F ~= kappa / sqrt(batch_size)."""
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if self.kappa == 0.0:
-            return self.true_matrix.copy()
-        entry_std = self.kappa / np.sqrt(batch_size * self.p * self.q)
-        return self.true_matrix + entry_std * rng.standard_normal((self.p, self.q))
-
-
-def _powerlaw_factors(p: int, q: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
-    k = min(p, q)
-    left, lr = np.linalg.qr(rng.standard_normal((p, k)))
-    right, rr = np.linalg.qr(rng.standard_normal((q, k)))
-    # fix QR sign ambiguity so factors are reproducible across platforms
-    left = left * np.sign(np.where(np.diag(lr) == 0, 1.0, np.diag(lr)))
-    right = right * np.sign(np.where(np.diag(rr) == 0, 1.0, np.diag(rr)))
-    return left, right
-
-
-def gen_powerlaw_matrix(c: float, alpha: float, p: int, q: int, seed: int) -> np.ndarray:
-    """U diag(C k^(-alpha)) V^T with seeded random orthonormal factors."""
-    if c <= 0 or alpha <= 0:
-        raise ValueError("C and alpha must be positive")
-    left, right = _powerlaw_factors(p, q, seed)
-    k = min(p, q)
-    spectrum = c * np.arange(1, k + 1, dtype=np.float64) ** -alpha
-    return (left * spectrum) @ right.T

@@ -56,9 +56,7 @@ def random_projection(p: int, rank: int, rng: np.random.Generator) -> np.ndarray
 
 def identity_projection(p: int, rank: int) -> np.ndarray:
     """The first `rank` columns of the p x p identity."""
-    q = np.zeros((p, rank))
-    q[np.arange(rank), np.arange(rank)] = 1.0
-    return q
+    return np.eye(p, rank)
 
 
 def _gram_schmidt(a: np.ndarray) -> np.ndarray:

@@ -440,10 +440,10 @@ def test_sweep_colliding_labels_exit_one(cfg_path, tmp_path, capsys, no_engine, 
     assert not out_dir.exists()
 
 
-def test_sweep_parallel_matches_sequential(cfg_path, tmp_path):
+def test_sweep_threads_do_not_change_bytes(cfg_path, tmp_path):
     seq_dir = tmp_path / "seq"
-    par_dir = tmp_path / "par"
-    for out_dir, extra in ((seq_dir, []), (par_dir, ["--parallel", "3"])):
+    thr_dir = tmp_path / "thr"
+    for out_dir, extra in ((seq_dir, []), (thr_dir, ["--threads", "3"])):
         assert (
             main(
                 ["sweep", "--config", cfg_path(), "--axis", "K", "--values", "2,4,8",
@@ -452,7 +452,14 @@ def test_sweep_parallel_matches_sequential(cfg_path, tmp_path):
             == 0
         )
     for name in ("K2.log", "K4.log", "K8.log"):
-        assert (seq_dir / name).read_bytes() == (par_dir / name).read_bytes()
+        assert (seq_dir / name).read_bytes() == (thr_dir / name).read_bytes()
+
+
+def test_sweep_parallel_is_a_usage_error(cfg_path, tmp_path, capsys):
+    argv = ["sweep", "--config", cfg_path(), "--axis", "K", "--values", "2", "--out-dir", str(tmp_path)]
+    assert main(argv + ["--parallel", "3"]) == 1
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: lrdsim") and error == "error: unrecognized arguments: --parallel 3"
 
 
 def test_costs_table_contains_headline_numbers(capsys):
@@ -549,6 +556,16 @@ def test_analyze_malformed_step_fields_exit_one(tmp_path, capsys, step):
     err = capsys.readouterr().err
     assert err.startswith("analyze: line 2:")
     assert err.count("\n") == 1
+
+
+def test_analyze_header_is_first_non_blank_line(tmp_path, capsys):
+    log = tmp_path / "blank_first.log"
+    log.write_text("\n" + _two_line_log({"mean_loss": 1.5, "subspace": None}))
+    assert main(["analyze", str(log)]) == 0
+    assert "final mean loss: 1.5" in capsys.readouterr().out
+    log.write_text("\n" + _two_line_log({}).split("\n", 1)[1])  # the step record alone
+    assert main(["analyze", str(log)]) == 1
+    assert capsys.readouterr().err == "analyze: line 2: expected a header record\n"
 
 
 @pytest.mark.parametrize(

@@ -250,11 +250,11 @@ def test_engine_matches_straightline_low_rank_reference():
     proj = random_projection(10, rank, proj_rng)
     state = fresh_state(10, 8, proj)
     hp = cfg.hyperparams
-    x = prob.init_params()
+    x = np.zeros((10, 8))
     anchor = x.copy()
     losses = []
     for t in range(steps):
-        rows = prob.sample_batch(5, rng)
+        rows = prob.sample_batch(5, rng, 1)[0]
         grad = clip_frobenius(prob.stoch_gradient(x, rows, 0), hp.clip_radius)
         g, state.error = compress_gradient(grad, state.error, state.basis)
         update_moments(state, g, hp.beta1, hp.beta2)
@@ -268,7 +268,7 @@ def test_engine_matches_straightline_low_rank_reference():
         state.u = rotate_first_moment(r_mat, state.u)
         state.basis = new_proj
         anchor = x.copy()
-        eval_rows = prob.sample_batch(5, rng)
+        eval_rows = prob.sample_batch(5, rng, 1)[0]
         losses.append(prob.loss(x, eval_rows, 0))
     np.testing.assert_allclose(engine_final, x, atol=1e-12)
     np.testing.assert_allclose([r["mean_loss"] for r in engine_records], losses, atol=1e-12)
@@ -295,8 +295,8 @@ def test_engine_stacked_eval_equals_per_worker_loss_exactly():
         record = next(records)
         expected = []
         for m, rng in enumerate(rngs):
-            prob.sample_batch(8, rng)  # the step's training batch
-            expected.append(prob.loss(engine.stack.x[m], prob.sample_batch(8, rng), m))
+            prob.sample_batch(8, rng, 1)  # the step's training batch
+            expected.append(prob.loss(engine.stack.x[m], prob.sample_batch(8, rng, 1)[0], m))
         assert record["worker_losses"] == expected
         assert record["mean_loss"] == float(np.mean(expected))
 
@@ -528,7 +528,9 @@ def test_divergence_produces_terminal_record():
             hyperparams={"lr": 1e200, "clip_radius": 1e9, "beta1": 0.0, "beta2": 0.0},
         )
     )
-    recs = list(Engine(cfg).records())
+    # the overflow is expected; `lrdsim run` silences it the same way
+    with np.errstate(over="ignore", invalid="ignore"):
+        recs = list(Engine(cfg).records())
     assert len(recs) < 200
     assert recs[-1]["diverged"]
     assert recs[-1]["mean_loss"] is None

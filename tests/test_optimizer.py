@@ -11,7 +11,6 @@ from lrdsim.optimizer import (
     QHM_NONE,
     MU_PER_COLUMN,
     MU_SCALAR,
-    adam_reference_step,
     compress_gradient,
     compute_update,
     update_moments,
@@ -26,6 +25,7 @@ from lrdsim.projection import (
 )
 
 from kernel_state import fresh_state
+from oracles import adam_reference_step
 
 
 def make_state(p, q, r, seed=0):

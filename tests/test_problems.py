@@ -7,17 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrdsim.linalg import svd
-from lrdsim.problems import (
-    BLOCK_DRAW_MAX_BATCH,
-    NOISE_BLOCK_ROWS,
-    MatrixRegression,
-    PowerLawOracle,
-    draw_rows,
-    gen_powerlaw_matrix,
-)
+from lrdsim.problems import BLOCK_DRAW_MAX_BATCH, NOISE_BLOCK_ROWS, MatrixRegression, draw_rows
 from lrdsim.projection import projection_with_spectrum, sin_theta_distance, spectral_gap, stable_rank
 
-from oracles import central_difference, naive_regression_loss
+from oracles import PowerLawOracle, central_difference, gen_powerlaw_matrix, naive_regression_loss
 
 
 def small_problem(**kw):
@@ -36,7 +29,7 @@ def test_loss_matches_naive_double_loop():
     prob = small_problem(seed=3)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((6, 4))
-    rows = prob.sample_batch(7, rng)
+    rows = prob.sample_batch(7, rng, 1)[0]
     a, y = prob.shard(1)
     expected = naive_regression_loss(a[rows], y[rows], x)
     assert prob.loss(x, rows, 1) == pytest.approx(expected, rel=1e-12)
@@ -63,7 +56,7 @@ def test_gradient_matches_finite_differences():
     for inst in range(10):
         prob = small_problem(seed=inst, noise_std=0.3)
         x = rng.standard_normal((prob.p, prob.q))
-        rows = prob.sample_batch(9, rng)
+        rows = prob.sample_batch(9, rng, 1)[0]
         grad = prob.stoch_gradient(x, rows, 0)
         scale = max(1.0, float(np.linalg.norm(grad)))
         for _ in range(20):
@@ -152,9 +145,9 @@ def test_batch_validation():
         with pytest.raises(ValueError, match="at least one row"):
             prob.stoch_gradient(params, rows, worker)
     with pytest.raises(ValueError):
-        prob.sample_batch(0, np.random.default_rng(0))
+        prob.sample_batch(0, np.random.default_rng(0), 1)
     with pytest.raises(ValueError):
-        prob.sample_batch(10_000, np.random.default_rng(0))
+        prob.sample_batch(10_000, np.random.default_rng(0), 1)
 
 
 @pytest.mark.parametrize(
@@ -224,7 +217,7 @@ def test_stacked_loss_and_gradient_bitwise_equal_per_worker_calls(policy, worker
     b = prob.rows_per_shard if full_shard else 1
     rng = np.random.default_rng(5)
     x = rng.standard_normal((workers, prob.p, prob.q))
-    singles = [prob.sample_batch(b, rng) for _ in range(workers)]
+    singles = [prob.sample_batch(b, rng, 1)[0] for _ in range(workers)]
     stacked = np.stack(singles)
     assert stacked.shape[-1] == b
     assert prob.loss(x, stacked).shape == (workers,)
@@ -276,7 +269,7 @@ def test_sample_batch_count_draws_successive_batches():
     block_rng, batch_rng = np.random.default_rng(4), np.random.default_rng(4)
     block = prob.sample_batch(30, block_rng, count=64)
     assert block.shape == (64, 30)
-    assert block.tolist() == [prob.sample_batch(30, batch_rng).tolist() for _ in range(64)]
+    assert block.tolist() == [batch_rng.choice(prob.rows_per_shard, 30, replace=False).tolist() for _ in range(64)]
     assert block_rng.bit_generator.state == batch_rng.bit_generator.state
     with pytest.raises(ValueError):
         prob.sample_batch(41, block_rng, count=2)
