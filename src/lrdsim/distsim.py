@@ -73,11 +73,7 @@ ELEMENT_SIZE = 8  # bytes per float64 scalar on the wire
 
 @dataclass
 class WorkerStack:
-    """Everything the M workers own between barriers, stacked on axis 0.
-
-    Every worker takes a moment update each step, so one step counter
-    serves all of them.
-    """
+    """Everything the M workers own between barriers, stacked on axis 0."""
 
     x: np.ndarray  # (M, p, q) parameters
     error: np.ndarray  # (M, p, q) error-feedback buffers
@@ -85,7 +81,6 @@ class WorkerStack:
     v: np.ndarray  # (M, r, q) second moments
     basis: np.ndarray  # (M, p, r) column-orthonormal bases
     rngs: list
-    step: int = 0
 
 
 def sparsify_topk(delta: np.ndarray, keep_fraction: float) -> np.ndarray:
@@ -167,18 +162,20 @@ class Engine:
             and cfg.projection.refresh
             and (t - 1) % cfg.schedule.k_x == 0
         ):
-            entry = self._refresh(grad + s.error if ef else grad)
+            entry = self._refresh(grad + s.error if ef else grad, t)  # before step t's moment update
         g = np.empty_like(s.u)
         for m in range(cfg.workers):
             g[m], _ = compress_gradient(grad[m], s.error[m], s.basis[m], out=s.error[m] if ef else None)
-        update_moments(s, g, hp.beta1, hp.beta2)
+        update_moments(s.u, s.v, g, hp.beta1, hp.beta2)
         mode = QHM_NONE if t < cfg.qhm.start_step else cfg.qhm.mode
-        upd = compute_update(s, grad, g, mode, hp, cfg.qhm.omega, cfg.flags.mu_semantics, out=grad)
+        upd = compute_update(
+            s.u, s.v, s.basis, t + 1, grad, g, mode, hp, cfg.qhm.omega, cfg.flags.mu_semantics, out=grad
+        )
         upd *= hp.lr_at(t)
         s.x -= upd
         return entry
 
-    def _refresh(self, signals: np.ndarray) -> Optional[dict]:
+    def _refresh(self, signals: np.ndarray, t: int) -> Optional[dict]:
         """Move each basis to the top-r left singular vectors of its signal; return the subspace entry.
 
         `signals` is a (k, p, q) stack: k = 1 holds the global signal,
@@ -188,11 +185,11 @@ class Engine:
         basis, and so does a non-finite one: the step's parameters are
         then non-finite too, which marks it diverged. The entry holds
         each metric's mean over the bases that moved, or is None when
-        none moved.
+        none moved. `t` counts the moment updates taken so far; with
+        t = 0 there are no moments to rotate.
         """
         s = self.stack
         hp = self.cfg.hyperparams
-        rotate = self.cfg.flags.rotate_moments and s.step > 0
         moved = []
         for j, signal in enumerate(signals):
             try:
@@ -202,8 +199,8 @@ class Engine:
             rows = slice(None) if len(signals) == 1 else slice(j, j + 1)
             old = s.basis[j]
             r_mat = rotation_matrix(new, old)
-            if rotate:
-                s.v[rows] = rotate_second_moment(r_mat, s.u[rows], s.v[rows], hp.beta1, hp.beta2, s.step)
+            if self.cfg.flags.rotate_moments and t > 0:
+                s.v[rows] = rotate_second_moment(r_mat, s.u[rows], s.v[rows], hp.beta1, hp.beta2, t)
                 s.u[rows] = rotate_first_moment(r_mat, s.u[rows])
             # `old` is a view into the stack: measure before the new basis overwrites it
             moved.append(subspace_metrics_from_update(new, old, r_mat, sig_s))
@@ -229,12 +226,12 @@ class Engine:
             downlink += pay.down_second
         if (t + 1) % sched.k_x == 0:
             # only the global strategy refreshes here, and only the local one before
-            entry = self._sync_params() or entry
+            entry = self._sync_params(t) or entry
             uplink += pay.up_params + pay.up_projection
             downlink += pay.down_params + pay.down_projection
         return uplink * ELEMENT_SIZE, downlink * ELEMENT_SIZE, entry
 
-    def _sync_params(self) -> Optional[dict]:
+    def _sync_params(self, t: int) -> Optional[dict]:
         cfg = self.cfg
         s = self.stack
         # the pseudo-gradients overwrite x, which receives x_new below
@@ -252,7 +249,7 @@ class Engine:
             x_new = self.anchor + delta
         entry = None
         if cfg.projection.strategy == STRATEGY_GLOBAL and cfg.projection.refresh:
-            entry = self._refresh(delta[None])
+            entry = self._refresh(delta[None], t + 1)  # after step t's moment update
         s.x[:] = x_new
         self.anchor = x_new
         return entry

@@ -11,14 +11,11 @@ and forms updates in one of three quasi-hyperbolic flavors:
 where hats are bias-corrected moments and mu() averages the denominator
 over the r rows (per column by default, or a single scalar).
 
-The kernels take their state duck-typed: any object with the attributes
-a kernel's docstring names, such as the engine's stacked `WorkerStack`.
-`update_moments` writes `u` and `v` in place, so they must be writable
-float64 arrays of g's shape that no other state shares; each keeps its
-identity across steps.
-Hyperparameters come as a `config.HyperConfig`, with QHM's omega passed
-beside them. Arguments are not re-checked: `config.validate` owns the
-run-setting rules and the engine fixes the shapes. The textbook
+The kernels take plain arrays; the caller owns the moments and passes
+the count t >= 1 of moment updates so far, for the bias correction
+1 - beta^t. Hyperparameters come as a `config.HyperConfig`, with QHM's
+omega beside them. Arguments are not re-checked: `config.validate` owns
+the run-setting rules and the engine fixes the shapes. The textbook
 full-rank Adam step that the exact-degeneracy checks compare against is
 a test oracle (`tests/oracles.py`), not part of the simulator.
 """
@@ -60,24 +57,21 @@ def compress_gradient(
     return g, carried
 
 
-def update_moments(state, g: np.ndarray, beta1: float, beta2: float):
-    """EMA update of `state.u` and `state.v` (over any leading worker axis); increments `state.step`.
-
-    Both are updated in place and keep their identity: u becomes
-    beta1 u + (1-beta1) g and v becomes beta2 v + (1-beta2) g^2.
-    """
-    state.u *= beta1
-    state.u += (1.0 - beta1) * g
+def update_moments(u: np.ndarray, v: np.ndarray, g: np.ndarray, beta1: float, beta2: float) -> None:
+    """EMA update in place, over any leading worker axis: u = beta1 u + (1-beta1) g, v = beta2 v + (1-beta2) g^2."""
+    u *= beta1
+    u += (1.0 - beta1) * g
     sq = np.square(g)
     sq *= 1.0 - beta2
-    state.v *= beta2
-    state.v += sq
-    state.step += 1
-    return state
+    v *= beta2
+    v += sq
 
 
 def compute_update(
-    state,
+    u: np.ndarray,
+    v: np.ndarray,
+    basis: np.ndarray,
+    t: int,
     grad: np.ndarray,
     g: np.ndarray,
     mode: str,
@@ -88,23 +82,20 @@ def compute_update(
 ) -> np.ndarray:
     """Full-rank update direction for the current step (caller applies -lr).
 
-    `state` needs `u`, `v`, `step` and `basis`; a stacked state with
-    (M, r, q) moments and an (M, p, r) basis gives M updates at once.
-    `omega` weighs the QHM branches and is required unless `mode` is
-    'none'. The update goes to `out` when given (which may be `grad`).
+    Stacked (M, r, q) moments and an (M, p, r) basis give M updates at
+    once. `omega` weighs the QHM branches and is required unless `mode`
+    is 'none'. The update goes to `out` when given (which may be `grad`).
     """
-    t = state.step
-    uh = state.u / (1.0 - hp.beta1**t)
-    vh = state.v / (1.0 - hp.beta2**t)
+    uh = u / (1.0 - hp.beta1**t)
+    vh = v / (1.0 - hp.beta2**t)
     denom = np.sqrt(vh, out=vh)
     denom += hp.eps
-    q_mat = state.basis
     if mode == QHM_LOW_RANK:
         uh *= omega
         uh += (1.0 - omega) * g
     uh /= denom
     if mode in (QHM_NONE, QHM_LOW_RANK):
-        return np.matmul(q_mat, uh, out=out)
+        return np.matmul(basis, uh, out=out)
     # mu: denom's sum over the r rows (per column) or all entries, divided by the count, as np.mean does
     axis = -2 if mu_semantics == MU_PER_COLUMN else (-2, -1)
     scale = np.add.reduce(denom, axis=axis, keepdims=True)
@@ -112,7 +103,7 @@ def compute_update(
     # (1 - omega) G / mu + omega Q (uh / denom), in place on the full-size arrays
     full = np.multiply(grad, 1.0 - omega, out=out)
     full /= scale
-    low = q_mat @ uh
+    low = basis @ uh
     low *= omega
     full += low
     return full

@@ -126,7 +126,7 @@ def test_sync_params_identical_workers_noop():
     eng.anchor = np.array([[1.0]])
     for m in range(2):
         s.x[m] = np.array([[3.25]])
-    eng._sync_params()
+    eng._sync_params(0)
     for m in range(2):
         np.testing.assert_array_equal(s.x[m], [[3.25]])
         np.testing.assert_array_equal(eng.anchor, [[3.25]])
@@ -138,7 +138,7 @@ def test_sync_params_cancellation():
     s.x[0] = np.array([[1.0 + 0.5]])
     s.x[1] = np.array([[1.0 - 0.5]])
     eng.anchor = np.array([[1.0]])
-    eng._sync_params()
+    eng._sync_params(0)
     for m in range(2):
         np.testing.assert_array_equal(s.x[m], [[1.0]])
 
@@ -149,7 +149,7 @@ def test_nesterov_degenerates_to_average():
     s.x[0] = np.array([[2.0]])
     s.x[1] = np.array([[4.0]])
     eng.anchor = np.array([[1.0]])
-    eng._sync_params()
+    eng._sync_params(0)
     np.testing.assert_allclose(s.x[0], [[3.0]])
 
 
@@ -161,10 +161,10 @@ def test_nesterov_two_step_hand_trace():
     s = eng.stack
     eng.anchor = np.array([[0.0]])
     s.x[0] = np.array([[1.0]])
-    eng._sync_params()
+    eng._sync_params(0)
     np.testing.assert_allclose(s.x[0], [[0.95]], atol=1e-15)
     s.x[0] = eng.anchor + 2.0
-    eng._sync_params()
+    eng._sync_params(0)
     np.testing.assert_allclose(s.x[0], [[3.255]], atol=1e-12)
 
 
@@ -257,14 +257,14 @@ def test_engine_matches_straightline_low_rank_reference():
         rows = prob.sample_batch(5, rng, 1)[0]
         grad = clip_frobenius(prob.stoch_gradient(x, rows, 0), hp.clip_radius)
         g, state.error = compress_gradient(grad, state.error, state.basis)
-        update_moments(state, g, hp.beta1, hp.beta2)
-        upd = compute_update(state, grad, g, QHM_NONE, hp)
+        update_moments(state.u, state.v, g, hp.beta1, hp.beta2)
+        upd = compute_update(state.u, state.v, state.basis, t + 1, grad, g, QHM_NONE, hp)
         x = x - hp.lr_at(t) * upd
         delta = x - anchor
         x = anchor + delta
         new_proj = projection_with_spectrum(delta, rank)[0]
         r_mat = rotation_matrix(new_proj, state.basis)
-        state.v = rotate_second_moment(r_mat, state.u, state.v, hp.beta1, hp.beta2, state.step)
+        state.v = rotate_second_moment(r_mat, state.u, state.v, hp.beta1, hp.beta2, t + 1)
         state.u = rotate_first_moment(r_mat, state.u)
         state.basis = new_proj
         anchor = x.copy()
@@ -312,13 +312,12 @@ def test_engine_refresh_rotates_zero_variance_second_moment_exactly(strategy):
     hp = engine.cfg.hyperparams
     t = 5
     rng = np.random.default_rng(23)
-    state.step = t
     state.u = rng.standard_normal(state.u.shape)
     uh = state.u / (1.0 - hp.beta1**t)
     state.v = (1.0 - hp.beta2**t) * uh * uh
     old_basis, old_u = state.basis[0].copy(), state.u.copy()
     signal = rng.standard_normal((16, 12))
-    metrics = engine._refresh(signal[None])
+    metrics = engine._refresh(signal[None], t)
     new_basis = state.basis[0]
     assert sin_theta_distance(new_basis, old_basis) > 0.1
     r_mat = rotation_matrix(new_basis, old_basis)
@@ -339,12 +338,11 @@ def test_engine_refresh_skips_degenerate_signal_and_logs_the_moved_bases():
     hp = cfg.hyperparams
     t = 3
     rng = np.random.default_rng(5)
-    s.step = t
     s.u = rng.standard_normal(s.u.shape)
     s.v = rng.random(s.v.shape)
     before = {name: getattr(s, name).copy() for name in ("basis", "u", "v")}
     signals = np.stack([rng.standard_normal((16, 12)), np.zeros((16, 12))])
-    entry = engine._refresh(signals)
+    entry = engine._refresh(signals, t)
     for name in ("basis", "u", "v"):
         assert np.array_equal(getattr(s, name)[1], before[name][1]), name
     new, sig_s = projection_with_spectrum(signals[0], cfg.rank)
@@ -357,7 +355,7 @@ def test_engine_refresh_skips_degenerate_signal_and_logs_the_moved_bases():
     assert entry == subspace_metrics_from_update(new, before["basis"][0], r_mat, sig_s)
     # no basis moves: no entry, and the stack is untouched
     after = {name: getattr(s, name).copy() for name in ("basis", "u", "v")}
-    assert engine._refresh(np.zeros_like(signals)) is None
+    assert engine._refresh(np.zeros_like(signals), t) is None
     for name in ("basis", "u", "v"):
         assert np.array_equal(getattr(s, name), after[name]), name
 

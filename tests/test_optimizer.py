@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -97,15 +95,14 @@ def test_error_feedback_telescoping_constant_q_windows():
 def test_update_moments_cases():
     state = make_state(4, 3, 2)
     g = np.random.default_rng(5).standard_normal((2, 3))
-    update_moments(state, g, beta1=0.9, beta2=0.99)
+    assert update_moments(state.u, state.v, g, beta1=0.9, beta2=0.99) is None
     np.testing.assert_allclose(state.u, 0.1 * g, atol=1e-15)
     np.testing.assert_allclose(state.v, 0.01 * g * g, atol=1e-15)
-    assert state.step == 1
     u_prev, v_prev = state.u.copy(), state.v.copy()
-    update_moments(state, np.zeros((2, 3)), beta1=0.9, beta2=0.99)
+    update_moments(state.u, state.v, np.zeros((2, 3)), beta1=0.9, beta2=0.99)
     np.testing.assert_allclose(state.u, 0.9 * u_prev, atol=1e-15)
     np.testing.assert_allclose(state.v, 0.99 * v_prev, atol=1e-15)
-    update_moments(state, g, beta1=0.0, beta2=0.0)
+    update_moments(state.u, state.v, g, beta1=0.0, beta2=0.0)
     np.testing.assert_array_equal(state.u, g)
     np.testing.assert_array_equal(state.v, g * g)
     assert np.all(state.v >= 0)
@@ -117,29 +114,25 @@ def test_update_moments_bitwise_in_place(lead):
     beta1, beta2 = 0.9, 0.999
     # v small against (1 - beta2) g^2, so the rounding of that term shows in the sum
     u, v = rng.standard_normal(lead + (8, 64)), 1e-6 * rng.random(lead + (8, 64))
-    state = SimpleNamespace(u=u, v=v, step=2)
     u_prev, v_prev = u.copy(), v.copy()
     g = rng.standard_normal(lead + (8, 64))
-    update_moments(state, g, beta1, beta2)
-    assert state.u is u and state.v is v
-    assert state.u.tobytes() == (beta1 * u_prev + (1.0 - beta1) * g).tobytes()
-    assert state.v.tobytes() == (beta2 * v_prev + (1.0 - beta2) * (g * g)).tobytes()
-    assert state.step == 3
+    assert update_moments(u, v, g, beta1, beta2) is None
+    assert u.tobytes() == (beta1 * u_prev + (1.0 - beta1) * g).tobytes()
+    assert v.tobytes() == (beta2 * v_prev + (1.0 - beta2) * (g * g)).tobytes()
 
 
-def _update_by_mean(state, grad, g, mode, hp, omega, mu_semantics):
+def _update_by_mean(u, v, basis, t, grad, g, mode, hp, omega, mu_semantics):
     """compute_update's arithmetic written out with np.mean for mu."""
-    t = state.step
-    uh = state.u / (1.0 - hp.beta1**t)
-    vh = state.v / (1.0 - hp.beta2**t)
+    uh = u / (1.0 - hp.beta1**t)
+    vh = v / (1.0 - hp.beta2**t)
     denom = np.sqrt(vh) + hp.eps
     if mode == QHM_NONE:
-        return state.basis @ (uh / denom)
+        return basis @ (uh / denom)
     if mode == QHM_LOW_RANK:
-        return state.basis @ ((omega * uh + (1.0 - omega) * g) / denom)
+        return basis @ ((omega * uh + (1.0 - omega) * g) / denom)
     axis = -2 if mu_semantics == MU_PER_COLUMN else (-2, -1)
     mu = denom.mean(axis=axis, keepdims=True)
-    return (1.0 - omega) * grad / mu + omega * (state.basis @ (uh / denom))
+    return (1.0 - omega) * grad / mu + omega * (basis @ (uh / denom))
 
 
 # r = 3 and q = 5 make both of mu's counts (3 and 15) other than powers of two
@@ -152,15 +145,15 @@ def test_compute_update_bitwise_equals_mean_form(mode, mu_semantics, lead):
     p, q, r = 7, 5, 3
     bases = np.stack([random_projection(p, r, rng) for _ in range(4)])
     basis = bases if lead else bases[0]
-    state = SimpleNamespace(u=rng.standard_normal(lead + (r, q)), v=rng.random(lead + (r, q)), basis=basis, step=5)
-    moments = state.u.tobytes() + state.v.tobytes()
+    u, v = rng.standard_normal(lead + (r, q)), rng.random(lead + (r, q))
+    moments = u.tobytes() + v.tobytes()
     grad, g = rng.standard_normal(lead + (p, q)), rng.standard_normal(lead + (r, q))
-    want = _update_by_mean(state, grad, g, mode, hp, omega, mu_semantics)
-    assert compute_update(state, grad, g, mode, hp, omega, mu_semantics).tobytes() == want.tobytes()
+    want = _update_by_mean(u, v, basis, 5, grad, g, mode, hp, omega, mu_semantics)
+    assert compute_update(u, v, basis, 5, grad, g, mode, hp, omega, mu_semantics).tobytes() == want.tobytes()
     buf = grad.copy()
-    assert compute_update(state, buf, g, mode, hp, omega, mu_semantics, out=buf) is buf
+    assert compute_update(u, v, basis, 5, buf, g, mode, hp, omega, mu_semantics, out=buf) is buf
     assert buf.tobytes() == want.tobytes()
-    assert state.u.tobytes() + state.v.tobytes() == moments
+    assert u.tobytes() + v.tobytes() == moments
 
 
 def test_qhm_omega_one_matches_no_qhm_bitwise():
@@ -169,10 +162,10 @@ def test_qhm_omega_one_matches_no_qhm_bitwise():
     state = make_state(6, 4, 3, seed=8)
     grad = rng.standard_normal((6, 4))
     g, state.error = compress_gradient(grad, state.error, state.basis)
-    update_moments(state, g, hp.beta1, hp.beta2)
-    base = compute_update(state, grad, g, QHM_NONE, hp, omega)
-    low = compute_update(state, grad, g, QHM_LOW_RANK, hp, omega)
-    full = compute_update(state, grad, g, QHM_FULL_RANK, hp, omega)
+    update_moments(state.u, state.v, g, hp.beta1, hp.beta2)
+    base = compute_update(state.u, state.v, state.basis, 1, grad, g, QHM_NONE, hp, omega)
+    low = compute_update(state.u, state.v, state.basis, 1, grad, g, QHM_LOW_RANK, hp, omega)
+    full = compute_update(state.u, state.v, state.basis, 1, grad, g, QHM_FULL_RANK, hp, omega)
     assert base.tobytes() == low.tobytes()
     assert base.tobytes() == full.tobytes()
 
@@ -185,8 +178,8 @@ def test_full_rank_omega_zero_is_scaled_gradient():
     grad = rng.standard_normal((8, 5))
     c = 0.7
     g = np.full((2, 5), c)
-    update_moments(state, g, hp.beta1, hp.beta2)  # v = c^2 everywhere
-    out = compute_update(state, grad, g, QHM_FULL_RANK, hp, omega)
+    update_moments(state.u, state.v, g, hp.beta1, hp.beta2)  # v = c^2 everywhere
+    out = compute_update(state.u, state.v, state.basis, 1, grad, g, QHM_FULL_RANK, hp, omega)
     np.testing.assert_allclose(out, grad / (c + hp.eps), atol=1e-12)
     assert np.linalg.matrix_rank(out, rtol=1e-10) == np.linalg.matrix_rank(grad, rtol=1e-10)
 
@@ -198,11 +191,11 @@ def test_update_rank_bounds():
     state = make_state(p, q, r, seed=12)
     grad = rng.standard_normal((p, q))
     g, state.error = compress_gradient(grad, state.error, state.basis)
-    update_moments(state, g, hp.beta1, hp.beta2)
+    update_moments(state.u, state.v, g, hp.beta1, hp.beta2)
     for mode in (QHM_NONE, QHM_LOW_RANK):
-        upd = compute_update(state, grad, g, mode, hp, omega)
+        upd = compute_update(state.u, state.v, state.basis, 1, grad, g, mode, hp, omega)
         assert np.linalg.matrix_rank(upd, rtol=1e-10) <= r
-    full = compute_update(state, grad, g, QHM_FULL_RANK, hp, omega)
+    full = compute_update(state.u, state.v, state.basis, 1, grad, g, QHM_FULL_RANK, hp, omega)
     assert np.linalg.matrix_rank(full, rtol=1e-10) > r
 
 
@@ -219,8 +212,8 @@ def test_full_rank_equivalence_with_identity_projection():
     for t in range(100):
         grad = rng.standard_normal((p, q))
         g, state.error = compress_gradient(grad, state.error, state.basis)
-        update_moments(state, g, hp.beta1, hp.beta2)
-        upd = compute_update(state, grad, g, QHM_NONE, hp)
+        update_moments(state.u, state.v, g, hp.beta1, hp.beta2)
+        upd = compute_update(state.u, state.v, state.basis, t + 1, grad, g, QHM_NONE, hp)
         x_low = x_low - hp.lr_at(t) * upd
         x_ref, u_ref, v_ref = adam_reference_step(x_ref, grad, u_ref, v_ref, hp, t)
         assert np.max(np.abs(x_low - x_ref)) < 1e-12
@@ -267,12 +260,12 @@ def test_v_nonnegative_across_rotations():
     for t in range(200):
         grad = rng.standard_normal((9, 4))
         g, state.error = compress_gradient(grad, state.error, state.basis)
-        update_moments(state, g, hp.beta1, hp.beta2)
+        update_moments(state.u, state.v, g, hp.beta1, hp.beta2)
         assert np.all(state.v >= 0.0)
         if (t + 1) % 25 == 0:
             new_proj = projection_with_spectrum(rng.standard_normal((9, 4)), 3)[0]
             r_mat = rotation_matrix(new_proj, state.basis)
-            state.v = rotate_second_moment(r_mat, state.u, state.v, hp.beta1, hp.beta2, state.step)
+            state.v = rotate_second_moment(r_mat, state.u, state.v, hp.beta1, hp.beta2, t + 1)
             state.u = rotate_first_moment(r_mat, state.u)
             state.basis = new_proj
             assert np.all(state.v >= 0.0)
