@@ -1,6 +1,6 @@
 """Run configuration: strict schema, validation, and dict round-trips.
 
-Unknown keys anywhere in the config are hard errors; sweep
+Unknown and repeated keys anywhere in the config are hard errors; sweep
 reproducibility cannot tolerate silently ignored typos. Every field has
 a default, and `RunConfig.to_dict` writes them all, so the config
 echoed into a log header re-validates and reproduces the run exactly.
@@ -275,12 +275,24 @@ def _leaves(data: dict, prefix: str = ""):
 
 
 def load_file(path: str) -> RunConfig:
-    """Load and validate a YAML config file."""
+    """Load and validate a YAML config file; a mapping that repeats a key is an error."""
     import yaml
+
+    class StrictLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            mapping = super().construct_mapping(node, deep=deep)
+            if len(mapping) < len(node.value):  # node.value now includes the pairs of any merge key
+                seen = set()
+                for key_node, _ in node.value:
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        raise yaml.constructor.ConstructorError(None, None, f"repeated key {key!r}", key_node.start_mark)
+                    seen.add(key)
+            return mapping
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=StrictLoader)
         # ValueError: an int longer than the interpreter's int-from-str digit limit
         except (yaml.YAMLError, UnicodeDecodeError, RecursionError, ValueError) as exc:
             # YAML messages span several lines; the CLI reports errors on one

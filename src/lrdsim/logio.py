@@ -75,6 +75,8 @@ def _check_step(obj: dict, lineno: int) -> None:
         isinstance(entry, dict) and _is_number(entry.get("mssv")) and _is_number(entry.get("stable_rank"))
     ):
         raise LogFormatError(f"line {lineno}: subspace entry needs numeric mssv and stable_rank")
+    if not isinstance(obj.get("diverged", False), bool):
+        raise LogFormatError(f"line {lineno}: diverged must be true or false")
 
 
 def read_log(path: str) -> tuple[dict, list]:
@@ -95,6 +97,8 @@ def read_log(path: str) -> tuple[dict, list]:
             if header is None:
                 if not isinstance(obj, dict) or obj.get("kind") != "header":
                     raise LogFormatError(f"line {lineno}: expected a header record")
+                if not isinstance(obj.get("basis_inconsistent", False), bool):
+                    raise LogFormatError(f"line {lineno}: basis_inconsistent must be true or false")
                 header = obj
             else:
                 if not isinstance(obj, dict) or obj.get("kind") != "step":

@@ -63,6 +63,8 @@ VARIANTS = {
     "diverge_b1": ("reference_global", {"hyperparams": {"lr": 1e200, "beta1": 0.0, "beta2": 0.0},
                                         "problem": {"batch_size": 1}, "steps": 50}),
     "ref_local_k1": ("reference_local", {"schedule": {"k_x": 1, "k_u": 1, "k_v": 1}}),
+    # the global refresh after step 0 rotates moments that have taken one update (t = 1)
+    "ref_global_k1": ("reference_global", {"schedule": {"k_x": 1, "k_u": 1, "k_v": 1}}),
     "diverge_k1": ("reference_global", {"hyperparams": _DIVERGE,
                                         "schedule": {"k_x": 1, "k_u": 1, "k_v": 1}, "steps": 200}),
     "full_shard_b1024": ("reference_global", {"problem": {"batch_size": 1024}}),

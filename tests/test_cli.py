@@ -178,6 +178,25 @@ def test_unknown_nested_key_is_hard_error(cfg_path, tmp_path, capsys):
     assert "flags.rotate_momenta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, key, lineno",
+    [
+        ("steps: 4\nrank: 8\nrank: 4\n", "rank", 3),
+        ("steps: 4\nproblem:\n  rows: 16\n  cols: 12\n  rows: 32\n", "rows", 5),
+    ],
+    ids=["top_level", "nested"],
+)
+def test_repeated_config_key_exit_one_naming_key_and_line(tmp_path, capsys, text, key, lineno):
+    # safe_load would keep the last value and run
+    path = tmp_path / "repeat.yaml"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.log")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot parse config file: repeated key '{key}'")
+    assert f"line {lineno}," in err
+    assert err.count("\n") == 1
+
+
 def test_omega_required_with_qhm(cfg_path, tmp_path, capsys):
     bad = cfg_path({"qhm": {"mode": "low_rank"}}, name="bad4.yaml")
     assert main(["run", "--config", bad, "--out", str(tmp_path / "x.log")]) == 1
@@ -535,26 +554,31 @@ def test_analyze_malformed_log_names_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def _two_line_log(step: dict) -> str:
-    header = {"kind": "header", "config": {}, "version": "0"}
+def _two_line_log(step: dict, **header) -> str:
+    header = dict({"kind": "header", "config": {}, "version": "0"}, **header)
     return json.dumps(header) + "\n" + json.dumps(dict({"kind": "step", "step": 0}, **step)) + "\n"
 
 
 @pytest.mark.parametrize(
-    "step",
+    "step, header, lineno",
     [
-        {"subspace": None},  # no mean_loss
-        {"mean_loss": 1.0, "subspace": [{"mssv": 1.0}]},  # no stable_rank
-        {"mean_loss": 1.0, "subspace": "abc"},
+        ({"subspace": None}, {}, 2),  # no mean_loss
+        ({"mean_loss": 1.0, "subspace": [{"mssv": 1.0}]}, {}, 2),  # no stable_rank
+        ({"mean_loss": 1.0, "subspace": "abc"}, {}, 2),
+        # flags read by truthiness would turn "false" into true and 1 into true
+        ({"mean_loss": 1.0, "diverged": "false"}, {}, 2),
+        ({"mean_loss": 1.0, "diverged": 1}, {}, 2),
+        ({"mean_loss": 1.0}, {"basis_inconsistent": "no"}, 1),
     ],
-    ids=["no_mean_loss", "no_stable_rank", "subspace_string"],
+    ids=["no_mean_loss", "no_stable_rank", "subspace_string", "diverged_string", "diverged_int",
+         "basis_inconsistent_string"],
 )
-def test_analyze_malformed_step_fields_exit_one(tmp_path, capsys, step):
+def test_analyze_malformed_step_fields_exit_one(tmp_path, capsys, step, header, lineno):
     bad = tmp_path / "bad.log"
-    bad.write_text(_two_line_log(step))
+    bad.write_text(_two_line_log(step, **header))
     assert main(["analyze", str(bad)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("analyze: line 2:")
+    assert err.startswith(f"analyze: line {lineno}:")
     assert err.count("\n") == 1
 
 

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import warnings
 from typing import get_args, get_type_hints
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lrdsim
 from lrdsim.config import ConfigError, RunConfig, from_dict
 
 import loghash
@@ -126,3 +128,12 @@ def test_from_dict_raises_only_config_error_on_huge_ints(data):
 @pytest.mark.parametrize("name", list(loghash.VARIANTS))
 def test_loghash_variant_builds(name):
     from_dict(loghash.variant_dict(name))
+
+
+def test_package_version_is_lrdsim_version():
+    # pyproject.toml reads its version from lrdsim.__version__, which the log header records
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=r"Support for `\[tool\.setuptools\]`", category=UserWarning)
+        project = pyprojecttoml.read_configuration(loghash.ROOT / "pyproject.toml")["project"]
+    assert project["version"] == lrdsim.__version__
