@@ -25,10 +25,11 @@ mix. Each worker draws its batches from its own stream, training batch
 then eval batch, a block of BLOCK_STEPS steps at a time: at the block's
 first step one `sample_batch` call per worker draws all of the block's
 batches, bit for bit the rows and stream of one `choice` call per batch.
-Batches are plain arrays of shard row indices. The held-out eval scores
-all M workers in one stacked `loss` call on (M, B) rows, bitwise equal
-to M per-worker calls; it gathers the rows with one guarded flat `take`
-per array, and rejects a row outside [-n/M, n/M). Every mean the step
+`sample_batch` yields shard rows; the engine adds each worker's
+`shard_starts` entry to its block once, so every batch it hands the
+objective is a plain array of design rows. The held-out eval scores all
+M workers in one stacked `loss` call on (M, B) rows, bitwise equal to M
+per-worker calls. Every mean the step
 and sync paths take (the u and v syncs, the pseudo-gradient, the logged
 mean loss, the refresh metrics) is `np.add.reduce(a, axis=0) / count`:
 the pairwise sum and true division of `np.mean`, without its
@@ -146,7 +147,7 @@ class Engine:
     # ---- per-step phases -------------------------------------------------
 
     def _local_step(self, t: int, rows: np.ndarray) -> Optional[dict]:
-        """One step on every worker's (M, B) training `rows`; returns this step's local-refresh subspace entry."""
+        """One step on every worker's (M, B) training design `rows`; returns this step's local-refresh subspace entry."""
         cfg = self.cfg
         hp = cfg.hyperparams
         s = self.stack
@@ -154,7 +155,7 @@ class Engine:
         # one full-size buffer carries the gradients, their clipped form and the update
         grad = np.empty_like(s.x)
         for m in range(cfg.workers):
-            self.problem.stoch_gradient(s.x[m], rows[m], m, out=grad[m])
+            self.problem.stoch_gradient(s.x[m], rows[m], out=grad[m])
         clip_frobenius(grad, hp.clip_radius, out=grad)
         entry = None
         if (
@@ -267,6 +268,7 @@ class Engine:
                 # (M, 2 x the block's steps, B): the block's step i trains on row 2i, evaluates on row 2i+1
                 count = 2 * min(BLOCK_STEPS, steps - t)
                 block = np.stack([prob.sample_batch(batch_size, rng, count) for rng in s.rngs])
+                block += prob.shard_starts[:, None, None]  # shard rows -> design rows
             uplink, downlink, entry = self._sync_phase(t, self._local_step(t, block[:, row]))
             # held-out evaluation: a fresh batch from each worker's stream,
             # drawn after the step's training batch, scored in one stacked call

@@ -2,11 +2,10 @@
 
 MatrixRegression is sharded least squares (1/2B)||A_b X - Y_b||_F^2 with
 labels Y = A X* + noise. Workers own disjoint row blocks of the global
-design, so the mean of shard gradients is the global gradient. A batch
-is a plain array of row indices into a shard; `sample_batch` draws a
-block of successive batches at once. The stacked (M, B) form gathers
-every worker's rows with one guarded flat `take` per array: a row must
-lie in [-n/M, n/M) of its own shard. The ground truth X* is either dense
+design, so the mean of shard gradients is the global gradient.
+`sample_batch` draws a block of successive batches of shard rows at
+once; `shard_starts` turns them into design rows, which are what `loss`
+and `stoch_gradient` read. The ground truth X* is either dense
 Gaussian or a seeded low-rank matrix with a power-law spectrum (rank
 phenomena need a low-rank target at desk scale).
 """
@@ -30,21 +29,18 @@ class MatrixRegression:
     """Sharded matrix least squares with label noise.
 
     The global design has `n_rows` standard-Gaussian rows split into
-    `workers` equal consecutive blocks, held as (M, n_rows/M, p) and
-    (M, n_rows/M, q) views (`design_shards`, `label_shards`) of the
-    `design` and `labels` buffers. With the feature_blocks policy, shard m
+    `workers` equal consecutive blocks; shard m starts at design row
+    `shard_starts[m]`. With the feature_blocks policy, shard m
     additionally zeroes all design columns outside its own p/workers
     feature block, which confines worker gradients to disjoint coordinate
     rows (used for the orthogonal-subspace constructions).
 
-    `loss` and `stoch_gradient` take (B,) shard rows of one `worker` with
-    (p, q) parameters, or, with no worker, (M, B) rows, row m from shard
-    m, with (M, p, q) parameters and then answer for every worker at once,
-    each bitwise equal to its own call. The stacked form adds each shard's
-    first design row to its rows and gathers with one `take` per array
-    from `design` and `labels`. So that no row reads another shard's data,
-    it first raises IndexError unless every row lies in [-n/M, n/M); a
-    negative row wraps within its own shard, as the per-worker `take` does.
+    `loss` and `stoch_gradient` take design rows of shape (..., B) with
+    parameters of shape (..., p, q) and gather with one `take` per array
+    from `design` and `labels`: (B,) rows with (p, q) parameters answer
+    for one batch, (M, B) rows with (M, p, q) parameters for M batches
+    at once, each bitwise equal to its own call. A row past the design
+    raises IndexError.
     """
 
     def __init__(
@@ -78,10 +74,10 @@ class MatrixRegression:
         self.rows_per_shard = n_rows // workers
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
         self.design = design = rng.standard_normal((n_rows, p))
-        self.design_shards = design.reshape(workers, self.rows_per_shard, p)
         if shard_policy == SHARD_FEATURE_BLOCKS:
             # row m of the mask keeps worker m's own p/workers columns
-            self.design_shards *= np.repeat(np.eye(workers), p // workers, axis=1)[:, None, :]
+            design_shards = design.reshape(workers, self.rows_per_shard, p)
+            design_shards *= np.repeat(np.eye(workers), p // workers, axis=1)[:, None, :]
         if target_rank is None:
             self.x_star = rng.standard_normal((p, q)) / np.sqrt(p)
         else:
@@ -98,14 +94,8 @@ class MatrixRegression:
             rng.standard_normal(out=block)
             block *= noise_std
             labels[start:start + len(block)] += block
-        self.label_shards = labels.reshape(workers, self.rows_per_shard, q)
-        # (M, 1): the global index of each shard's first row
-        self._shard_starts = np.arange(0, n_rows, self.rows_per_shard)[:, None]
-
-    def shard(self, worker_id: int) -> tuple[np.ndarray, np.ndarray]:
-        if not (0 <= worker_id < self.workers):
-            raise ValueError(f"worker_id {worker_id} out of range")
-        return self.design_shards[worker_id], self.label_shards[worker_id]
+        # (M,): the design row each shard starts at
+        self.shard_starts = np.arange(0, n_rows, self.rows_per_shard)
 
     def sample_batch(self, batch_size: int, rng: np.random.Generator, count: int) -> np.ndarray:
         """(count, B) shard rows: `count` successive batches of B distinct rows (`draw_rows`)."""
@@ -113,44 +103,24 @@ class MatrixRegression:
             raise ValueError(f"batch_size {batch_size} out of range for shard of {self.rows_per_shard}")
         return draw_rows(rng, self.rows_per_shard, batch_size, count)
 
-    def _rows(self, rows: np.ndarray, worker: int | None) -> tuple[np.ndarray, np.ndarray]:
-        """(A_b, Y_b): (B, p) and (B, q) for one worker, (M, B, p) and (M, B, q) stacked."""
-        if worker is not None:
-            if rows.ndim != 1:
-                raise ValueError(f"rows of one worker must be (B,), got shape {rows.shape}")
-        elif rows.ndim != 2 or rows.shape[0] != self.workers:
-            raise ValueError(f"stacked rows must be ({self.workers}, B), got shape {rows.shape}")
+    def loss(self, x: np.ndarray, rows: np.ndarray) -> np.floating | np.ndarray:
+        """(1/2B)||A_b X - Y_b||_F^2 for each set of B design rows on the last axis of `rows`."""
         if rows.shape[-1] < 1:
             raise ValueError("batch must contain at least one row")
-        if worker is not None:
-            a, y = self.shard(worker)
-            return a.take(rows, axis=0), y.take(rows, axis=0)
-        # one flat `take` per array; the guard keeps a row inside its own shard
-        n = self.rows_per_shard
-        low, high = np.minimum.reduce(rows, axis=None), np.maximum.reduce(rows, axis=None)
-        if low < -n or high >= n:
-            raise IndexError(f"stacked rows must lie in [{-n}, {n}), got rows in [{low}, {high}]")
-        flat = rows + self._shard_starts
-        if low < 0:
-            np.add(flat, n, out=flat, where=rows < 0)
-        return self.design.take(flat, axis=0), self.labels.take(flat, axis=0)
-
-    def loss(self, x: np.ndarray, rows: np.ndarray, worker: int | None = None) -> float | np.ndarray:
-        """(1/2B)||A_b X - Y_b||_F^2: a float for one worker, an (M,) array stacked."""
-        ab, yb = self._rows(rows, worker)
-        resid = ab @ x
-        resid -= yb
+        resid = self.design.take(rows, axis=0) @ x
+        resid -= self.labels.take(rows, axis=0)
         squares = np.multiply(resid, resid, out=resid)
-        # one pairwise sum over each worker's B*q squares, as np.sum does for one
+        # one pairwise sum over each batch's B*q squares, as np.sum does for one
         total = np.add.reduce(squares.reshape(squares.shape[:-2] + (-1,)), axis=-1)
-        out = 0.5 * total / rows.shape[-1]
-        return float(out) if out.ndim == 0 else out
+        return 0.5 * total / rows.shape[-1]
 
-    def stoch_gradient(self, x: np.ndarray, rows: np.ndarray, worker: int | None = None, out=None) -> np.ndarray:
-        """A_b^T (A_b X - Y_b) / B, written into `out` when given."""
-        ab, yb = self._rows(rows, worker)
+    def stoch_gradient(self, x: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
+        """A_b^T (A_b X - Y_b) / B for each set of B design rows, written into `out` when given."""
+        if rows.shape[-1] < 1:
+            raise ValueError("batch must contain at least one row")
+        ab = self.design.take(rows, axis=0)
         resid = ab @ x
-        resid -= yb
+        resid -= self.labels.take(rows, axis=0)
         grad = np.matmul(ab.swapaxes(-1, -2), resid, out=out)
         grad /= rows.shape[-1]
         return grad

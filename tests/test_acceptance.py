@@ -108,7 +108,7 @@ def test_criterion_01_adam_degeneracy():
     v = np.zeros((p, q))
     for t in range(steps):
         rows = prob.sample_batch(32, rng, 1)[0]
-        grad = clip_frobenius(prob.stoch_gradient(x, rows, 0), hp.clip_radius)
+        grad = clip_frobenius(prob.stoch_gradient(x, rows), hp.clip_radius)
         x, u, v = adam_reference_step(x, grad, u, v, hp, t)
         prob.sample_batch(32, rng, 1)  # the engine draws a held-out eval batch per step
     elapsed = time.perf_counter() - started
@@ -447,12 +447,12 @@ def test_criterion_13_gradient_correctness():
         prob = MatrixRegression(p=8, q=6, n_rows=48, workers=2, noise_std=0.3, seed=inst)
         x = rng.standard_normal((8, 6))
         rows = prob.sample_batch(12, rng, 1)[0]
-        grad = prob.stoch_gradient(x, rows, inst % 2)
+        grad = prob.stoch_gradient(x, rows + prob.shard_starts[inst % 2])
         scale = max(1.0, float(np.linalg.norm(grad)))
         for _ in range(20):
             d = rng.standard_normal(x.shape)
             d /= np.linalg.norm(d)
-            numeric = central_difference(lambda z: prob.loss(z, rows, inst % 2), x, d)
+            numeric = central_difference(lambda z: prob.loss(z, rows + prob.shard_starts[inst % 2]), x, d)
             analytic = float(np.sum(grad * d))
             assert abs(numeric - analytic) < 1e-6 * scale
     report(13, "finite-difference gradient check passes at 1e-6 for 20 directions on 10 instances")

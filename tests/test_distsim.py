@@ -255,7 +255,7 @@ def test_engine_matches_straightline_low_rank_reference():
     losses = []
     for t in range(steps):
         rows = prob.sample_batch(5, rng, 1)[0]
-        grad = clip_frobenius(prob.stoch_gradient(x, rows, 0), hp.clip_radius)
+        grad = clip_frobenius(prob.stoch_gradient(x, rows), hp.clip_radius)
         g, state.error = compress_gradient(grad, state.error, state.basis)
         update_moments(state.u, state.v, g, hp.beta1, hp.beta2)
         upd = compute_update(state.u, state.v, state.basis, t + 1, grad, g, QHM_NONE, hp)
@@ -269,7 +269,7 @@ def test_engine_matches_straightline_low_rank_reference():
         state.basis = new_proj
         anchor = x.copy()
         eval_rows = prob.sample_batch(5, rng, 1)[0]
-        losses.append(prob.loss(x, eval_rows, 0))
+        losses.append(prob.loss(x, eval_rows))
     np.testing.assert_allclose(engine_final, x, atol=1e-12)
     np.testing.assert_allclose([r["mean_loss"] for r in engine_records], losses, atol=1e-12)
 
@@ -278,7 +278,8 @@ def test_engine_stacked_eval_equals_per_worker_loss_exactly():
     # each logged loss must be the 2-D loss of that worker's parameters on the
     # eval batch its stream draws right after the step's training batch; the
     # engine draws a block of steps' batches ahead, so the streams are copied
-    # once, before step 0, and replayed in order across a block boundary
+    # once, before step 0, and replayed in order across a block boundary.
+    # Both batches are worker m's draws moved into shard m's design rows.
     cfg = from_dict(
         cfg_dict(
             workers=3,
@@ -289,14 +290,28 @@ def test_engine_stacked_eval_equals_per_worker_loss_exactly():
     )
     engine = Engine(cfg)
     prob = engine.problem
+    n = prob.rows_per_shard
+    trained = []
+    stoch_gradient = prob.stoch_gradient
+
+    def recording_gradient(x, rows, out=None):
+        trained.append(rows.copy())
+        return stoch_gradient(x, rows, out=out)
+
+    prob.stoch_gradient = recording_gradient
     records = engine.records()
     rngs = copy.deepcopy(engine.stack.rngs)
     for _ in range(cfg.steps):
         record = next(records)
         expected = []
         for m, rng in enumerate(rngs):
-            prob.sample_batch(8, rng, 1)  # the step's training batch
-            expected.append(prob.loss(engine.stack.x[m], prob.sample_batch(8, rng, 1)[0], m))
+            rows = prob.sample_batch(8, rng, 1)[0]  # the step's training batch
+            assert trained[m].tolist() == (rows + prob.shard_starts[m]).tolist()
+            assert np.all((m * n <= trained[m]) & (trained[m] < (m + 1) * n))
+            rows = prob.sample_batch(8, rng, 1)[0]
+            expected.append(prob.loss(engine.stack.x[m], rows + prob.shard_starts[m]))
+        assert len(trained) == cfg.workers
+        trained.clear()
         assert record["worker_losses"] == expected
         assert record["mean_loss"] == float(np.mean(expected))
 

@@ -22,17 +22,16 @@ def small_problem(**kw):
 def test_loss_zero_at_truth_without_noise():
     prob = small_problem(noise_std=0.0)
     rows = np.arange(prob.rows_per_shard)
-    assert prob.loss(prob.x_star, rows, 0) == pytest.approx(0.0, abs=1e-20)
+    assert prob.loss(prob.x_star, rows) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_loss_matches_naive_double_loop():
     prob = small_problem(seed=3)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((6, 4))
-    rows = prob.sample_batch(7, rng, 1)[0]
-    a, y = prob.shard(1)
-    expected = naive_regression_loss(a[rows], y[rows], x)
-    assert prob.loss(x, rows, 1) == pytest.approx(expected, rel=1e-12)
+    rows = prob.sample_batch(7, rng, 1)[0] + prob.shard_starts[1]
+    expected = naive_regression_loss(prob.design[rows], prob.labels[rows], x)
+    assert prob.loss(x, rows) == pytest.approx(expected, rel=1e-12)
 
 
 def test_loss_identity_design_quadratic():
@@ -42,12 +41,12 @@ def test_loss_identity_design_quadratic():
     prob.design[:4, :4] = np.eye(4)
     prob.labels[:] = 0.0
     x = np.random.default_rng(1).standard_normal((4, 3))
-    assert prob.loss(x, np.arange(4), 0) == pytest.approx(0.5 * np.sum(x * x) / 4)
+    assert prob.loss(x, np.arange(4)) == pytest.approx(0.5 * np.sum(x * x) / 4)
 
 
 def test_gradient_zero_at_truth_without_noise():
     prob = small_problem(noise_std=0.0)
-    g = prob.stoch_gradient(prob.x_star, np.arange(prob.rows_per_shard), 1)
+    g = prob.stoch_gradient(prob.x_star, np.arange(prob.rows_per_shard) + prob.shard_starts[1])
     assert np.max(np.abs(g)) < 1e-12
 
 
@@ -57,12 +56,12 @@ def test_gradient_matches_finite_differences():
         prob = small_problem(seed=inst, noise_std=0.3)
         x = rng.standard_normal((prob.p, prob.q))
         rows = prob.sample_batch(9, rng, 1)[0]
-        grad = prob.stoch_gradient(x, rows, 0)
+        grad = prob.stoch_gradient(x, rows)
         scale = max(1.0, float(np.linalg.norm(grad)))
         for _ in range(20):
             d = rng.standard_normal(x.shape)
             d /= np.linalg.norm(d)
-            numeric = central_difference(lambda z: prob.loss(z, rows, 0), x, d)
+            numeric = central_difference(lambda z: prob.loss(z, rows), x, d)
             analytic = float(np.sum(grad * d))
             assert abs(numeric - analytic) < 1e-6 * scale
 
@@ -70,15 +69,15 @@ def test_gradient_matches_finite_differences():
 def test_full_batch_gradient_is_mean_of_halves():
     prob = small_problem(noise_std=0.2)
     x = np.random.default_rng(4).standard_normal((prob.p, prob.q))
-    g_full = prob.stoch_gradient(x, np.arange(20), 0)
-    g_mean = 0.5 * (prob.stoch_gradient(x, np.arange(10), 0) + prob.stoch_gradient(x, np.arange(10, 20), 0))
+    g_full = prob.stoch_gradient(x, np.arange(20))
+    g_mean = 0.5 * (prob.stoch_gradient(x, np.arange(10)) + prob.stoch_gradient(x, np.arange(10, 20)))
     np.testing.assert_allclose(g_full, g_mean, atol=1e-13)
 
 
 def test_global_gradient_is_mean_of_shard_gradients():
     prob = small_problem(workers=4, n_rows=40, noise_std=0.15)
     x = np.random.default_rng(8).standard_normal((prob.p, prob.q))
-    shard_grads = [prob.stoch_gradient(x, np.arange(prob.rows_per_shard), m) for m in range(4)]
+    shard_grads = [prob.stoch_gradient(x, np.arange(prob.rows_per_shard) + prob.shard_starts[m]) for m in range(4)]
     resid = prob.design @ x - prob.labels
     global_grad = prob.design.T @ resid / prob.n_rows
     np.testing.assert_allclose(np.mean(shard_grads, axis=0), global_grad, atol=1e-13)
@@ -88,7 +87,7 @@ def test_loss_at_truth_near_noise_floor():
     prob = MatrixRegression(p=8, q=16, n_rows=1024, workers=2, noise_std=0.5, seed=1)
     rows = np.arange(prob.rows_per_shard)
     floor = 0.5 * prob.q * prob.noise_std**2
-    assert prob.loss(prob.x_star, rows, 0) == pytest.approx(floor, rel=0.15)
+    assert prob.loss(prob.x_star, rows) == pytest.approx(floor, rel=0.15)
 
 
 def test_feature_blocks_give_disjoint_gradient_support():
@@ -96,8 +95,8 @@ def test_feature_blocks_give_disjoint_gradient_support():
         p=8, q=4, n_rows=16, workers=2, noise_std=0.0, shard_policy="feature_blocks"
     )
     x = np.zeros((8, 4))
-    g0 = prob.stoch_gradient(x, np.arange(prob.rows_per_shard), 0)
-    g1 = prob.stoch_gradient(x, np.arange(prob.rows_per_shard), 1)
+    g0 = prob.stoch_gradient(x, np.arange(prob.rows_per_shard))
+    g1 = prob.stoch_gradient(x, np.arange(prob.rows_per_shard) + prob.shard_starts[1])
     assert np.max(np.abs(g0[4:])) == 0.0
     assert np.max(np.abs(g1[:4])) == 0.0
     q0 = projection_with_spectrum(g0 + 1e-30 * np.eye(8, 4), 2)[0]
@@ -139,74 +138,51 @@ def test_batch_validation():
     x = np.zeros((prob.p, prob.q))
     empty_single = np.array([], dtype=int)
     empty_stacked = np.empty((prob.workers, 0), dtype=int)
-    for params, rows, worker in ((x, empty_single, 0), (np.stack([x] * prob.workers), empty_stacked, None)):
+    for params, rows in ((x, empty_single), (np.stack([x] * prob.workers), empty_stacked)):
         with pytest.raises(ValueError, match="at least one row"):
-            prob.loss(params, rows, worker)
+            prob.loss(params, rows)
         with pytest.raises(ValueError, match="at least one row"):
-            prob.stoch_gradient(params, rows, worker)
+            prob.stoch_gradient(params, rows)
     with pytest.raises(ValueError):
         prob.sample_batch(0, np.random.default_rng(0), 1)
     with pytest.raises(ValueError):
         prob.sample_batch(10_000, np.random.default_rng(0), 1)
 
 
-@pytest.mark.parametrize(
-    "shape",
-    [(), (3,), (1, 3), (3, 3), (2, 1, 3)],
-    ids=["scalar", "single_without_worker", "too_few_workers", "too_many_workers", "three_dims"],
-)
-def test_stacked_rows_of_wrong_shape_rejected(shape):
-    # (B,) rows without a worker would otherwise broadcast across the (M, n/M, p) shard views
-    prob = small_problem(workers=2)
-    rows = np.zeros(shape, dtype=int)
-    x = np.zeros((prob.workers, prob.p, prob.q))
-    with pytest.raises(ValueError, match="stacked rows"):
-        prob.loss(x, rows)
-    with pytest.raises(ValueError, match="stacked rows"):
-        prob.stoch_gradient(x, rows)
-
-
-@pytest.mark.parametrize("shape", [(), (1, 3), (2, 3)], ids=["scalar", "one_by_three", "two_by_three"])
-def test_single_worker_rows_of_wrong_shape_rejected(shape):
-    # (M, B) rows with a worker would otherwise gather an (M, B, p) block and answer with an array
-    prob = small_problem(workers=2)
-    rows = np.zeros(shape, dtype=int)
-    x = np.zeros((prob.p, prob.q))
-    with pytest.raises(ValueError, match="one worker"):
-        prob.loss(x, rows, 0)
-    with pytest.raises(ValueError, match="one worker"):
-        prob.stoch_gradient(x, rows, 0)
-
-
 def _assert_stacked_equals_per_worker_calls(prob, x, rows):
     losses = prob.loss(x, rows)
-    assert losses.tolist() == [prob.loss(x[m], rows[m], m) for m in range(prob.workers)]
+    assert losses.tolist() == [prob.loss(x[m], rows[m]) for m in range(prob.workers)]
     grads = prob.stoch_gradient(x, rows)
     for m in range(prob.workers):
-        assert grads[m].tobytes() == prob.stoch_gradient(x[m], rows[m], m).tobytes()
+        assert grads[m].tobytes() == prob.stoch_gradient(x[m], rows[m]).tobytes()
 
 
 @pytest.mark.parametrize("policy", ["iid", "feature_blocks"])
 @pytest.mark.parametrize("workers", [1, 3, 4])
 def test_stacked_gather_stays_inside_each_shard(policy, workers):
-    # the stacked form gathers from the whole design with one flat index:
-    # a row past its own shard must raise, never read a neighbour's rows
+    # the stacked form gathers from the whole design with one `take` per
+    # array: each shard's edge rows read exactly what their own calls read,
+    # and a row past the design raises
     prob = small_problem(p=12, q=5, n_rows=48, workers=workers, shard_policy=policy, noise_std=0.3)
     n = prob.rows_per_shard
     rng = np.random.default_rng(11)
     x = rng.standard_normal((workers, prob.p, prob.q))
-    # each shard's first and last row, from either end
-    edges = np.tile([0, n - 1, -1, -n], (workers, 1))
+    # each shard's first and last row, then the design's first and last row
+    starts = prob.shard_starts[:, None]
+    edges = np.concatenate([starts, starts + n - 1, np.tile([0, prob.n_rows - 1], (workers, 1))], axis=1)
     _assert_stacked_equals_per_worker_calls(prob, x, edges)
-    _assert_stacked_equals_per_worker_calls(prob, x, rng.integers(-n, n, size=(workers, 6)))
+    _assert_stacked_equals_per_worker_calls(prob, x, rng.integers(0, prob.n_rows, size=(workers, 6)))
     for m in range(workers):
-        for bad in (n, -n - 1):
-            rows = edges.copy()
-            rows[m, 1] = bad
-            with pytest.raises(IndexError, match=rf"\[{-n}, {n}\)"):
-                prob.loss(x, rows)
-            with pytest.raises(IndexError, match=rf"\[{-n}, {n}\)"):
-                prob.stoch_gradient(x, rows)
+        rows = edges.copy()
+        rows[m, 1] = prob.n_rows
+        with pytest.raises(IndexError):
+            prob.loss(x, rows)
+        with pytest.raises(IndexError):
+            prob.stoch_gradient(x, rows)
+        with pytest.raises(IndexError):
+            prob.loss(x[m], rows[m])
+        with pytest.raises(IndexError):
+            prob.stoch_gradient(x[m], rows[m])
 
 
 @pytest.mark.parametrize("policy", ["iid", "feature_blocks"])
@@ -218,7 +194,7 @@ def test_stacked_loss_and_gradient_bitwise_equal_per_worker_calls(policy, worker
     rng = np.random.default_rng(5)
     x = rng.standard_normal((workers, prob.p, prob.q))
     singles = [prob.sample_batch(b, rng, 1)[0] for _ in range(workers)]
-    stacked = np.stack(singles)
+    stacked = np.stack(singles) + prob.shard_starts[:, None]
     assert stacked.shape[-1] == b
     assert prob.loss(x, stacked).shape == (workers,)
     _assert_stacked_equals_per_worker_calls(prob, x, stacked)
@@ -273,20 +249,6 @@ def test_sample_batch_count_draws_successive_batches():
     assert block_rng.bit_generator.state == batch_rng.bit_generator.state
     with pytest.raises(ValueError):
         prob.sample_batch(41, block_rng, count=2)
-
-
-@pytest.mark.parametrize("bad", [-1, 2])
-def test_worker_id_out_of_range_rejected(bad):
-    # the (M, n/M, p) shard views would silently wrap -1 to the last worker
-    prob = small_problem(workers=2)
-    x = np.zeros((prob.p, prob.q))
-    rows = np.arange(3)
-    with pytest.raises(ValueError):
-        prob.shard(bad)
-    with pytest.raises(ValueError):
-        prob.loss(x, rows, bad)
-    with pytest.raises(ValueError):
-        prob.stoch_gradient(x, rows, bad)
 
 
 def test_powerlaw_matrix_spectrum():
