@@ -569,9 +569,12 @@ def _two_line_log(step: dict, **header) -> str:
         ({"mean_loss": 1.0, "diverged": "false"}, {}, 2),
         ({"mean_loss": 1.0, "diverged": 1}, {}, 2),
         ({"mean_loss": 1.0}, {"basis_inconsistent": "no"}, 1),
+        # MSSV lies in [0, 1]: a mean over huge values would overflow to inf
+        ({"mean_loss": 1.0, "subspace": [{"mssv": 1.7e308, "stable_rank": 1.0}]}, {}, 2),
+        ({"mean_loss": 1.0, "subspace": [{"mssv": -3.0, "stable_rank": 1.0}]}, {}, 2),
     ],
     ids=["no_mean_loss", "no_stable_rank", "subspace_string", "diverged_string", "diverged_int",
-         "basis_inconsistent_string"],
+         "basis_inconsistent_string", "mssv_huge", "mssv_negative"],
 )
 def test_analyze_malformed_step_fields_exit_one(tmp_path, capsys, step, header, lineno):
     bad = tmp_path / "bad.log"
@@ -580,6 +583,14 @@ def test_analyze_malformed_step_fields_exit_one(tmp_path, capsys, step, header, 
     err = capsys.readouterr().err
     assert err.startswith(f"analyze: line {lineno}:")
     assert err.count("\n") == 1
+
+
+def test_analyze_accepts_mssv_rounded_past_one(tmp_path, capsys):
+    # the stagnation_demo log reaches this value: an MSSV of 1 plus rounding
+    log = tmp_path / "rounded.log"
+    log.write_text(_two_line_log({"mean_loss": 1.0, "subspace": [{"mssv": 1.000000000000002, "stable_rank": 1.0}]}))
+    assert main(["analyze", str(log)]) == 0
+    assert "mean MSSV at projection updates: 1.000000" in capsys.readouterr().out
 
 
 def test_analyze_header_is_first_non_blank_line(tmp_path, capsys):
