@@ -29,9 +29,9 @@ batches, bit for bit the rows and stream of one `choice` call per batch.
 `shard_starts` entry to its block once, so every batch it hands the
 objective is a plain array of design rows. The held-out eval scores all
 M workers in one stacked `loss` call on (M, B) rows, bitwise equal to M
-per-worker calls. Every mean the step
-and sync paths take (the u and v syncs, the pseudo-gradient, the logged
-mean loss, the refresh metrics) is `np.add.reduce(a, axis=0) / count`:
+per-worker calls. Every mean the step and sync paths take (the u and v
+syncs, the pseudo-gradient, the logged mean loss, the refresh metrics)
+is `np.add.reduce(a, axis=0) / count`:
 the pairwise sum and true division of `np.mean`, without its
 Python-level wrapper. The training gradients and their compression
 stay one (p, q) call per worker: the benchmark's per-layer counters read

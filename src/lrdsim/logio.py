@@ -16,9 +16,6 @@ from . import __version__
 from .config import RunConfig
 from .costs import STRATEGY_LOCAL
 
-# MSSV lies in [0, 1]; rounding takes real logs a few ulps past 1
-MSSV_MAX = 1.0 + 1e-9
-
 
 class LogFormatError(ValueError):
     """Malformed log; message carries the 1-based line number."""
@@ -78,7 +75,8 @@ def _check_step(obj: dict, lineno: int) -> None:
         isinstance(entry, dict) and _is_number(entry.get("mssv")) and _is_number(entry.get("stable_rank"))
     ):
         raise LogFormatError(f"line {lineno}: subspace entry needs numeric mssv and stable_rank")
-    if entry is not None and not 0.0 <= entry["mssv"] <= MSSV_MAX:
+    # MSSV lies in [0, 1]; rounding takes real logs a few ulps past 1
+    if entry is not None and not 0.0 <= entry["mssv"] <= 1.0 + 1e-9:
         raise LogFormatError(f"line {lineno}: mssv must lie in [0, 1], got {entry['mssv']}")
     if not isinstance(obj.get("diverged", False), bool):
         raise LogFormatError(f"line {lineno}: diverged must be true or false")
