@@ -60,7 +60,6 @@ from .optimizer import QHM_NONE, compress_gradient, compute_update, update_momen
 from .problems import MatrixRegression
 from .projection import (
     DegenerateSignalError,
-    identity_projection,
     projection_with_spectrum,
     random_projection,
     rotate_first_moment,
@@ -120,7 +119,7 @@ class Engine:
         self.rank = config.rank
         m_count = config.workers
         if config.projection_init() == PROJECTION_INIT_IDENTITY:
-            basis = identity_projection(pc.rows, self.rank)
+            basis = np.eye(pc.rows, self.rank)
         else:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=config.master_seed, spawn_key=(2, 0)))
             basis = random_projection(pc.rows, self.rank, rng)

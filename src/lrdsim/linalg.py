@@ -1,8 +1,9 @@
 """Minimal dense linear algebra on float64 matrices.
 
-A "matrix" throughout this package is a C-contiguous 2-D float64 numpy
-array. Entries must be finite at API boundaries; helpers here validate
-that and name the offending index on failure.
+`as_matrix`, `svd` and `frobenius_norm` take one matrix, a 2-D float64
+array, and check at that boundary that its entries are finite, naming
+the offending index on failure. `clip_frobenius` also takes a stack of
+matrices, `(..., p, q)`, and clips each on its own.
 
 The SVD is LAPACK's divide-and-conquer gesdd (through numpy) with a
 fixed sign convention, so results are bit-identical for identical input
@@ -11,8 +12,6 @@ on the same machine and BLAS build. Target sizes are small
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,34 +34,20 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD A = U diag(S) V^T with k = min(p, q) columns.
+def svd(a) -> tuple[np.ndarray, np.ndarray]:
+    """Thin SVD via LAPACK (gesdd, through numpy): U and the singular values.
 
-    U (p x k) and V (q x k) are column-orthonormal; S is descending and
-    non-negative. The sign convention makes the largest-magnitude entry
-    of each U column positive (lowest row index wins exact ties).
-    """
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-
-def svd(a) -> SvdResult:
-    """Thin SVD via LAPACK (gesdd, through numpy) plus the sign convention.
-
-    Columns whose singular value is exactly zero still come back
-    orthonormal. Each U column is flipped, together with its V column, so
-    that its largest-magnitude entry is positive (lowest row wins ties).
-    Results are bit-identical for identical input on the same machine and
-    BLAS build.
+    For a (p, q) input with k = min(p, q), U is (p, k) and
+    column-orthonormal, also for columns whose singular value is exactly
+    zero, and S is (k,), descending and non-negative. Each U column is
+    flipped so that its largest-magnitude entry is positive (lowest row
+    wins ties). Results are bit-identical for identical input on the same
+    machine and BLAS build.
     """
     a = as_matrix(a, "svd input")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    u, s, _vt = np.linalg.svd(a, full_matrices=False)
     lead = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-    signs = np.where(lead < 0.0, -1.0, 1.0)
-    return SvdResult(u=u * signs, s=s, v=np.ascontiguousarray(vt.T * signs))
+    return u * np.where(lead < 0.0, -1.0, 1.0), s
 
 
 def frobenius_norm(a) -> float:

@@ -39,24 +39,19 @@ def projection_with_spectrum(signal, rank: int) -> tuple[np.ndarray, np.ndarray]
     signal is zero or its rank is numerically below the requested rank;
     callers keep the previous basis in that case.
     """
-    res = svd(signal)
-    if res.s[0] == 0.0 or res.s[rank - 1] <= 1e-12 * res.s[0]:
+    u, s = svd(signal)
+    # a zero signal fails this too: its s[rank - 1] is 0 <= 0
+    if s[rank - 1] <= 1e-12 * s[0]:
         raise DegenerateSignalError(
-            f"degenerate signal: singular value {rank} is {res.s[rank - 1]:.3e} "
-            f"against leading {res.s[0]:.3e}"
+            f"degenerate signal: singular value {rank} is {s[rank - 1]:.3e} against leading {s[0]:.3e}"
         )
-    return _orthonormal(np.ascontiguousarray(res.u[:, :rank])), res.s
+    return _orthonormal(np.ascontiguousarray(u[:, :rank])), s
 
 
 def random_projection(p: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded Gaussian (p, rank) basis orthonormalized by (twice-applied) Gram-Schmidt."""
     raw = rng.standard_normal((p, rank))
     return _orthonormal(_gram_schmidt(raw))
-
-
-def identity_projection(p: int, rank: int) -> np.ndarray:
-    """The first `rank` columns of the p x p identity."""
-    return np.eye(p, rank)
 
 
 def _gram_schmidt(a: np.ndarray) -> np.ndarray:

@@ -13,16 +13,14 @@ from oracles import gram_svd_oracle, naive_frobenius
 
 
 def test_svd_diagonal():
-    a = np.diag([3.0, 2.0, 1.0])
-    res = svd(a)
-    np.testing.assert_allclose(res.s, [3.0, 2.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(res.u, np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(res.v, np.eye(3), atol=1e-12)
+    u, s = svd(np.diag([3.0, 2.0, 1.0]))
+    np.testing.assert_allclose(s, [3.0, 2.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(u, np.eye(3), atol=1e-12)
 
 
 def test_svd_identity():
-    res = svd(np.eye(4))
-    np.testing.assert_allclose(res.s, np.ones(4), atol=1e-12)
+    _u, s = svd(np.eye(4))
+    np.testing.assert_allclose(s, np.ones(4), atol=1e-12)
 
 
 def test_svd_gaussian_vs_gram_oracle():
@@ -30,11 +28,11 @@ def test_svd_gaussian_vs_gram_oracle():
     # singular values the square roots of its eigenvalues.
     rng = np.random.default_rng(42)
     a = rng.standard_normal((8, 6))
-    res = svd(a)
+    u, s = svd(a)
     s_oracle, u_oracle = gram_svd_oracle(a)
-    np.testing.assert_allclose(res.s, s_oracle[:6], atol=1e-8)
+    np.testing.assert_allclose(s, s_oracle[:6], atol=1e-8)
     for j in range(6):
-        dot = abs(float(res.u[:, j] @ u_oracle[:, j]))
+        dot = abs(float(u[:, j] @ u_oracle[:, j]))
         assert dot > 1.0 - 1e-8, f"column {j} misaligned (|dot|={dot})"
 
 
@@ -45,6 +43,19 @@ def test_svd_rejects_non_finite():
         svd(a)
 
 
+def assert_factorizes(a, u, s, tol):
+    """A = U diag(S) V^T for some column-orthonormal V, checked without V.
+
+    U U^T A = A says A's columns lie in U's span; the rows of U^T A
+    (= diag(S) V^T) being mutually orthogonal with norms S says the V they
+    imply is orthonormal wherever S is non-zero.
+    """
+    scale = max(np.linalg.norm(a), 1e-300)
+    proj = u.T @ a
+    assert np.linalg.norm(u @ proj - a) / scale < tol
+    assert np.linalg.norm(proj @ proj.T - np.diag(s * s)) / (scale * scale) < tol
+
+
 def test_svd_reconstruction_and_orthonormality_many_seeds():
     rng = np.random.default_rng(0)
     for seed in range(100):
@@ -52,56 +63,64 @@ def test_svd_reconstruction_and_orthonormality_many_seeds():
         p = int(rng.integers(1, 33))
         q = int(rng.integers(1, 33))
         a = local.standard_normal((p, q))
-        res = svd(a)
+        u, s = svd(a)
         k = min(p, q)
-        rec = res.u @ np.diag(res.s) @ res.v.T
-        denom = max(np.linalg.norm(a), 1e-300)
-        assert np.linalg.norm(rec - a) / denom < 1e-8
-        assert np.linalg.norm(res.u.T @ res.u - np.eye(k)) < 1e-10
-        assert np.linalg.norm(res.v.T @ res.v - np.eye(k)) < 1e-10
-        assert np.all(np.diff(res.s) <= 1e-15)
-        assert np.all(res.s >= 0.0)
+        assert u.shape == (p, k) and s.shape == (k,)
+        assert_factorizes(a, u, s, 1e-8)
+        assert np.linalg.norm(u.T @ u - np.eye(k)) < 1e-10
+        assert np.all(np.diff(s) <= 1e-15)
+        assert np.all(s >= 0.0)
 
 
 def test_svd_zero_and_rank_deficient():
-    res = svd(np.zeros((4, 3)))
-    np.testing.assert_array_equal(res.s, np.zeros(3))
-    assert np.linalg.norm(res.u.T @ res.u - np.eye(3)) < 1e-10
+    u, s = svd(np.zeros((4, 3)))
+    np.testing.assert_array_equal(s, np.zeros(3))
+    assert np.linalg.norm(u.T @ u - np.eye(3)) < 1e-10
     rng = np.random.default_rng(5)
     lowrank = np.outer(rng.standard_normal(6), rng.standard_normal(5))
-    res = svd(lowrank)
-    assert res.s[1] < 1e-12 * res.s[0]
-    rec = res.u @ np.diag(res.s) @ res.v.T
-    assert np.linalg.norm(rec - lowrank) < 1e-10
+    u, s = svd(lowrank)
+    assert s[1] < 1e-12 * s[0]
+    assert np.linalg.norm(u.T @ u - np.eye(5)) < 1e-10
+    assert_factorizes(lowrank, u, s, 1e-10)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (9, 9), (5, 9), (9, 5), (64, 64)])
+def test_svd_is_numpy_svd_with_u_sign_flipped(seed, shape):
+    a = np.random.default_rng(seed).standard_normal(shape)
+    u, s = svd(a)
+    u_np, s_np, _vt = np.linalg.svd(a, full_matrices=False)
+    lead = u_np[np.argmax(np.abs(u_np), axis=0), np.arange(u_np.shape[1])]
+    assert u.tobytes() == (u_np * np.where(lead < 0.0, -1.0, 1.0)).tobytes()
+    assert s.tobytes() == s_np.tobytes()
 
 
 def test_svd_bit_deterministic():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((17, 11))
-    r1 = svd(a)
-    r2 = svd(a)
-    assert r1.u.tobytes() == r2.u.tobytes()
-    assert r1.s.tobytes() == r2.s.tobytes()
-    assert r1.v.tobytes() == r2.v.tobytes()
+    u1, s1 = svd(a)
+    u2, s2 = svd(a)
+    assert u1.tobytes() == u2.tobytes()
+    assert s1.tobytes() == s2.tobytes()
 
 
 def test_svd_sign_convention():
     rng = np.random.default_rng(11)
     for shape in [(9, 9), (5, 9), (9, 5)]:
-        res = svd(rng.standard_normal(shape))
+        u, _s = svd(rng.standard_normal(shape))
         for j in range(min(shape)):
-            col = res.u[:, j]
+            col = u[:, j]
             assert col[np.argmax(np.abs(col))] > 0.0, (shape, j)
 
 
 def test_spectral_norm_cases():
-    assert svd(np.diag([3.0, 2.0, 1.0])).s[0] == pytest.approx(3.0, abs=1e-12)
-    assert svd(np.zeros((3, 4))).s[0] == 0.0
+    assert svd(np.diag([3.0, 2.0, 1.0]))[1][0] == pytest.approx(3.0, abs=1e-12)
+    assert svd(np.zeros((3, 4)))[1][0] == 0.0
     a = np.array([1.0, -2.0, 0.5])
     b = np.array([0.3, 4.0])
     outer = np.outer(a, b)
     expect = np.linalg.norm(a) * np.linalg.norm(b)
-    assert svd(outer).s[0] == pytest.approx(expect, rel=1e-12)
+    assert svd(outer)[1][0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_frobenius_norm_cases():
@@ -133,7 +152,7 @@ def test_norm_inequalities_random():
         p = int(rng.integers(1, 20))
         q = int(rng.integers(1, 20))
         a = rng.standard_normal((p, q))
-        spec = svd(a).s[0]
+        spec = svd(a)[1][0]
         frob = frobenius_norm(a)
         assert spec <= frob + 1e-10
         assert frob <= np.sqrt(min(p, q)) * spec + 1e-10

@@ -15,7 +15,6 @@ from lrdsim.optimizer import (
 )
 from lrdsim.projection import (
     projection_with_spectrum,
-    identity_projection,
     random_projection,
     rotate_first_moment,
     rotate_second_moment,
@@ -42,7 +41,7 @@ def test_compress_lossless_when_square():
 
 
 def test_compress_coordinate_projection():
-    state = fresh_state(2, 1, identity_projection(2, 1))
+    state = fresh_state(2, 1, np.eye(2, 1))
     g, new_e = compress_gradient(np.array([[1.0], [2.0]]), state.error, state.basis)
     np.testing.assert_array_equal(g, [[1.0]])
     np.testing.assert_array_equal(new_e, [[0.0], [2.0]])
@@ -204,7 +203,7 @@ def test_full_rank_equivalence_with_identity_projection():
     rng = np.random.default_rng(31)
     p, q = 7, 5
     hp = HyperConfig(beta1=0.9, beta2=0.999, lr=0.05, eps=1e-8)
-    state = fresh_state(p, q, identity_projection(p, p))
+    state = fresh_state(p, q, np.eye(p, p))
     x_low = rng.standard_normal((p, q))
     x_ref = x_low.copy()
     u_ref = np.zeros((p, q))
