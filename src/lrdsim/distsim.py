@@ -15,6 +15,15 @@ rotation R = Q_new^T Q_old once, rotates the moments with it, and
 derives the logged MSSV and sin-theta from it; a degenerate or
 non-finite signal keeps its stale basis and moments.
 
+Invariant: E_m = 0 right after worker m's basis is replaced. The error
+buffer holds what compression discarded against the basis it was
+compressed with, so a refresh that replaces the basis empties it, and
+||E_m||_F never exceeds the clip radius times the compressions since.
+While a basis stays fixed, compression keeps Q^T E = 0, so E never
+reaches the compressed gradient; only the local strategy reads it, in
+its refresh signal. Under the global strategy `error_feedback: true`
+therefore equals EF off, up to rounding.
+
 The M workers are stacked: parameters and error buffers are one
 (M, p, q) array, moments one (M, r, q) array and bases one (M, p, r)
 array, and the optimizer kernels run once per step over the whole stack.
@@ -181,12 +190,13 @@ class Engine:
         `signals` is a (k, p, q) stack: k = 1 holds the global signal,
         whose basis every worker shares, and k = M one signal per worker.
         Signal j's rotation turns the moments of every worker when k = 1
-        and of worker j otherwise. A degenerate signal keeps its stale
-        basis, and so does a non-finite one: the step's parameters are
-        then non-finite too, which marks it diverged. The entry holds
-        each metric's mean over the bases that moved, or is None when
-        none moved. `t` counts the moment updates taken so far; with
-        t = 0 there are no moments to rotate.
+        and of worker j otherwise; the same workers' error buffers are
+        emptied with the basis. A degenerate signal keeps its stale basis
+        and error buffers, and so does a non-finite one: the step's
+        parameters are then non-finite too, which marks it diverged. The
+        entry holds each metric's mean over the bases that moved, or is
+        None when none moved. `t` counts the moment updates taken so far;
+        with t = 0 there are no moments to rotate.
         """
         s = self.stack
         hp = self.cfg.hyperparams
@@ -205,6 +215,7 @@ class Engine:
             # `old` is a view into the stack: measure before the new basis overwrites it
             moved.append(subspace_metrics_from_update(new, old, r_mat, sig_s))
             s.basis[rows] = new
+            s.error[rows] = 0.0
         if not moved:
             return None
         return {key: float(np.add.reduce([m[key] for m in moved]) / len(moved)) for key in moved[0]}

@@ -1,4 +1,5 @@
 import copy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import yaml
 
 from lrdsim import costs
 from lrdsim.cli import main
-from lrdsim.config import _array_bytes, from_dict
+from lrdsim.config import _array_bytes, from_dict, load_file
 from lrdsim.distsim import ELEMENT_SIZE, Engine, sparsify_topk
 from lrdsim.linalg import clip_frobenius
 from lrdsim.optimizer import (
@@ -28,6 +29,8 @@ from lrdsim.projection import (
 )
 
 from kernel_state import fresh_state
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def cfg_dict(**over):
@@ -391,6 +394,7 @@ def test_engine_error_feedback_residual_orthogonal_to_basis(strategy):
     engine = Engine(cfg)
     s = engine.stack
     checked = []
+    residual = {}
     before = s.basis.copy()
     for rec in engine.records():
         # the local strategy refreshes before compressing; the global one
@@ -398,12 +402,40 @@ def test_engine_error_feedback_residual_orthogonal_to_basis(strategy):
         if strategy == "local" or np.array_equal(s.basis, before):
             assert np.max(np.abs(np.swapaxes(s.basis, -1, -2) @ s.error)) < 1e-12, f"step {rec['step']}"
             checked.append(rec["step"])
+        residual[rec["step"]] = np.max(np.abs(s.error))
         before = s.basis.copy()
-    assert np.max(np.abs(s.error)) > 1e-3  # the buffers carry a real residual
+    # the buffers carry a real residual; step 10 is the last before the
+    # step-11 sync, whose global refresh empties them
+    assert residual[10] > 1e-3
     if strategy == "local":
         assert checked == list(range(12))
     else:
         assert checked == [t for t in range(12) if (t + 1) % 4 != 0]
+
+
+@pytest.mark.parametrize("strategy", ["global", "local"])
+def test_engine_error_buffer_bounded_by_compressions_since_basis_moved(strategy):
+    # Each compression adds at most one clipped gradient to E_m, and E_m is
+    # emptied whenever worker m's basis is replaced, so ||E_m||_F <= k_m * c
+    # with k_m the compressions since that basis moved and c the clip radius.
+    cfg = load_file(str(CONFIGS / f"reference_{strategy}.yaml"))
+    engine = Engine(cfg)
+    s = engine.stack
+    # the local strategy refreshes before the step's compression, the global one after it
+    after_move = 1 if strategy == "local" else 0
+    since = np.zeros(cfg.workers)
+    before = s.basis.copy()
+    steps = 0
+    for rec in engine.records():
+        assert not rec["diverged"]
+        moved = np.array([not np.array_equal(s.basis[m], before[m]) for m in range(cfg.workers)])
+        since = np.where(moved, after_move, since + 1)
+        norms = np.sqrt(np.sum(s.error * s.error, axis=(1, 2)))
+        bound = since * cfg.hyperparams.clip_radius
+        assert np.all(norms <= bound * (1.0 + 1e-12)), (rec["step"], norms, bound)
+        before = s.basis.copy()
+        steps += 1
+    assert steps == cfg.steps == 640
 
 
 # ---- determinism -------------------------------------------------------------
