@@ -7,6 +7,7 @@ but diverged (sweeps also exit 2 when any point diverges).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -169,11 +170,11 @@ def cmd_sweep(args) -> int:
             if summary["diverged"]:
                 print(f"sweep point {label} diverged after {summary['steps']} steps; log at {path}", file=sys.stderr)
             rows.append((raw, str(path), summary["mean_loss"], summary["diverged"]))
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            fh.write("axis,value,final_loss,diverged,log\n")
+        with open(summary_path, "w", encoding="utf-8", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(("axis", "value", "final_loss", "diverged", "log"))
             for raw, path, final, diverged in rows:
-                final_txt = "" if final is None else repr(final)
-                fh.write(f"{args.axis},{raw},{final_txt},{str(diverged).lower()},{path}\n")
+                out.writerow((args.axis, raw, "" if final is None else repr(final), str(diverged).lower(), path))
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 1

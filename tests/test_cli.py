@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -324,6 +325,17 @@ def test_sweep_rank_axis(cfg_path, tmp_path):
         assert parts[3] == "false"
         assert float(parts[2]) > 0
 
+
+
+def test_sweep_summary_quotes_a_comma_in_the_log_path(cfg_path, tmp_path):
+    # summary.csv is CSV: a field holding a comma is quoted, so every row keeps the header's 5 fields
+    out_dir = tmp_path / "sw,eep"
+    assert main(["sweep", "--config", cfg_path(), "--axis", "rank", "--values", "2,4", "--out-dir", str(out_dir)]) == 0
+    with open(out_dir / "summary.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["axis", "value", "final_loss", "diverged", "log"]
+    assert [row[:2] for row in rows[1:]] == [["rank", "2"], ["rank", "4"]]
+    assert [row[4] for row in rows[1:]] == [str(out_dir / "rank2.log"), str(out_dir / "rank4.log")]
 
 def test_sweep_batch_and_workers_axis(cfg_path, tmp_path):
     out_dir = tmp_path / "sweepm"
