@@ -9,13 +9,16 @@ the `log_hashes` of the BENCH_<n>.json files. Each runs through
 `lrdsim.cli.main(["run", ..., "--threads", "1"])` in a fresh process with
 one BLAS thread; the `batch_and_workers` sweep of `reference_local` runs
 the same way through `sweep`. The output is one JSON object,
-`{name: {sha256, exit, stderr_lines}}`; the sweep's `summary.csv` is
-hashed without its log-path column.
+`{name: {sha256, steps_sha256, exit, stderr_lines}}`. `steps_sha256`
+hashes a log's bytes after its header line, so it shows whether the
+step records moved when the header's version changes; it is null for the
+sweep's `summary.csv`, which is hashed without its log-path column.
 
 Hashes hold per machine and per BLAS build only: compare two trees on one
 host, or a tree against a BENCH file written on the same host and build.
 `--compare` checks each variant against the file's `change` side; it reads
-the `log_hashes` layout of BENCH_12.json and later files.
+the `log_hashes` layout of BENCH_12.json and later files, and compares
+`steps_sha256` only where the file records it (BENCH_21.json and later).
 """
 
 from __future__ import annotations
@@ -110,6 +113,14 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _log_digests(path: Path) -> dict:
+    """{sha256, steps_sha256} of a log: all its bytes, and those after the header line; None when absent."""
+    if not path.exists():
+        return {"sha256": None, "steps_sha256": None}
+    data = path.read_bytes()
+    return {"sha256": _sha256(data), "steps_sha256": _sha256(data.partition(b"\n")[2])}
+
+
 def _cli(src: Path, args: list) -> tuple[int, int]:
     """Run `lrdsim.cli.main(args)` from `src` in a fresh process; (exit code, stderr lines)."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -130,23 +141,21 @@ def run_all(tree: Path) -> dict:
             cfg, log = tmp / f"{name}.yaml", tmp / f"{name}.log"
             cfg.write_text(yaml.safe_dump(variant_dict(name)), encoding="utf-8")
             code, lines = _cli(src, ["run", "--config", str(cfg), "--out", str(log), "--threads", "1"])
-            digest = _sha256(log.read_bytes()) if log.exists() else None
-            results[name] = {"sha256": digest, "exit": code, "stderr_lines": lines}
+            results[name] = dict(_log_digests(log), exit=code, stderr_lines=lines)
         base, axis, values = SWEEP
         out_dir = tmp / "sweep"
         code, lines = _cli(src, ["sweep", "--config", str(ROOT / BASES[base]), "--axis", axis,
                                  "--values", values, "--out-dir", str(out_dir), "--threads", "1"])
         for fname in SWEEP_FILES:
             path = out_dir / fname
-            if not path.exists():
-                digest = None
-            elif fname == "summary.csv":
+            if fname == "summary.csv" and path.exists():
                 # the last column is the log's path, which differs between checkouts
                 rows = path.read_text(encoding="utf-8").splitlines()
-                digest = _sha256("\n".join(row.rsplit(",", 1)[0] for row in rows).encode())
+                digests = {"sha256": _sha256("\n".join(row.rsplit(",", 1)[0] for row in rows).encode()),
+                           "steps_sha256": None}
             else:
-                digest = _sha256(path.read_bytes())
-            results[f"sweep/{fname}"] = {"sha256": digest, "exit": code, "stderr_lines": lines}
+                digests = _log_digests(path)
+            results[f"sweep/{fname}"] = dict(digests, exit=code, stderr_lines=lines)
     return results
 
 
@@ -155,12 +164,15 @@ def expected_from(bench: dict) -> dict:
     hashes = bench["log_hashes"]
     want = {}
     for name, entry in hashes.get("configs", {}).items():
-        want[name] = {"sha256": entry["change"], "exit": entry.get("exit", {}).get("change"),
+        want[name] = {"sha256": entry["change"],
+                      "steps_sha256": (entry.get("steps_sha256") or {}).get("change"),
+                      "exit": entry.get("exit", {}).get("change"),
                       "stderr_lines": entry.get("stderr_lines", {}).get("change")}
     sweep = hashes.get("sweep", {})
     for fname in SWEEP_FILES:
         if fname in sweep:
             want[f"sweep/{fname}"] = {"sha256": sweep[fname]["change"],
+                                      "steps_sha256": (sweep[fname].get("steps_sha256") or {}).get("change"),
                                       "exit": sweep.get("exit", {}).get("change"),
                                       "stderr_lines": sweep.get("stderr_lines", {}).get("change")}
     return want
