@@ -430,7 +430,7 @@ def test_engine_error_buffer_bounded_by_compressions_since_basis_moved(strategy)
         assert not rec["diverged"]
         moved = np.array([not np.array_equal(s.basis[m], before[m]) for m in range(cfg.workers)])
         since = np.where(moved, after_move, since + 1)
-        norms = np.sqrt(np.sum(s.error * s.error, axis=(1, 2)))
+        norms = np.linalg.norm(s.error, axis=(1, 2))
         bound = since * cfg.hyperparams.clip_radius
         assert np.all(norms <= bound * (1.0 + 1e-12)), (rec["step"], norms, bound)
         before = s.basis.copy()
