@@ -326,7 +326,6 @@ def test_sweep_rank_axis(cfg_path, tmp_path):
         assert float(parts[2]) > 0
 
 
-
 def test_sweep_summary_quotes_a_comma_in_the_log_path(cfg_path, tmp_path):
     # summary.csv is CSV: a field holding a comma is quoted, so every row keeps the header's 5 fields
     out_dir = tmp_path / "sw,eep"
@@ -336,6 +335,7 @@ def test_sweep_summary_quotes_a_comma_in_the_log_path(cfg_path, tmp_path):
     assert rows[0] == ["axis", "value", "final_loss", "diverged", "log"]
     assert [row[:2] for row in rows[1:]] == [["rank", "2"], ["rank", "4"]]
     assert [row[4] for row in rows[1:]] == [str(out_dir / "rank2.log"), str(out_dir / "rank4.log")]
+
 
 def test_sweep_batch_and_workers_axis(cfg_path, tmp_path):
     out_dir = tmp_path / "sweepm"
