@@ -51,6 +51,11 @@ move only with the benchmark.
 `Engine.records()` yields each step's log record as the dict that
 `logio.write_log` writes, and stops after the first diverged one; the
 log header's fields come from the config alone (`logio.header_record`).
+A step diverges exactly when its record carries a non-finite number, a
+worker's held-out loss or a subspace metric: every design entry is
+finite, so a non-finite parameter makes its worker's loss non-finite
+(0 * inf = NaN). Basis orthonormality is a tested property of gesdd and
+Gram-Schmidt, not a run-time check.
 """
 
 from __future__ import annotations
@@ -192,8 +197,9 @@ class Engine:
         Signal j's rotation turns the moments of every worker when k = 1
         and of worker j otherwise; the same workers' error buffers are
         emptied with the basis. A degenerate signal keeps its stale basis
-        and error buffers, and so does a non-finite one: the step's
-        parameters are then non-finite too, which marks it diverged. The
+        and error buffers, and so does a non-finite one: some worker's
+        parameters and so its loss are then non-finite, which marks the
+        step diverged. New bases are orthonormal by gesdd, unchecked. The
         entry holds each metric's mean over the bases that moved, or is
         None when none moved. `t` counts the moment updates taken so far;
         with t = 0 there are no moments to rotate.
@@ -284,7 +290,7 @@ class Engine:
             # drawn after the step's training batch, scored in one stacked call
             losses = prob.loss(s.x, block[:, row + 1])
             worker_losses = [x if math.isfinite(x) else None for x in losses.tolist()]
-            diverged = None in worker_losses or not np.isfinite(s.x).all()
+            diverged = None in worker_losses
             # a diverging signal can overflow its spectrum's diagnostics
             if entry is not None and not all(map(math.isfinite, entry.values())):
                 entry, diverged = None, True

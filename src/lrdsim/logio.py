@@ -10,6 +10,7 @@ append-only and parseable line by line. Serialization is deterministic
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable, TextIO
 
 from . import __version__
@@ -53,20 +54,19 @@ def write_log(fh: TextIO, config: RunConfig, records: Iterable[dict]) -> dict:
 
 
 def _is_number(value) -> bool:
-    """A JSON number that converts to a float; booleans are not numbers."""
+    """A JSON number that converts to a finite float, as `dump_line` writes; booleans are not numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     try:
-        float(value)
+        return math.isfinite(value)
     except OverflowError:
         return False
-    return True
 
 
 def _check_step(obj: dict, lineno: int) -> None:
     """Check the step fields that `lrdsim analyze` reads."""
     if "mean_loss" not in obj or not (obj["mean_loss"] is None or _is_number(obj["mean_loss"])):
-        raise LogFormatError(f"line {lineno}: mean_loss must be a number or null")
+        raise LogFormatError(f"line {lineno}: mean_loss must be a finite number or null")
     subspace = obj.get("subspace")
     if subspace is not None and not isinstance(subspace, list):
         raise LogFormatError(f"line {lineno}: subspace must be a list or null")
@@ -74,7 +74,7 @@ def _check_step(obj: dict, lineno: int) -> None:
     if entry is not None and not (
         isinstance(entry, dict) and _is_number(entry.get("mssv")) and _is_number(entry.get("stable_rank"))
     ):
-        raise LogFormatError(f"line {lineno}: subspace entry needs numeric mssv and stable_rank")
+        raise LogFormatError(f"line {lineno}: subspace entry needs finite numeric mssv and stable_rank")
     # MSSV lies in [0, 1]; rounding takes real logs a few ulps past 1
     if entry is not None and not 0.0 <= entry["mssv"] <= 1.0 + 1e-9:
         raise LogFormatError(f"line {lineno}: mssv must lie in [0, 1], got {entry['mssv']}")

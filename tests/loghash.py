@@ -78,6 +78,11 @@ VARIANTS = {
     # the step-0 pseudo-gradient overflows to -inf, so the K = 1 refresh's signal is non-finite
     "diverge_inf_refresh": ("reference_global", {"hyperparams": {"lr": 1.7e308, "warmup_steps": 0},
                                                  "qhm": {"start_step": 0}, "schedule": {"k_x": 1}, "steps": 50}),
+    # step 0 leaves non-finite parameters inside and outside every worker's feature block:
+    # the held-out losses alone mark it diverged
+    "diverge_inf_feature_blocks": ("reference_global", {"problem": {"shard_policy": "feature_blocks"},
+                                                        "hyperparams": {"lr": 1.7e308, "warmup_steps": 0},
+                                                        "qhm": {"start_step": 0}, "steps": 50}),
     # set-up paths of `MatrixRegression`: no label noise, a dense target, and a last noise block of 4 rows
     "noise_free": ("reference_global", {"problem": {"noise_std": 0.0}}),
     "dense_target": ("reference_global", {"problem": {"target_rank": None}}),

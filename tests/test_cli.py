@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -584,9 +585,15 @@ def _two_line_log(step: dict, **header) -> str:
         # MSSV lies in [0, 1]: a mean over huge values would overflow to inf
         ({"mean_loss": 1.0, "subspace": [{"mssv": 1.7e308, "stable_rank": 1.0}]}, {}, 2),
         ({"mean_loss": 1.0, "subspace": [{"mssv": -3.0, "stable_rank": 1.0}]}, {}, 2),
+        # `run` never writes a non-finite number, but `json.loads` reads NaN and Infinity as floats
+        ({"mean_loss": math.nan}, {}, 2),
+        ({"mean_loss": math.inf}, {}, 2),
+        ({"mean_loss": 1.0, "subspace": [{"mssv": 1.0, "stable_rank": math.nan}]}, {}, 2),
+        ({"mean_loss": 1.0, "subspace": [{"mssv": 1.0, "stable_rank": 1e999}]}, {}, 2),
     ],
     ids=["no_mean_loss", "no_stable_rank", "subspace_string", "diverged_string", "diverged_int",
-         "basis_inconsistent_string", "mssv_huge", "mssv_negative"],
+         "basis_inconsistent_string", "mssv_huge", "mssv_negative",
+         "mean_loss_nan", "mean_loss_inf", "stable_rank_nan", "stable_rank_1e999"],
 )
 def test_analyze_malformed_step_fields_exit_one(tmp_path, capsys, step, header, lineno):
     bad = tmp_path / "bad.log"

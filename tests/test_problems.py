@@ -104,6 +104,28 @@ def test_feature_blocks_give_disjoint_gradient_support():
     assert sin_theta_distance(q0, q1) == pytest.approx(np.sqrt(2.0), abs=1e-8)
 
 
+@pytest.mark.parametrize("policy", ["iid", "feature_blocks"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_parameter_makes_its_worker_loss_non_finite(policy, value):
+    # the engine marks divergence from the held-out losses alone: a
+    # non-finite entry of worker m's parameters must reach worker m's loss
+    # even where m's design columns are zero (0 * inf = NaN), and no other's
+    workers, p, q = 4, 8, 5
+    prob = small_problem(p=p, q=q, n_rows=48, workers=workers, shard_policy=policy)
+    block = p // workers
+    rng = np.random.default_rng(2)
+    rows = np.stack([prob.sample_batch(4, rng, 1)[0] for _ in range(workers)]) + prob.shard_starts[:, None]
+    for m in range(workers):
+        # a row inside the next worker's feature block, so outside m's own
+        outside = ((m + 1) % workers) * block
+        for col in (0, q - 1):
+            x = rng.standard_normal((workers, p, q))
+            x[m, outside, col] = value
+            with np.errstate(invalid="ignore"):
+                finite = np.isfinite(prob.loss(x, rows))
+            assert finite.tolist() == [k != m for k in range(workers)], (m, col)
+
+
 @pytest.mark.parametrize("n_rows", [40, 600])
 def test_labels_equal_one_noise_draw(n_rows):
     # the blockwise noise equals labels = A X* + sigma * Z with Z drawn at once, bit for bit
