@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrdsim.linalg import svd
+from lrdsim.linalg import NonFiniteError, svd
 from lrdsim.projection import (
     DegenerateSignalError,
     mssv,
@@ -15,6 +17,7 @@ from lrdsim.projection import (
     sin_theta_distance,
     spectral_gap,
     stable_rank,
+    subspace_metrics_from_update,
 )
 
 from oracles import jacobi_eigh, subspace_sin_theta
@@ -111,6 +114,47 @@ def test_stable_rank_cases():
     assert stable_rank(svd(np.diag([2.0, 1.0]))[1]) == pytest.approx(1.25)
     with pytest.warns(RuntimeWarning):
         assert stable_rank(svd(np.zeros((3, 3)))[1]) == 0.0
+
+
+@pytest.mark.parametrize("k", [-900, -600, 600, 900])
+def test_metrics_invariant_under_power_of_two_scaling(k):
+    # 2^k moves every raw square out of float64's range, but not the spectrum itself
+    rng = np.random.default_rng(5)
+    q_new, s = projection_with_spectrum(rng.standard_normal((10, 7)), rank=3)
+    q_old = random_projection(10, 3, rng)
+    r_mat = rotation_matrix(q_new, q_old)
+    scaled = np.ldexp(s, k)
+    assert stable_rank(scaled) == stable_rank(s)
+    want = subspace_metrics_from_update(q_new, q_old, r_mat, s)
+    got = subspace_metrics_from_update(q_new, q_old, r_mat, scaled)
+    for key in ("mssv", "sin_theta", "stable_rank"):
+        assert got[key] == want[key]
+    assert got["spectral_gap"] == np.ldexp(want["spectral_gap"], k)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), p=st.integers(2, 6), q=st.integers(1, 6), exponent=st.integers(-1074, 1023))
+def test_finite_signal_is_skipped_or_gives_finite_entry(data, p, q, exponent):
+    # extreme entries, or a Gaussian signal at any binary scale, as a refresh may see them
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        signal = np.array(data.draw(st.lists(_FINITE, min_size=p * q, max_size=p * q))).reshape(p, q)
+    else:
+        signal = rng.standard_normal((p, q))
+        signal = np.ldexp(signal / np.abs(signal).max(), exponent)  # entries up to 2^exponent, so finite
+    rank = data.draw(st.integers(1, min(p, q)))
+    q_old = random_projection(p, rank, rng)
+    # `lrdsim run` silences numpy's overflow warnings the same way
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            q_new, s = projection_with_spectrum(signal, rank)
+        except (DegenerateSignalError, NonFiniteError):
+            return
+        entry = subspace_metrics_from_update(q_new, q_old, rotation_matrix(q_new, q_old), s)
+    assert all(map(math.isfinite, entry.values())), entry
 
 
 def test_spectral_gap_cases():
