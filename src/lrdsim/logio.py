@@ -78,6 +78,9 @@ def _check_step(obj: dict, lineno: int) -> None:
     # MSSV lies in [0, 1]; rounding takes real logs a few ulps past 1
     if entry is not None and not 0.0 <= entry["mssv"] <= 1.0 + 1e-9:
         raise LogFormatError(f"line {lineno}: mssv must lie in [0, 1], got {entry['mssv']}")
+    # ||A||_F^2 / sigma_1^2 >= 1, exactly so in float64: the sum of squares includes sigma_1^2
+    if entry is not None and entry["stable_rank"] < 1.0:
+        raise LogFormatError(f"line {lineno}: stable_rank must be at least 1, got {entry['stable_rank']}")
     if not isinstance(obj.get("diverged", False), bool):
         raise LogFormatError(f"line {lineno}: diverged must be true or false")
 

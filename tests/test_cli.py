@@ -591,10 +591,15 @@ def _two_line_log(step: dict, **header) -> str:
         ({"mean_loss": math.inf}, {}, 2),
         ({"mean_loss": 1.0, "subspace": [{"mssv": 1.0, "stable_rank": math.nan}]}, {}, 2),
         ({"mean_loss": 1.0, "subspace": [{"mssv": 1.0, "stable_rank": 1e999}]}, {}, 2),
+        # a stable rank is at least 1
+        ({"mean_loss": 1.0, "subspace": [{"mssv": 1.0, "stable_rank": 0.5}]}, {}, 2),
+        ({"mean_loss": 1.0, "subspace": [{"mssv": 1.0, "stable_rank": 0.0}]}, {}, 2),
+        ({"mean_loss": 1.0, "subspace": [{"mssv": 1.0, "stable_rank": -3.0}]}, {}, 2),
     ],
     ids=["no_mean_loss", "no_stable_rank", "subspace_string", "diverged_string", "diverged_int",
          "basis_inconsistent_string", "mssv_huge", "mssv_negative",
-         "mean_loss_nan", "mean_loss_inf", "stable_rank_nan", "stable_rank_1e999"],
+         "mean_loss_nan", "mean_loss_inf", "stable_rank_nan", "stable_rank_1e999",
+         "stable_rank_below_one", "stable_rank_zero", "stable_rank_negative"],
 )
 def test_analyze_malformed_step_fields_exit_one(tmp_path, capsys, step, header, lineno):
     bad = tmp_path / "bad.log"
