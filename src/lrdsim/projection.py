@@ -73,7 +73,7 @@ def stable_rank(s) -> float:
     if s[0] == 0.0:
         warnings.warn("stable_rank of a zero matrix is reported as 0", RuntimeWarning, stacklevel=2)
         return 0.0
-    s = np.ldexp(s, -np.frexp(s[0])[1])  # an exact power of two puts sigma_1 in [0.5, 1): no square overflows
+    s = np.ldexp(s, -np.frexp(s[0])[1])  # an exact power of two puts sigma_1 in [0.5, 1), so sigma_1^2 stays in range
     return float(np.sum(s * s) / (s[0] * s[0]))
 
 

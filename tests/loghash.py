@@ -2,7 +2,7 @@
 
     python3 tests/loghash.py                            # this checkout's src
     python3 tests/loghash.py --tree ../parent           # another checkout's src
-    python3 tests/loghash.py --compare BENCH_17.json    # exit 1 on any difference
+    python3 tests/loghash.py --compare BENCH_23.json    # exit 1 on any difference
 
 Each variant is a base config file plus a dict of overrides, named as in
 the `log_hashes` of the BENCH_<n>.json files. Each runs through
@@ -92,6 +92,9 @@ VARIANTS = {
     # M = 3: x / M and x * (1 / M) round differently, so a worker mean computed by a reciprocal shows
     "ref_global_m3": ("reference_global", {"workers": 3, "problem": {"design_rows": 3072}}),
     "ref_local_m3": ("reference_local", {"workers": 3, "problem": {"design_rows": 3072}}),
+    # every refresh signal's sigma_1 lies far below 1e-154, where its raw square underflows to 0
+    "tiny_lr": ("reference_global", {"hyperparams": {"lr": 1.0e-170}}),
+    "tiny_clip_local": ("reference_local", {"hyperparams": {"clip_radius": 1.0e-170}}),
 }
 
 SWEEP = ("reference_local", "batch_and_workers", "1,2")

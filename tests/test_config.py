@@ -130,6 +130,15 @@ def test_loghash_variant_builds(name):
     from_dict(loghash.variant_dict(name))
 
 
+def test_readme_byte_gate_names_newest_bench_file():
+    # the gate the README gives must check every variant against the latest recorded hashes
+    newest = max(loghash.ROOT.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
+    readme = (loghash.ROOT / "README.md").read_text(encoding="utf-8")
+    assert f"python3 tests/loghash.py --compare {newest.name}" in readme
+    recorded = json.loads(newest.read_text(encoding="utf-8"))["log_hashes"]["configs"]
+    assert sorted(set(loghash.VARIANTS) - set(recorded)) == []
+
+
 def test_package_version_is_lrdsim_version():
     # pyproject.toml reads its version from lrdsim.__version__, which the log header records
     pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")

@@ -579,7 +579,6 @@ def test_divergence_produces_terminal_record():
     assert all(not r["diverged"] for r in recs[:-1])
 
 
-
 @pytest.mark.parametrize("strategy, scale", [("global", {"lr": 1e-170}), ("local", {"clip_radius": 1e-170})])
 def test_tiny_scale_run_has_finite_refresh_entries(strategy, scale):
     # every refresh signal is of order 1e-170, so its raw singular values square to 0
@@ -592,6 +591,7 @@ def test_tiny_scale_run_has_finite_refresh_entries(strategy, scale):
     entries = [r["subspace"][0] for r in recs if r["subspace"]]
     assert len(entries) == 2
     assert all(0.0 <= e["mssv"] <= 1.0 + 1e-9 and e["stable_rank"] >= 1.0 for e in entries)
+
 
 def test_byte_accounting_matches_analytic_totals():
     steps = 24
