@@ -226,7 +226,7 @@ class Engine:
             return None
         return {key: float(np.add.reduce([m[key] for m in moved]) / len(moved)) for key in moved[0]}
 
-    def _sync_phase(self, t: int, entry: Optional[dict]) -> tuple[int, int, Optional[list]]:
+    def _sync_phase(self, t: int, entry: Optional[dict]) -> tuple[int, int, Optional[dict]]:
         """Fire the syncs due after step t; `entry` is the step's local-refresh subspace entry."""
         cfg = self.cfg
         sched = cfg.schedule
@@ -242,34 +242,26 @@ class Engine:
             uplink += pay.up_second
             downlink += pay.down_second
         if (t + 1) % sched.k_x == 0:
-            # only the global strategy refreshes here, and only the local one before
-            entry = self._sync_params(t) or entry
+            # the pseudo-gradients overwrite x, which receives x_new below
+            deltas = np.subtract(s.x, self.anchor, out=s.x)
+            if cfg.flags.sparsify_keep < 1.0:
+                for m in range(cfg.workers):
+                    deltas[m] = sparsify_topk(deltas[m], cfg.flags.sparsify_keep)
+            delta = np.add.reduce(deltas, axis=0) / cfg.workers
+            if cfg.outer.kind == OUTER_NESTEROV:
+                self.outer_velocity = cfg.outer.outer_momentum * self.outer_velocity + delta
+                x_new = self.anchor + cfg.outer.outer_lr * (
+                    delta + cfg.outer.outer_momentum * self.outer_velocity
+                )
+            else:
+                x_new = self.anchor + delta
+            if cfg.projection.strategy == STRATEGY_GLOBAL and cfg.projection.refresh:
+                entry = self._refresh(delta[None], t + 1)  # after step t's moment update
+            s.x[:] = x_new
+            self.anchor = x_new
             uplink += pay.up_params + pay.up_projection
             downlink += pay.down_params + pay.down_projection
         return uplink * ELEMENT_SIZE, downlink * ELEMENT_SIZE, entry
-
-    def _sync_params(self, t: int) -> Optional[dict]:
-        cfg = self.cfg
-        s = self.stack
-        # the pseudo-gradients overwrite x, which receives x_new below
-        deltas = np.subtract(s.x, self.anchor, out=s.x)
-        if cfg.flags.sparsify_keep < 1.0:
-            for m in range(cfg.workers):
-                deltas[m] = sparsify_topk(deltas[m], cfg.flags.sparsify_keep)
-        delta = np.add.reduce(deltas, axis=0) / cfg.workers
-        if cfg.outer.kind == OUTER_NESTEROV:
-            self.outer_velocity = cfg.outer.outer_momentum * self.outer_velocity + delta
-            x_new = self.anchor + cfg.outer.outer_lr * (
-                delta + cfg.outer.outer_momentum * self.outer_velocity
-            )
-        else:
-            x_new = self.anchor + delta
-        entry = None
-        if cfg.projection.strategy == STRATEGY_GLOBAL and cfg.projection.refresh:
-            entry = self._refresh(delta[None], t + 1)  # after step t's moment update
-        s.x[:] = x_new
-        self.anchor = x_new
-        return entry
 
     # ---- main loop ---------------------------------------------------------
 

@@ -129,7 +129,7 @@ def test_sync_params_identical_workers_noop():
     eng.anchor = np.array([[1.0]])
     for m in range(2):
         s.x[m] = np.array([[3.25]])
-    eng._sync_params(0)
+    eng._sync_phase(0, None)
     for m in range(2):
         np.testing.assert_array_equal(s.x[m], [[3.25]])
         np.testing.assert_array_equal(eng.anchor, [[3.25]])
@@ -141,7 +141,7 @@ def test_sync_params_cancellation():
     s.x[0] = np.array([[1.0 + 0.5]])
     s.x[1] = np.array([[1.0 - 0.5]])
     eng.anchor = np.array([[1.0]])
-    eng._sync_params(0)
+    eng._sync_phase(0, None)
     for m in range(2):
         np.testing.assert_array_equal(s.x[m], [[1.0]])
 
@@ -152,7 +152,7 @@ def test_nesterov_degenerates_to_average():
     s.x[0] = np.array([[2.0]])
     s.x[1] = np.array([[4.0]])
     eng.anchor = np.array([[1.0]])
-    eng._sync_params(0)
+    eng._sync_phase(0, None)
     np.testing.assert_allclose(s.x[0], [[3.0]])
 
 
@@ -164,10 +164,10 @@ def test_nesterov_two_step_hand_trace():
     s = eng.stack
     eng.anchor = np.array([[0.0]])
     s.x[0] = np.array([[1.0]])
-    eng._sync_params(0)
+    eng._sync_phase(0, None)
     np.testing.assert_allclose(s.x[0], [[0.95]], atol=1e-15)
     s.x[0] = eng.anchor + 2.0
-    eng._sync_params(0)
+    eng._sync_phase(0, None)
     np.testing.assert_allclose(s.x[0], [[3.255]], atol=1e-12)
 
 
@@ -179,7 +179,7 @@ def test_sync_moment_mean_and_cancellation():
     s.u[1] = -u.copy()
     s.v[0] = np.array([[0.4]])
     s.v[1] = np.array([[0.2]])
-    eng._sync_phase(0, [])  # k_u = k_v = 1
+    eng._sync_phase(0, None)  # k_u = k_v = 1
     for m in range(2):
         np.testing.assert_allclose(s.u[m], np.zeros((1, 1)), atol=1e-18)
         np.testing.assert_allclose(s.v[m], [[0.3]], atol=1e-18)
