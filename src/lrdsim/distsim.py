@@ -130,20 +130,20 @@ class Engine:
             target_rank=pc.target_rank,
             target_alpha=pc.target_alpha,
         )
-        self.rank = config.rank
+        rank = config.rank
         m_count = config.workers
         if config.projection_init() == PROJECTION_INIT_IDENTITY:
-            basis = np.eye(pc.rows, self.rank)
+            basis = np.eye(pc.rows, rank)
         else:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=config.master_seed, spawn_key=(2, 0)))
-            basis = random_projection(pc.rows, self.rank, rng)
+            basis = random_projection(pc.rows, rank, rng)
         self.anchor = np.zeros((pc.rows, pc.cols))  # (p, q) parameters at the last sync
         x = np.stack([self.anchor] * m_count)
         self.stack = WorkerStack(
             x=x,
             error=np.zeros_like(x),
-            u=np.zeros((m_count, self.rank, pc.cols)),
-            v=np.zeros((m_count, self.rank, pc.cols)),
+            u=np.zeros((m_count, rank, pc.cols)),
+            v=np.zeros((m_count, rank, pc.cols)),
             basis=np.stack([basis] * m_count),
             rngs=[
                 np.random.default_rng(np.random.SeedSequence(entropy=config.master_seed, spawn_key=(1, m)))
@@ -154,7 +154,7 @@ class Engine:
         self._payload = costs.per_payload(
             config.projection.strategy,
             config.qhm.mode,
-            CostInputs(p=pc.rows, q=pc.cols, r=self.rank),
+            CostInputs(p=pc.rows, q=pc.cols, r=rank),
         )
 
     # ---- per-step phases -------------------------------------------------
@@ -209,7 +209,7 @@ class Engine:
         moved = []
         for j, signal in enumerate(signals):
             try:
-                new, sig_s = projection_with_spectrum(signal, self.rank)
+                new, sig_s = projection_with_spectrum(signal, self.cfg.rank)
             except (DegenerateSignalError, NonFiniteError):
                 continue
             rows = slice(None) if len(signals) == 1 else slice(j, j + 1)

@@ -70,7 +70,6 @@ class MatrixRegression:
         self.n_rows = n_rows
         self.workers = workers
         self.noise_std = noise_std
-        self.shard_policy = shard_policy
         self.rows_per_shard = n_rows // workers
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
         self.design = design = rng.standard_normal((n_rows, p))
