@@ -135,6 +135,7 @@ def test_readme_byte_gate_names_newest_bench_file():
     newest = max(loghash.ROOT.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
     readme = (loghash.ROOT / "README.md").read_text(encoding="utf-8")
     assert f"python3 tests/loghash.py --compare {newest.name}" in readme
+    assert f"python3 tests/loghash.py --compare {newest.name}" in loghash.__doc__
     recorded = json.loads(newest.read_text(encoding="utf-8"))["log_hashes"]["configs"]
     assert sorted(set(loghash.VARIANTS) - set(recorded)) == []
 

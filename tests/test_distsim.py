@@ -4,10 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from lrdsim import costs
 from lrdsim.cli import main
-from lrdsim.config import _array_bytes, from_dict, load_file
+from lrdsim.config import ConfigError, _array_bytes, from_dict, load_file
 from lrdsim.distsim import ELEMENT_SIZE, Engine, sparsify_topk
 from lrdsim.linalg import clip_frobenius
 from lrdsim.optimizer import (
@@ -433,6 +435,66 @@ def test_engine_error_buffer_bounded_by_compressions_since_basis_moved(strategy)
         before = s.basis.copy()
         steps += 1
     assert steps == cfg.steps == 640
+
+
+# ---- invariants over small valid configs -------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_engine_invariants_hold_over_small_valid_configs(data):
+    # A global refresh moves the basis only when something outside span(Q)
+    # reaches the pseudo-gradient (full-rank QHM or Top-K), so the draws
+    # favour global runs that refresh with EF on: those alone show a basis
+    # change that leaves a stale error buffer behind.
+    draw = data.draw
+    workers, p, q = draw(st.integers(1, 4)), draw(st.integers(1, 16)), draw(st.integers(1, 8))
+    mode = draw(st.sampled_from(["full_rank", "none", "low_rank"]))
+    raw = {
+        "workers": workers,
+        "steps": draw(st.integers(1, 48)),
+        "rank": draw(st.integers(1, min(p, q))),
+        "problem": {"rows": p, "cols": q, "design_rows": 8 * workers, "batch_size": 4,
+                    "shard_policy": draw(st.sampled_from(["iid", "feature_blocks"]))},
+        "schedule": {key: draw(st.integers(1, 8)) for key in ("k_x", "k_u", "k_v")},
+        "projection": {"strategy": draw(st.sampled_from(["global", "global", "local"])),
+                       "init": draw(st.sampled_from(["default", "random", "identity"])),
+                       "refresh": draw(st.sampled_from([True, True, False]))},
+        "qhm": {"mode": mode, "omega": None if mode == "none" else 0.5},
+        "outer": {"kind": draw(st.sampled_from(["average", "nesterov"]))},
+        "flags": {"error_feedback": draw(st.sampled_from([True, True, False])),
+                  "rotate_moments": draw(st.booleans()),
+                  "sparsify_keep": draw(st.sampled_from([0.5, 1.0])),
+                  "mu_semantics": draw(st.sampled_from(["per_column", "scalar"]))},
+    }
+    try:
+        cfg = from_dict(raw)
+    except ConfigError:
+        reject()
+    engine = Engine(cfg)
+    s, sched = engine.stack, cfg.schedule
+    fired = np.zeros(3, dtype=np.int64)  # u, v and parameter syncs
+    uplink = downlink = 0
+    for rec in engine.records():
+        t = rec["step"]
+        due = [(t + 1) % k == 0 for k in (sched.k_u, sched.k_v, sched.k_x)]
+        fired += due
+        uplink += rec["bytes_uplink"]
+        downlink += rec["bytes_downlink"]
+        qt = np.swapaxes(s.basis, -1, -2)
+        assert np.max(np.abs(qt @ s.basis - np.eye(cfg.rank))) <= 1e-10, t
+        assert np.all(s.v >= 0.0), t
+        if cfg.flags.error_feedback:
+            assert np.max(np.abs(qt @ s.error)) <= 1e-9 * max(1.0, np.max(np.abs(s.error))), t
+        if due[2]:
+            assert all(x.tobytes() == engine.anchor.tobytes() for x in s.x), t
+        if cfg.projection.strategy == "global":
+            assert all(b.tobytes() == s.basis[0].tobytes() for b in s.basis), t
+    pay = costs.per_payload(cfg.projection.strategy, mode, costs.CostInputs(p=p, q=q, r=cfg.rank))
+    up = np.array([pay.up_first, pay.up_second, pay.up_params + pay.up_projection])
+    down = np.array([pay.down_first, pay.down_second, pay.down_params + pay.down_projection])
+    assert uplink == int(fired @ up) * ELEMENT_SIZE
+    assert downlink == int(fired @ down) * ELEMENT_SIZE
 
 
 # ---- determinism -------------------------------------------------------------
