@@ -443,10 +443,11 @@ def test_engine_error_buffer_bounded_by_compressions_since_basis_moved(strategy)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_engine_invariants_hold_over_small_valid_configs(data):
-    # A global refresh moves the basis only when something outside span(Q)
-    # reaches the pseudo-gradient (full-rank QHM or Top-K), so the draws
-    # favour global runs that refresh with EF on: those alone show a basis
-    # change that leaves a stale error buffer behind.
+    # The Q^T E check sees a stale error buffer only after a global refresh
+    # (a local one precedes its step's compression), and a global refresh
+    # moves the basis only when full-rank QHM or Top-K puts something outside
+    # span(Q) into the pseudo-gradient; so the draws favour global runs that
+    # refresh with EF on.
     draw = data.draw
     workers, p, q = draw(st.integers(1, 4)), draw(st.integers(1, 16)), draw(st.integers(1, 8))
     mode = draw(st.sampled_from(["full_rank", "none", "low_rank"]))
