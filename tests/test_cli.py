@@ -56,20 +56,6 @@ def test_run_writes_log_and_exits_zero(cfg_path, tmp_path, capsys):
     assert steps[-1]["mean_loss"] < steps[0]["mean_loss"]
 
 
-def test_run_twice_byte_identical(cfg_path, tmp_path):
-    a, b = tmp_path / "a.log", tmp_path / "b.log"
-    assert main(["run", "--config", cfg_path(), "--out", str(a)]) == 0
-    assert main(["run", "--config", cfg_path(), "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_run_threads_do_not_change_bytes(cfg_path, tmp_path):
-    a, b = tmp_path / "a.log", tmp_path / "b.log"
-    assert main(["run", "--config", cfg_path(), "--out", str(a), "--threads", "1"]) == 0
-    assert main(["run", "--config", cfg_path(), "--out", str(b), "--threads", "4"]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_run_threads_must_be_positive(cfg_path, tmp_path, capsys, threads):
     out = tmp_path / "x.log"

@@ -7,7 +7,6 @@ from lrdsim.costs import (
     CostInputs,
     adam_memory,
     memory_overhead,
-    optimizer_state_memory_ratio,
     per_payload,
     reduction_vs_fullrank_ddp,
     reduction_vs_fullrank_local,
@@ -56,10 +55,6 @@ def test_degenerate_rank_matches_fullrank_baseline():
     assert g_none.uplink_total == 3 * 512 * 512
 
 
-def test_reduction_vs_lowrank_ddp_headline():
-    assert reduction_vs_lowrank_ddp(inputs()) == pytest.approx(10.24, abs=0.01)
-
-
 def test_reduction_vs_lowrank_ddp_degenerate():
     i = CostInputs(p=64, q=64, r=64, k_x=1, k_u=1, k_v=1)
     assert reduction_vs_lowrank_ddp(i) == pytest.approx(0.25)
@@ -71,10 +66,6 @@ def test_reduction_monotone_in_periods():
         val = reduction_vs_lowrank_ddp(inputs(k=k))
         assert val > prev
         prev = val
-
-
-def test_reduction_vs_fullrank_ddp_headline():
-    assert reduction_vs_fullrank_ddp(inputs()) == pytest.approx(23.27, abs=0.01)
 
 
 def test_reduction_vs_fullrank_ddp_degenerate():
@@ -97,11 +88,6 @@ def test_reduction_vs_fullrank_local():
     assert local == pytest.approx(3 * 2048 / (2048 + 512), rel=1e-12)
     tiny_r = CostInputs(p=2048, q=2048, r=1, k_x=1)
     assert reduction_vs_fullrank_local(tiny_r, "local") == pytest.approx(3.0, abs=0.01)
-
-
-def test_optimizer_state_memory_ratio():
-    assert optimizer_state_memory_ratio(inputs()) == pytest.approx(8.0)
-    assert optimizer_state_memory_ratio(CostInputs(p=768, q=768, r=64)) == pytest.approx(12.0)
 
 
 def test_memory_overhead_table():

@@ -1,4 +1,5 @@
 import copy
+import json
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from lrdsim import costs
-from lrdsim.cli import main
 from lrdsim.config import ConfigError, _array_bytes, from_dict, load_file
 from lrdsim.distsim import ELEMENT_SIZE, Engine, sparsify_topk
 from lrdsim.linalg import clip_frobenius
@@ -57,14 +57,11 @@ def run_cfg(**over):
     return cfg, list(Engine(cfg).records())
 
 
+def record_bytes(recs):
+    return "\n".join(json.dumps(r, sort_keys=True) for r in recs)
+
+
 # ---- sync index pins ---------------------------------------------------------
-
-
-def test_sync_steps_pinned_k2():
-    # with K = 2, syncs land at t = 1, 3, 5, ... ((t+1) mod K == 0)
-    _, recs = run_cfg(steps=6, schedule={"k_x": 2, "k_u": 2, "k_v": 2})
-    synced = [r["step"] for r in recs if r["bytes_uplink"] > 0]
-    assert synced == [1, 3, 5]
 
 
 def test_decoupled_sync_steps_pinned():
@@ -186,30 +183,6 @@ def test_sync_moment_mean_and_cancellation():
         np.testing.assert_allclose(s.u[m], np.zeros((1, 1)), atol=1e-18)
         np.testing.assert_allclose(s.v[m], [[0.3]], atol=1e-18)
         assert np.all(s.v[m] >= 0)
-
-
-@pytest.mark.parametrize("kind", ["average", "nesterov"])
-@pytest.mark.parametrize("strategy", ["global", "local"])
-def test_every_worker_holds_the_anchor_after_each_parameter_sync(strategy, kind):
-    cfg = from_dict(
-        cfg_dict(
-            workers=3,
-            steps=12,
-            problem={"design_rows": 48},
-            schedule={"k_x": 3, "k_u": 2, "k_v": 4},
-            projection={"strategy": strategy},
-            outer={"kind": kind},
-        )
-    )
-    engine = Engine(cfg)
-    synced = []
-    for rec in engine.records():
-        if (rec["step"] + 1) % 3 == 0:
-            for m in range(3):
-                assert engine.stack.x[m].tobytes() == engine.anchor.tobytes(), f"worker {m}, step {rec['step']}"
-            synced.append(rec["step"])
-    assert synced == [2, 5, 8, 11]
-    assert np.any(engine.anchor != 0.0)  # the anchor moved off its zero start
 
 
 def test_array_bytes_counts_what_the_engine_holds():
@@ -381,42 +354,12 @@ def test_engine_refresh_skips_degenerate_signal_and_logs_the_moved_bases():
 
 
 @pytest.mark.parametrize("strategy", ["global", "local"])
-def test_engine_error_feedback_residual_orthogonal_to_basis(strategy):
-    # The error buffer keeps what compression discarded, so after every step
-    # whose compression used the basis the worker still holds, Q_m^T E_m = 0.
-    cfg = from_dict(
-        cfg_dict(
-            workers=3,
-            steps=12,
-            problem={"design_rows": 48, "batch_size": 8},
-            schedule={"k_x": 4, "k_u": 2, "k_v": 3},
-            projection={"strategy": strategy},
-        )
-    )
-    engine = Engine(cfg)
-    s = engine.stack
-    checked = []
-    before = s.basis.copy()
-    for rec in engine.records():
-        # the local strategy refreshes before compressing; the global one
-        # refreshes at a parameter sync, after that step's compression
-        if strategy == "local" or np.array_equal(s.basis, before):
-            assert np.max(np.abs(np.swapaxes(s.basis, -1, -2) @ s.error)) < 1e-12, f"step {rec['step']}"
-            checked.append(rec["step"])
-        if rec["step"] == 10:  # the last step before the step-11 sync, whose global refresh empties E
-            assert np.max(np.abs(s.error)) > 1e-3  # the buffers carry a real residual
-        before = s.basis.copy()
-    if strategy == "local":
-        assert checked == list(range(12))
-    else:
-        assert checked == [t for t in range(12) if (t + 1) % 4 != 0]
-
-
-@pytest.mark.parametrize("strategy", ["global", "local"])
 def test_engine_error_buffer_bounded_by_compressions_since_basis_moved(strategy):
     # Each compression adds at most one clipped gradient to E_m, and E_m is
     # emptied whenever worker m's basis is replaced, so ||E_m||_F <= k_m * c
     # with k_m the compressions since that basis moved and c the clip radius.
+    # Compression leaves E_m orthogonal to the basis it used, so Q_m^T E_m = 0
+    # after every step, and the buffers must carry a real residual.
     cfg = load_file(str(CONFIGS / f"reference_{strategy}.yaml"))
     engine = Engine(cfg)
     s = engine.stack
@@ -425,6 +368,7 @@ def test_engine_error_buffer_bounded_by_compressions_since_basis_moved(strategy)
     since = np.zeros(cfg.workers)
     before = s.basis.copy()
     steps = 0
+    peak = 0.0
     for rec in engine.records():
         assert not rec["diverged"]
         moved = np.array([not np.array_equal(s.basis[m], before[m]) for m in range(cfg.workers)])
@@ -432,9 +376,12 @@ def test_engine_error_buffer_bounded_by_compressions_since_basis_moved(strategy)
         norms = np.linalg.norm(s.error, axis=(1, 2))
         bound = since * cfg.hyperparams.clip_radius
         assert np.all(norms <= bound * (1.0 + 1e-12)), (rec["step"], norms, bound)
+        assert np.max(np.abs(np.swapaxes(s.basis, -1, -2) @ s.error)) < 1e-12, rec["step"]
+        peak = max(peak, np.max(np.abs(s.error)))
         before = s.basis.copy()
         steps += 1
     assert steps == cfg.steps == 640
+    assert peak > 1e-3
 
 
 # ---- invariants over small valid configs -------------------------------------
@@ -489,6 +436,7 @@ def test_engine_invariants_hold_over_small_valid_configs(data):
             assert np.max(np.abs(qt @ s.error)) <= 1e-9 * max(1.0, np.max(np.abs(s.error))), t
         if due[2]:
             assert all(x.tobytes() == engine.anchor.tobytes() for x in s.x), t
+            assert np.any(engine.anchor != 0.0), t  # the anchor moved off its zero start
         if cfg.projection.strategy == "global":
             assert all(b.tobytes() == s.basis[0].tobytes() for b in s.basis), t
     pay = costs.per_payload(cfg.projection.strategy, mode, costs.CostInputs(p=p, q=q, r=cfg.rank))
@@ -498,118 +446,7 @@ def test_engine_invariants_hold_over_small_valid_configs(data):
     assert downlink == int(fired @ down) * ELEMENT_SIZE
 
 
-# ---- determinism -------------------------------------------------------------
-
-
-def record_bytes(recs):
-    import json
-
-    return "\n".join(json.dumps(r, sort_keys=True) for r in recs)
-
-
-def test_serial_and_parallel_runs_identical(tmp_path):
-    # workers are stacked and run serially; --threads is accepted and changes nothing
-    cfg_path = tmp_path / "config.yaml"
-    cfg_path.write_text(yaml.safe_dump(cfg_dict(workers=4, problem={"design_rows": 64, "batch_size": 8})))
-    logs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"threads{threads}.log"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--threads", threads]) == 0
-        logs.append(out.read_bytes())
-    assert logs[0] == logs[1]
-
-
-def test_repeat_runs_identical():
-    _, a = run_cfg()
-    _, b = run_cfg()
-    assert record_bytes(a) == record_bytes(b)
-
-
-def test_worker_projections_bitwise_identical_global():
-    cfg = from_dict(cfg_dict(workers=3, steps=9, problem={"design_rows": 63, "batch_size": 7}, schedule={"k_x": 3, "k_u": 3, "k_v": 3}))
-    engine = Engine(cfg)
-    for _ in engine.records():
-        ref = engine.stack.basis[0].tobytes()
-        for m in (1, 2):
-            assert engine.stack.basis[m].tobytes() == ref
-
-
 # ---- qualitative mechanisms --------------------------------------------------
-
-
-def test_global_stagnation_short_run():
-    cfg = from_dict(
-        cfg_dict(
-            workers=4,
-            steps=96,
-            rank=4,
-            problem={"rows": 24, "cols": 24, "design_rows": 96, "batch_size": 8},
-            schedule={"k_x": 16, "k_u": 16, "k_v": 16},
-        )
-    )
-    recs = list(Engine(cfg).records())
-    updates = [r["subspace"][0] for r in recs if r["subspace"] is not None]
-    assert len(updates) >= 3
-    for m in updates[1:]:
-        assert abs(m["mssv"] - 1.0) < 1e-6
-        assert m["sin_theta"] < 1e-6
-
-
-def test_full_rank_qhm_breaks_stagnation_rank():
-    cfg = from_dict(
-        cfg_dict(
-            workers=4,
-            steps=64,
-            rank=4,
-            problem={"rows": 24, "cols": 24, "design_rows": 96, "batch_size": 8},
-            schedule={"k_x": 16, "k_u": 16, "k_v": 16},
-            qhm={"mode": "full_rank", "omega": 0.9},
-        )
-    )
-    # the anchor moves by the (outer-optimized) aggregated pseudo-gradient
-    # at each sync; with average outer that movement is exactly delta
-    engine = Engine(cfg)
-    prev_anchor = engine.anchor.copy()
-    ranks = []
-    for rec in engine.records():
-        if (rec["step"] + 1) % 16 == 0:
-            new_anchor = engine.anchor
-            ranks.append(np.linalg.matrix_rank(new_anchor - prev_anchor, rtol=1e-10))
-            prev_anchor = new_anchor.copy()
-    assert all(r > 4 for r in ranks)
-
-
-def test_local_orthogonal_blocks_full_rank_recovery():
-    # two workers with gradients on disjoint coordinate blocks isolate
-    # orthogonal subspaces; their aggregated pseudo-gradient recovers
-    # rank ~ M * r
-    cfg = from_dict(
-        cfg_dict(
-            workers=2,
-            steps=8,
-            rank=2,
-            problem={
-                "rows": 8,
-                "cols": 6,
-                "design_rows": 32,
-                "batch_size": 8,
-                "noise_std": 0.0,
-                "shard_policy": "feature_blocks",
-            },
-            schedule={"k_x": 8, "k_u": 8, "k_v": 8},
-            projection={"strategy": "local"},
-        )
-    )
-    engine = Engine(cfg)
-    prev_anchor = engine.anchor.copy()
-    final_delta = None
-    for rec in engine.records():
-        if (rec["step"] + 1) % 8 == 0:
-            final_delta = engine.anchor - prev_anchor
-    q0 = engine.stack.basis[0]
-    q1 = engine.stack.basis[1]
-    assert sin_theta_distance(q0, q1) == pytest.approx(np.sqrt(2.0), abs=1e-8)
-    assert np.linalg.matrix_rank(final_delta, rtol=1e-8) >= min(2 * 2, 8) - 1
 
 
 def test_rotation_flag_changes_trajectory():
@@ -654,25 +491,6 @@ def test_tiny_scale_run_has_finite_refresh_entries(strategy, scale):
     entries = [r["subspace"][0] for r in recs if r["subspace"]]
     assert len(entries) == 2
     assert all(0.0 <= e["mssv"] <= 1.0 + 1e-9 and e["stable_rank"] >= 1.0 for e in entries)
-
-
-def test_byte_accounting_matches_analytic_totals():
-    steps = 24
-    k = 4
-    cfg = from_dict(
-        cfg_dict(
-            steps=steps,
-            schedule={"k_x": k, "k_u": k, "k_v": k},
-            qhm={"mode": "full_rank", "omega": 0.9},
-        )
-    )
-    recs = list(Engine(cfg).records())
-    pay = costs.per_payload("global", "full_rank", costs.CostInputs(p=16, q=12, r=4))
-    events = steps // k
-    expected_up = events * pay.uplink_total * ELEMENT_SIZE
-    expected_down = events * pay.downlink_total * ELEMENT_SIZE
-    assert sum(r["bytes_uplink"] for r in recs) == expected_up
-    assert sum(r["bytes_downlink"] for r in recs) == expected_down
 
 
 # ---- sparsification ----------------------------------------------------------

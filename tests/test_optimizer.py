@@ -56,41 +56,6 @@ def test_compress_error_persists_on_zero_gradient():
     assert np.linalg.norm(new_e) > 0
 
 
-def test_reconstruction_identity_500_steps():
-    rng = np.random.default_rng(11)
-    state = make_state(12, 7, 3, seed=11)
-    for t in range(500):
-        grad = rng.standard_normal((12, 7))
-        prev_error = state.error
-        g, new_e = compress_gradient(grad, state.error, state.basis)
-        lhs = grad + prev_error
-        rhs = state.basis @ g + new_e
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-        state.error = new_e
-        if (t + 1) % 100 == 0:
-            state.basis = random_projection(12, 3, rng)
-
-
-def test_error_feedback_telescoping_constant_q_windows():
-    rng = np.random.default_rng(21)
-    state = make_state(10, 6, 4, seed=21)
-    window = 50
-    for _ in range(4):
-        grads = []
-        gs = []
-        e_initial = state.error.copy()
-        for _ in range(window):
-            grad = rng.standard_normal((10, 6))
-            g, new_e = compress_gradient(grad, state.error, state.basis)
-            state.error = new_e
-            grads.append(grad)
-            gs.append(g)
-        lhs = np.sum(grads, axis=0)
-        rhs = state.basis @ np.sum(gs, axis=0) + state.error - e_initial
-        assert np.max(np.abs(lhs - rhs)) < 1e-10
-        state.basis = random_projection(10, 4, rng)
-
-
 def test_update_moments_cases():
     state = make_state(4, 3, 2)
     g = np.random.default_rng(5).standard_normal((2, 3))

@@ -10,7 +10,7 @@ from lrdsim.linalg import svd
 from lrdsim.problems import BLOCK_DRAW_MAX_BATCH, NOISE_BLOCK_ROWS, MatrixRegression, draw_rows
 from lrdsim.projection import projection_with_spectrum, sin_theta_distance, spectral_gap, stable_rank
 
-from oracles import PowerLawOracle, central_difference, gen_powerlaw_matrix, naive_regression_loss
+from oracles import PowerLawOracle, gen_powerlaw_matrix, naive_regression_loss
 
 
 def small_problem(**kw):
@@ -48,22 +48,6 @@ def test_gradient_zero_at_truth_without_noise():
     prob = small_problem(noise_std=0.0)
     g = prob.stoch_gradient(prob.x_star, np.arange(prob.rows_per_shard) + prob.shard_starts[1])
     assert np.max(np.abs(g)) < 1e-12
-
-
-def test_gradient_matches_finite_differences():
-    rng = np.random.default_rng(9)
-    for inst in range(10):
-        prob = small_problem(seed=inst, noise_std=0.3)
-        x = rng.standard_normal((prob.p, prob.q))
-        rows = prob.sample_batch(9, rng, 1)[0]
-        grad = prob.stoch_gradient(x, rows)
-        scale = max(1.0, float(np.linalg.norm(grad)))
-        for _ in range(20):
-            d = rng.standard_normal(x.shape)
-            d /= np.linalg.norm(d)
-            numeric = central_difference(lambda z: prob.loss(z, rows), x, d)
-            analytic = float(np.sum(grad * d))
-            assert abs(numeric - analytic) < 1e-6 * scale
 
 
 def test_full_batch_gradient_is_mean_of_halves():
