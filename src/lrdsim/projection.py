@@ -87,11 +87,6 @@ def spectral_gap(s, rank: int) -> float:
     return float(s[rank - 1] - s[rank])
 
 
-def sin_theta_distance(q1: np.ndarray, q2: np.ndarray) -> float:
-    """Frobenius sin-theta distance sqrt(r - ||Q1^T Q2||_F^2) in [0, sqrt(r)]."""
-    return _sin_theta(q1, q2, rotation_matrix(q1, q2))
-
-
 def _sin_theta(q1: np.ndarray, q2: np.ndarray, r_mat: np.ndarray) -> float:
     """Sin-theta distance given R = Q1^T Q2.
 

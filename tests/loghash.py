@@ -5,7 +5,8 @@
     python3 tests/loghash.py --compare BENCH_24.json    # exit 1 on any difference
 
 Each variant is a base config file plus a dict of overrides, named as in
-the `log_hashes` of the BENCH_<n>.json files. Each runs through
+the `log_hashes` of the BENCH_<n>.json files; `config_dict` merges them, and
+the test suite builds its configs with it too. Each runs through
 `lrdsim.cli.main(["run", ..., "--threads", "1"])` in a fresh process with
 one BLAS thread; the `batch_and_workers` sweep of `reference_local` runs
 the same way through `sweep`. The output is one JSON object,
@@ -24,6 +25,7 @@ the `log_hashes` layout of BENCH_12.json and later files, and compares
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import os
@@ -38,6 +40,16 @@ BASES = {
     "reference_global": "configs/reference_global.yaml",
     "reference_local": "configs/reference_local.yaml",
     "stagnation_demo": "configs/stagnation_demo.yaml",
+}
+
+# the tests' small run: 2 workers, 8 steps, a 16 x 12 problem at rank 4
+SMALL = {
+    "master_seed": 0,
+    "workers": 2,
+    "steps": 8,
+    "rank": 4,
+    "problem": {"rows": 16, "cols": 12, "design_rows": 64, "batch_size": 8, "noise_std": 0.1},
+    "schedule": {"k_x": 4, "k_u": 4, "k_v": 4},
 }
 
 # name -> (base, overrides); an override mapping merges into the base's section.
@@ -103,17 +115,16 @@ SWEEP_FILES = ("M1.log", "M2.log", "summary.csv")
 _CHILD = "import sys; sys.path.insert(0, sys.argv[1]); from lrdsim.cli import main; sys.exit(main(sys.argv[2:]))"
 
 
-def variant_dict(name: str) -> dict:
-    """The config mapping of variant `name`: its base file with the overrides merged in."""
-    import yaml
+def config_dict(base: str, **overrides) -> dict:
+    """A fresh config mapping: `base` ("small" or a BASES name) with each override mapping merged into its section."""
+    if base == "small":
+        data = copy.deepcopy(SMALL)
+    else:
+        import yaml
 
-    base, overrides = VARIANTS[name]
-    data = yaml.safe_load((ROOT / BASES[base]).read_text(encoding="utf-8"))
+        data = yaml.safe_load((ROOT / BASES[base]).read_text(encoding="utf-8"))
     for key, value in overrides.items():
-        if isinstance(value, dict):
-            data[key] = dict(data.get(key, {}), **value)
-        else:
-            data[key] = value
+        data[key] = dict(data.get(key, {}), **value) if isinstance(value, dict) else value
     return data
 
 
@@ -145,9 +156,9 @@ def run_all(tree: Path) -> dict:
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for name in VARIANTS:
+        for name, (base, overrides) in VARIANTS.items():
             cfg, log = tmp / f"{name}.yaml", tmp / f"{name}.log"
-            cfg.write_text(yaml.safe_dump(variant_dict(name)), encoding="utf-8")
+            cfg.write_text(yaml.safe_dump(config_dict(base, **overrides)), encoding="utf-8")
             code, lines = _cli(src, ["run", "--config", str(cfg), "--out", str(log), "--threads", "1"])
             results[name] = dict(_log_digests(log), exit=code, stderr_lines=lines)
         base, axis, values = SWEEP

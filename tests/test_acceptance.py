@@ -17,51 +17,11 @@ from lrdsim.distsim import ELEMENT_SIZE, Engine
 from lrdsim.linalg import clip_frobenius, svd
 from lrdsim.optimizer import compress_gradient
 from lrdsim.problems import MatrixRegression
-from lrdsim.projection import (
-    random_projection,
-    rotate_second_moment,
-    sin_theta_distance,
-)
+from lrdsim.projection import random_projection, rotate_second_moment
 
 from kernel_state import fresh_state
-from oracles import PowerLawOracle, adam_reference_step, central_difference
-
-# Reference problem used by the qualitative criteria: a rank-32 target with a
-# flat power-law spectrum under sizable label noise, so subspace choice is the
-# binding constraint at rank 8.
-REF_PROBLEM = {
-    "rows": 64,
-    "cols": 64,
-    "design_rows": 4096,
-    "batch_size": 32,
-    "noise_std": 0.5,
-    "target_rank": 32,
-    "target_alpha": 0.25,
-}
-
-
-def build(overrides):
-    base = {
-        "master_seed": 0,
-        "workers": 4,
-        "steps": 640,
-        "rank": 8,
-        "problem": dict(REF_PROBLEM),
-        "schedule": {"k_x": 32, "k_u": 32, "k_v": 32},
-        "hyperparams": {
-            "beta1": 0.9,
-            "beta2": 0.999,
-            "lr": 0.01,
-            "warmup_steps": 32,
-            "clip_radius": 1.0,
-        },
-    }
-    for key, val in overrides.items():
-        if isinstance(val, dict) and isinstance(base.get(key), dict):
-            base[key].update(val)
-        else:
-            base[key] = val
-    return from_dict(base)
+from loghash import config_dict
+from oracles import PowerLawOracle, adam_reference_step, central_difference, subspace_sin_theta
 
 
 def final_loss(records, window=32):
@@ -119,16 +79,8 @@ def test_criterion_01_adam_degeneracy():
 
 def test_criterion_02_qhm_endpoints_bitwise():
     def run_mode(mode, omega):
-        d = {
-            "master_seed": 0,
-            "workers": 2,
-            "steps": 100,
-            "rank": 4,
-            "problem": {"rows": 16, "cols": 12, "design_rows": 64, "batch_size": 8, "noise_std": 0.1},
-            "schedule": {"k_x": 10, "k_u": 10, "k_v": 10},
-        }
-        if mode != "none":
-            d["qhm"] = {"mode": mode, "omega": omega}
+        d = config_dict("small", steps=100, schedule={"k_x": 10, "k_u": 10, "k_v": 10},
+                        qhm={"mode": mode, "omega": omega})
         engine = Engine(from_dict(d))
         recs = list(engine.records())
         return recs, engine.stack.x[0]
@@ -170,15 +122,20 @@ def test_criterion_03_error_feedback_exactness():
 
 
 def test_criterion_04_rotation_identity():
-    for case in range(1000):
+    # 1000 seeded draws, then the 8 corners of the beta and step ranges
+    corners = [(b1, b2, step) for b1 in (0.0, 0.9) for b2 in (0.0, 0.999) for step in (1, 500)]
+    for case in range(1000 + len(corners)):
         rng = np.random.default_rng(10_000 + case)
         r = int(rng.integers(1, 8))
         q = int(rng.integers(1, 8))
         u = rng.uniform(-3.0, 3.0, size=(r, q))
         v = rng.uniform(0.0, 3.0, size=(r, q))
-        beta1 = float(rng.uniform(0.0, 0.9))
-        beta2 = float(rng.uniform(0.0, 0.999))
-        step = int(rng.integers(1, 500))
+        if case < 1000:
+            beta1 = float(rng.uniform(0.0, 0.9))
+            beta2 = float(rng.uniform(0.0, 0.999))
+            step = int(rng.integers(1, 500))
+        else:
+            beta1, beta2, step = corners[case - 1000]
         out = rotate_second_moment(np.eye(r), u, v, beta1, beta2, step)
         assert np.max(np.abs(out - v)) < 1e-12
     fixture = rotate_second_moment(
@@ -190,15 +147,14 @@ def test_criterion_04_rotation_identity():
         step=5,
     )
     np.testing.assert_allclose(fixture, [[0.09], [0.04]], atol=1e-14)
-    report(4, "identity rotation returns v to 1e-12 in 1000 cases; hand-worked 2x2 fixture matches")
+    report(4, "identity rotation returns v to 1e-12 in 1008 cases; hand-worked 2x2 fixture matches")
 
 
 def test_criterion_05_global_stagnation():
     started = time.perf_counter()
-    recs_none = list(Engine(build({})).records())
-    recs_full = list(
-        Engine(build({"qhm": {"mode": "full_rank", "omega": 0.95, "start_step": 32}})).records()
-    )
+    # the committed stagnation demo, and the same run with full-rank QHM: the global reference
+    recs_none = list(Engine(from_dict(config_dict("stagnation_demo"))).records())
+    recs_full = list(Engine(from_dict(config_dict("reference_global"))).records())
     elapsed = time.perf_counter() - started
     updates = [r["subspace"][0] for r in recs_none if r["subspace"] is not None]
     assert len(updates) == 640 // 32
@@ -219,7 +175,7 @@ def test_criterion_05_global_stagnation():
 def test_criterion_06_exploration_restoration():
     # QHM active from step 0 so every sync window carries the full-rank
     # injection
-    cfg = build({"steps": 256, "qhm": {"mode": "full_rank", "omega": 0.95}})
+    cfg = from_dict(config_dict("stagnation_demo", steps=256, qhm={"mode": "full_rank", "omega": 0.95}))
     engine = Engine(cfg)
     prev_anchor = engine.anchor.copy()
     ranks = []
@@ -268,7 +224,7 @@ def test_criterion_07_local_full_rank_recovery():
     # the per-worker bases really are mutually orthogonal
     q0 = engine.stack.basis[0]
     q1 = engine.stack.basis[1]
-    assert sin_theta_distance(q0, q1) == pytest.approx(np.sqrt(8.0), abs=1e-8)
+    assert subspace_sin_theta(q0, q1) == pytest.approx(np.sqrt(8.0), abs=1e-8)
     report(7, f"orthogonal-block construction recovers pseudo-gradient rank {rank} >= {bound}")
 
 
@@ -287,14 +243,14 @@ def test_criterion_08_instability_scaling():
             u, _ = svd(oracle.noisy_observation(b, rng))
             if b == 64:
                 noisy_bases_b64.append(u)
-            vals.append(sin_theta_distance(q_true, proj_from_columns(u, 8)))
+            vals.append(subspace_sin_theta(q_true, proj_from_columns(u, 8)))
         means.append(float(np.mean(vals)))
     slope = float(np.polyfit(np.log(batch_grid), np.log(means), 1)[0])
     assert -0.6 <= slope <= -0.4, f"slope {slope}"
     r_means = []
     for r in (2, 4, 8, 16, 32):
         vals = [
-            sin_theta_distance(proj_from_columns(true_u, r), proj_from_columns(un, r))
+            subspace_sin_theta(proj_from_columns(true_u, r), proj_from_columns(un, r))
             for un in noisy_bases_b64
         ]
         r_means.append(float(np.mean(vals)))
@@ -310,25 +266,10 @@ def test_criterion_09_batch_size_asymmetry():
     # across per-worker bases (which disagree more as B shrinks), while the
     # global variant's unified basis keeps averaging exact.
     def run_arm(strategy, mode, m):
-        cfg = from_dict(
-            {
-                "master_seed": 0,
-                "workers": m,
-                "steps": 256,
-                "rank": 8,
-                "problem": dict(REF_PROBLEM, batch_size=64 // m),
-                "schedule": {"k_x": 32, "k_u": 1, "k_v": 1},
-                "projection": {"strategy": strategy},
-                "qhm": {"mode": mode, "omega": 0.95, "start_step": 32},
-                "hyperparams": {
-                    "beta1": 0.999,
-                    "beta2": 0.99,
-                    "lr": 0.005,
-                    "warmup_steps": 32,
-                    "clip_radius": 1.0,
-                },
-            }
-        )
+        cfg = from_dict(config_dict(
+            "reference_local", workers=m, steps=256, problem={"batch_size": 64 // m},
+            schedule={"k_u": 1, "k_v": 1}, projection={"strategy": strategy}, qhm={"mode": mode},
+        ))
         return final_loss(list(Engine(cfg).records()))
 
     deltas = []
@@ -365,17 +306,8 @@ def test_criterion_10_cost_formulas():
     ) == pytest.approx(12.0)
 
     steps, k = 24, 4
-    cfg = from_dict(
-        {
-            "master_seed": 0,
-            "workers": 2,
-            "steps": steps,
-            "rank": 4,
-            "problem": {"rows": 16, "cols": 12, "design_rows": 64, "batch_size": 8},
-            "schedule": {"k_x": k, "k_u": k, "k_v": k},
-            "qhm": {"mode": "full_rank", "omega": 0.9},
-        }
-    )
+    cfg = from_dict(config_dict("small", steps=steps, schedule={"k_x": k, "k_u": k, "k_v": k},
+                                qhm={"mode": "full_rank", "omega": 0.9}))
     recs = list(Engine(cfg).records())
     pay = costs.per_payload("global", "full_rank", costs.CostInputs(p=16, q=12, r=4))
     events = steps // k
@@ -386,26 +318,10 @@ def test_criterion_10_cost_formulas():
 
 def test_criterion_11_ablation_flags_matter():
     def run_flags(seed, rotate=True, ef=True):
-        cfg = from_dict(
-            {
-                "master_seed": seed,
-                "workers": 4,
-                "steps": 384,
-                "rank": 8,
-                "problem": dict(REF_PROBLEM, batch_size=16),
-                "schedule": {"k_x": 32, "k_u": 32, "k_v": 32},
-                "projection": {"strategy": "local"},
-                "qhm": {"mode": "low_rank", "omega": 0.95, "start_step": 32},
-                "hyperparams": {
-                    "beta1": 0.999,
-                    "beta2": 0.99,
-                    "lr": 0.005,
-                    "warmup_steps": 32,
-                    "clip_radius": 1.0,
-                },
-                "flags": {"rotate_moments": rotate, "error_feedback": ef},
-            }
-        )
+        cfg = from_dict(config_dict(
+            "reference_local", master_seed=seed, steps=384, problem={"batch_size": 16},
+            flags={"rotate_moments": rotate, "error_feedback": ef},
+        ))
         return final_loss(list(Engine(cfg).records()))
 
     for seed in (0, 1, 2):
@@ -420,15 +336,8 @@ def test_criterion_11_ablation_flags_matter():
 def test_criterion_12_determinism(tmp_path):
     import yaml
 
-    cfg = {
-        "master_seed": 0,
-        "workers": 4,
-        "steps": 32,
-        "rank": 4,
-        "problem": {"rows": 24, "cols": 16, "design_rows": 96, "batch_size": 8, "noise_std": 0.1},
-        "schedule": {"k_x": 8, "k_u": 8, "k_v": 8},
-        "qhm": {"mode": "full_rank", "omega": 0.9},
-    }
+    cfg = config_dict("small", workers=4, steps=32, problem={"rows": 24, "cols": 16, "design_rows": 96},
+                      schedule={"k_x": 8, "k_u": 8, "k_v": 8}, qhm={"mode": "full_rank", "omega": 0.9})
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
     paths = {}

@@ -16,6 +16,8 @@ import lrdsim.linalg
 import lrdsim.optimizer
 from lrdsim.cli import main
 
+from loghash import config_dict
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -28,8 +30,7 @@ def _load_tracing():
 
 def _trace_reference(tracing, tmp_path, name: str):
     """(config dict, tracer) of a traced 40-step run of configs/<name>.yaml."""
-    data = yaml.safe_load((ROOT / "configs" / f"{name}.yaml").read_text())
-    data["steps"] = 40
+    data = config_dict(name, steps=40)
     cfg = tmp_path / "ref40.yaml"
     cfg.write_text(yaml.safe_dump(data))
     tracer = tracing.Tracer()

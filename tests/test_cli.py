@@ -18,28 +18,14 @@ from lrdsim.cli import main
 from lrdsim.config import RunConfig
 from lrdsim.logio import read_log
 
-
-BASE_CFG = {
-    "master_seed": 0,
-    "workers": 2,
-    "steps": 8,
-    "rank": 4,
-    "problem": {"rows": 16, "cols": 12, "design_rows": 64, "batch_size": 8, "noise_std": 0.1},
-    "schedule": {"k_x": 4, "k_u": 4, "k_v": 4},
-}
+from loghash import config_dict
 
 
 @pytest.fixture
 def cfg_path(tmp_path):
     def write(overrides=None, name="config.yaml"):
-        data = json.loads(json.dumps(BASE_CFG))
-        for key, val in (overrides or {}).items():
-            if isinstance(val, dict) and isinstance(data.get(key), dict):
-                data[key].update(val)
-            else:
-                data[key] = val
         path = tmp_path / name
-        path.write_text(yaml.safe_dump(data))
+        path.write_text(yaml.safe_dump(config_dict("small", **(overrides or {}))))
         return str(path)
 
     return write
@@ -634,7 +620,7 @@ def test_analyze_undecodable_log_exit_one(tmp_path, capsys, content):
 def short_run_log(tmp_path_factory):
     root = tmp_path_factory.mktemp("short_run")
     cfg = root / "config.yaml"
-    cfg.write_text(yaml.safe_dump(BASE_CFG))
+    cfg.write_text(yaml.safe_dump(config_dict("small")))
     log = root / "run.log"
     assert main(["run", "--config", str(cfg), "--out", str(log)]) == 0
     return [json.loads(line) for line in log.read_text().splitlines()]
@@ -688,7 +674,7 @@ SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_run_never_raises_on_mutated_config(tmp_path_factory, data):
-    cfg = json.loads(json.dumps(BASE_CFG))
+    cfg = config_dict("small")
     for _ in range(data.draw(st.integers(1, 3))):
         action = data.draw(st.sampled_from(["replace", "add_unknown", "non_mapping"]))
         name = data.draw(st.sampled_from(sorted(SECTIONS)))

@@ -12,15 +12,6 @@ from lrdsim.config import ConfigError, RunConfig, from_dict
 
 import loghash
 
-BASE = {
-    "master_seed": 0,
-    "workers": 2,
-    "steps": 8,
-    "rank": 4,
-    "problem": {"rows": 16, "cols": 12, "design_rows": 64, "batch_size": 8, "noise_std": 0.1},
-    "schedule": {"k_x": 4, "k_u": 4, "k_v": 4},
-}
-
 
 # every range and cross-field rule of `validate`, each broken on its own;
 # `prefix` is how the message starts, naming the field
@@ -83,14 +74,8 @@ RULES = [
 
 @pytest.mark.parametrize("overrides, prefix", RULES)
 def test_validate_rejects_each_rule_naming_its_field(overrides, prefix):
-    data = json.loads(json.dumps(BASE))
-    for key, value in overrides.items():
-        if isinstance(value, dict):
-            data.setdefault(key, {}).update(value)
-        else:
-            data[key] = value
     with pytest.raises(ConfigError) as exc:
-        from_dict(data)
+        from_dict(loghash.config_dict("small", **overrides))
     assert str(exc.value).startswith(prefix), str(exc.value)
 
 
@@ -111,7 +96,7 @@ INT_FIELDS = sorted(_int_fields(RunConfig))
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_from_dict_raises_only_config_error_on_huge_ints(data):
-    cfg = json.loads(json.dumps(BASE))
+    cfg = loghash.config_dict("small")
     for path in data.draw(st.lists(st.sampled_from(INT_FIELDS), min_size=1, max_size=3, unique=True)):
         *sections, key = path
         target = cfg
@@ -127,7 +112,8 @@ def test_from_dict_raises_only_config_error_on_huge_ints(data):
 # a schema change that orphans a byte-identity variant fails here, without running it
 @pytest.mark.parametrize("name", list(loghash.VARIANTS))
 def test_loghash_variant_builds(name):
-    from_dict(loghash.variant_dict(name))
+    base, overrides = loghash.VARIANTS[name]
+    from_dict(loghash.config_dict(base, **overrides))
 
 
 def test_readme_byte_gate_names_newest_bench_file():

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from lrdsim.linalg import svd
 from lrdsim.problems import BLOCK_DRAW_MAX_BATCH, NOISE_BLOCK_ROWS, MatrixRegression, draw_rows
-from lrdsim.projection import projection_with_spectrum, sin_theta_distance, spectral_gap, stable_rank
+from lrdsim.projection import projection_with_spectrum, spectral_gap, stable_rank
 
-from oracles import PowerLawOracle, gen_powerlaw_matrix, naive_regression_loss
+from oracles import PowerLawOracle, gen_powerlaw_matrix, naive_regression_loss, subspace_sin_theta
 
 
 def small_problem(**kw):
@@ -85,7 +85,7 @@ def test_feature_blocks_give_disjoint_gradient_support():
     assert np.max(np.abs(g1[:4])) == 0.0
     q0 = projection_with_spectrum(g0 + 1e-30 * np.eye(8, 4), 2)[0]
     q1 = projection_with_spectrum(g1, 2)[0]
-    assert sin_theta_distance(q0, q1) == pytest.approx(np.sqrt(2.0), abs=1e-8)
+    assert subspace_sin_theta(q0, q1) == pytest.approx(np.sqrt(2.0), abs=1e-8)
 
 
 @pytest.mark.parametrize("policy", ["iid", "feature_blocks"])
@@ -303,7 +303,7 @@ def test_projection_noise_non_increasing_in_batch():
         for seed in range(50):
             rng = np.random.default_rng(1000 + seed)
             q_hat = projection_with_spectrum(oracle.noisy_observation(b, rng), 4)[0]
-            vals.append(sin_theta_distance(q_true, q_hat))
+            vals.append(subspace_sin_theta(q_true, q_hat))
         means.append(np.mean(vals))
     assert means[0] >= means[1] >= means[2]
 
