@@ -116,30 +116,31 @@ def cmd_run(args) -> int:
 
 def _sweep_config(base: RunConfig, axis: str, raw_value: str) -> tuple[RunConfig, str]:
     """Resolved config for one sweep point plus a filename-safe label."""
+    kind = float if axis in ("omega", "sparsity") else int
+    try:
+        value = kind(raw_value)
+    except ValueError:
+        raise ConfigError(f"sweep axis {axis} needs {'a number' if kind is float else 'an integer'}, "
+                          f"got {raw_value!r}") from None
     if axis == "rank":
-        r = int(raw_value)
-        return dataclasses.replace(base, rank=r), f"rank{r}"
+        return dataclasses.replace(base, rank=value), f"rank{value}"
     if axis == "K":
-        k = int(raw_value)
-        sched = dataclasses.replace(base.schedule, k_x=k, k_u=k, k_v=k)
-        return dataclasses.replace(base, schedule=sched), f"K{k}"
+        sched = dataclasses.replace(base.schedule, k_x=value, k_u=value, k_v=value)
+        return dataclasses.replace(base, schedule=sched), f"K{value}"
     if axis == "batch_and_workers":
-        m = int(raw_value)
-        if m < 1:
-            raise ConfigError(f"workers must be >= 1, got {m}")
+        if value < 1:
+            raise ConfigError(f"workers must be >= 1, got {value}")
         global_batch = base.workers * base.problem.batch_size
-        if global_batch % m != 0:
-            raise ConfigError(f"global batch {global_batch} does not divide across {m} workers")
-        prob = dataclasses.replace(base.problem, batch_size=global_batch // m)
-        return dataclasses.replace(base, workers=m, problem=prob), f"M{m}"
+        if global_batch % value != 0:
+            raise ConfigError(f"global batch {global_batch} does not divide across {value} workers")
+        prob = dataclasses.replace(base.problem, batch_size=global_batch // value)
+        return dataclasses.replace(base, workers=value, problem=prob), f"M{value}"
     if axis == "omega":
-        w = float(raw_value)
-        qhm = dataclasses.replace(base.qhm, omega=w)
-        return dataclasses.replace(base, qhm=qhm), f"omega{w}"
+        qhm = dataclasses.replace(base.qhm, omega=value)
+        return dataclasses.replace(base, qhm=qhm), f"omega{value}"
     if axis == "sparsity":
-        keep = float(raw_value)
-        flags = dataclasses.replace(base.flags, sparsify_keep=keep)
-        return dataclasses.replace(base, flags=flags), f"keep{keep}"
+        flags = dataclasses.replace(base.flags, sparsify_keep=value)
+        return dataclasses.replace(base, flags=flags), f"keep{value}"
     raise ConfigError(f"unknown sweep axis '{axis}'")
 
 
@@ -156,7 +157,7 @@ def cmd_sweep(args) -> int:
             if label in points:
                 raise ConfigError(f"sweep values {points[label][0]!r} and {raw!r} both name point {label}")
             points[label] = (raw, cfg)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(args.out_dir)

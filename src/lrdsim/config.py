@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import sys
 from dataclasses import asdict, dataclass, field, is_dataclass
-from typing import Any, Optional, get_args, get_type_hints
+from typing import Any, Literal, Optional, get_args, get_origin, get_type_hints
 
 from .costs import STRATEGY_GLOBAL, STRATEGY_LOCAL
-from .optimizer import MU_PER_COLUMN, MU_SCALAR, QHM_MODES, QHM_NONE
-from .problems import SHARD_FEATURE_BLOCKS, SHARD_POLICIES
+from .optimizer import MU_PER_COLUMN, MU_SCALAR, QHM_FULL_RANK, QHM_LOW_RANK, QHM_NONE
+from .problems import SHARD_FEATURE_BLOCKS, SHARD_IID
 
 PROJECTION_INIT_DEFAULT = "default"
 PROJECTION_INIT_RANDOM = "random"
 PROJECTION_INIT_IDENTITY = "identity"
-PROJECTION_INITS = (PROJECTION_INIT_DEFAULT, PROJECTION_INIT_RANDOM, PROJECTION_INIT_IDENTITY)
 
 OUTER_AVERAGE = "average"
 OUTER_NESTEROV = "nesterov"
@@ -36,12 +35,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    type: str = "matrix_regression"
+    type: Literal["matrix_regression"] = "matrix_regression"
     rows: int = 64
     cols: int = 64
     design_rows: int = 4096
     noise_std: float = 0.1
-    shard_policy: str = "iid"
+    shard_policy: Literal[SHARD_IID, SHARD_FEATURE_BLOCKS] = SHARD_IID
     batch_size: int = 32
     target_rank: Optional[int] = None
     target_alpha: float = 0.5
@@ -56,14 +55,14 @@ class SyncSchedule:
 
 @dataclass(frozen=True)
 class ProjectionConfig:
-    strategy: str = STRATEGY_GLOBAL
-    init: str = PROJECTION_INIT_DEFAULT
+    strategy: Literal[STRATEGY_GLOBAL, STRATEGY_LOCAL] = STRATEGY_GLOBAL
+    init: Literal[PROJECTION_INIT_DEFAULT, PROJECTION_INIT_RANDOM, PROJECTION_INIT_IDENTITY] = PROJECTION_INIT_DEFAULT
     refresh: bool = True
 
 
 @dataclass(frozen=True)
 class QhmConfig:
-    mode: str = QHM_NONE
+    mode: Literal[QHM_NONE, QHM_LOW_RANK, QHM_FULL_RANK] = QHM_NONE
     omega: Optional[float] = None
     start_step: int = 0
 
@@ -86,7 +85,7 @@ class HyperConfig:
 
 @dataclass(frozen=True)
 class OuterConfig:
-    kind: str = OUTER_AVERAGE
+    kind: Literal[OUTER_AVERAGE, OUTER_NESTEROV] = OUTER_AVERAGE
     outer_lr: float = 1.0
     outer_momentum: float = 0.9
 
@@ -96,7 +95,7 @@ class FlagsConfig:
     rotate_moments: bool = True
     error_feedback: bool = True
     sparsify_keep: float = 1.0
-    mu_semantics: str = MU_PER_COLUMN
+    mu_semantics: Literal[MU_PER_COLUMN, MU_SCALAR] = MU_PER_COLUMN
 
 
 @dataclass(frozen=True)
@@ -124,28 +123,34 @@ class RunConfig:
         return asdict(self)
 
 
-_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number"}
 
 
 def _check_type(path: str, value: Any, hint) -> None:
-    """Reject a value unlike its annotation: bool is no int, ints pass as floats, floats are finite."""
-    args = get_args(hint)  # Optional[X] -> (X, NoneType)
+    """Reject a value unlike its annotation: bool is no int, ints pass as floats, floats are finite,
+    a Literal field takes only its listed strings, and no int passes the int-to-str digit limit."""
+    args = get_args(hint)  # Optional[X] -> (X, NoneType); Literal['a', 'b'] -> ('a', 'b')
     if value is None and type(None) in args:
         return
-    kind = args[0] if args else hint
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind is float:
-        ok = number and abs(value) <= sys.float_info.max  # False for inf and nan
-    elif kind is int:
-        ok = number and isinstance(value, int)
+    if get_origin(hint) is Literal:
+        ok, expected = value in args, "one of " + ", ".join(map(repr, args))
     else:
-        ok = isinstance(value, kind)
+        kind = args[0] if args else hint
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if kind is float:
+            ok = number and abs(value) <= sys.float_info.max  # False for inf and nan
+        elif kind is int:
+            ok = number and isinstance(value, int)
+        else:
+            ok = isinstance(value, kind)
+        expected = _TYPE_NAMES[kind]
+    try:
+        # the log header's json.dumps refuses an int that repr refuses
+        got = repr(value)
+    except ValueError:  # an int longer than the interpreter's int-to-str digit limit
+        ok, got = False, f"an integer of more than {sys.get_int_max_str_digits()} digits"
     if not ok:
-        try:
-            got = repr(value)
-        except ValueError:  # an int longer than the interpreter's int-to-str digit limit
-            got = f"an integer of more than {sys.get_int_max_str_digits()} digits"
-        raise ConfigError(f"{path} must be {_TYPE_NAMES[kind]}, got {got}")
+        raise ConfigError(f"{path} must be {expected}, got {got}")
 
 
 def _build(cls, data: Any, prefix: str = ""):
@@ -199,9 +204,8 @@ def validate(cfg: RunConfig) -> None:
     _check(cfg.workers >= 1, "workers must be >= 1")
     _check(cfg.steps >= 1, "steps must be >= 1")
     p = cfg.problem
-    _check(p.type == "matrix_regression", f"problem.type must be 'matrix_regression', got {p.type!r}")
     _check(p.rows >= 1 and p.cols >= 1, "problem.rows and problem.cols must be >= 1")
-    # first, so that no message below prints a size past the int-to-str digit limit
+    # before the rules below, so that an oversized config reports the cap and not a rule it also breaks
     need = _array_bytes(cfg)
     if need > MAX_ARRAY_BYTES:
         # imported here, so that a config under the cap does not pay for it
@@ -219,7 +223,6 @@ def validate(cfg: RunConfig) -> None:
     _check(p.design_rows % cfg.workers == 0,
            f"problem.design_rows={p.design_rows} must divide evenly across workers={cfg.workers}")
     _check(p.noise_std >= 0.0, "problem.noise_std must be >= 0")
-    _check(p.shard_policy in SHARD_POLICIES, f"problem.shard_policy must be one of {SHARD_POLICIES}")
     if p.shard_policy == SHARD_FEATURE_BLOCKS:
         _check(p.rows % cfg.workers == 0, "problem.rows must divide evenly across workers for feature_blocks")
     shard_rows = p.design_rows // cfg.workers
@@ -230,10 +233,6 @@ def validate(cfg: RunConfig) -> None:
         _check(p.target_alpha > 0.0, "problem.target_alpha must be positive")
     s = cfg.schedule
     _check(s.k_x >= 1 and s.k_u >= 1 and s.k_v >= 1, "schedule periods must be >= 1")
-    _check(cfg.projection.strategy in (STRATEGY_GLOBAL, STRATEGY_LOCAL),
-           f"projection.strategy must be '{STRATEGY_GLOBAL}' or '{STRATEGY_LOCAL}'")
-    _check(cfg.projection.init in PROJECTION_INITS, f"projection.init must be one of {PROJECTION_INITS}")
-    _check(cfg.qhm.mode in QHM_MODES, f"qhm.mode must be one of {QHM_MODES}")
     if cfg.qhm.mode == QHM_NONE:
         _check(cfg.qhm.omega is None, "qhm.omega must be omitted when qhm.mode is 'none'")
     else:
@@ -248,30 +247,10 @@ def validate(cfg: RunConfig) -> None:
     _check(h.lr > 0.0, "hyperparams.lr must be positive")
     _check(0 <= h.warmup_steps < cfg.steps, "hyperparams.warmup_steps must lie in [0, steps)")
     o = cfg.outer
-    _check(o.kind in (OUTER_AVERAGE, OUTER_NESTEROV), f"outer.kind must be '{OUTER_AVERAGE}' or '{OUTER_NESTEROV}'")
     _check(o.outer_lr > 0.0, "outer.outer_lr must be positive")
     _check(0.0 <= o.outer_momentum < 1.0, "outer.outer_momentum must lie in [0, 1)")
     f = cfg.flags
     _check(0.0 < f.sparsify_keep <= 1.0, "flags.sparsify_keep must lie in (0, 1]")
-    _check(f.mu_semantics in (MU_PER_COLUMN, MU_SCALAR),
-           f"flags.mu_semantics must be '{MU_PER_COLUMN}' or '{MU_SCALAR}'")
-    # the checks above bound the sizes from above, not the seed, the step count or
-    # the sync periods; the log header's json.dumps refuses an int that repr refuses
-    for path, value in _leaves(cfg.to_dict()):
-        try:
-            repr(value)
-        except ValueError:
-            raise ConfigError(f"{path} must be an integer, got an integer of more than "
-                              f"{sys.get_int_max_str_digits()} digits") from None
-
-
-def _leaves(data: dict, prefix: str = ""):
-    """(dotted key path, value) of every non-mapping value in nested mappings."""
-    for key, value in data.items():
-        if isinstance(value, dict):
-            yield from _leaves(value, f"{prefix}{key}.")
-        else:
-            yield prefix + key, value
 
 
 def load_file(path: str) -> RunConfig:

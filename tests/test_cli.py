@@ -333,7 +333,7 @@ def test_sweep_batch_and_workers_axis(cfg_path, tmp_path):
         assert header["config"]["workers"] * header["config"]["problem"]["batch_size"] == 16
 
 
-def test_sweep_invalid_point_aborts_before_running(cfg_path, tmp_path):
+def test_sweep_invalid_point_aborts_before_running(cfg_path, tmp_path, capsys):
     out_dir = tmp_path / "sweepbad"
     code = main(
         [
@@ -350,6 +350,14 @@ def test_sweep_invalid_point_aborts_before_running(cfg_path, tmp_path):
     )
     assert code == 1
     assert not out_dir.exists() or not list(out_dir.glob("*.log"))
+    # a value that does not parse names its axis
+    cfg = cfg_path({"qhm": {"mode": "low_rank", "omega": 0.9}})
+    for axis, values, message in [("K", "2,2.5", "sweep axis K needs an integer, got '2.5'"),
+                                  ("omega", "0.5,abc", "sweep axis omega needs a number, got 'abc'")]:
+        capsys.readouterr()
+        assert main(["sweep", "--config", cfg, "--axis", axis, "--values", values, "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out_dir.exists() or not list(out_dir.glob("*.log"))
 
 
 def test_sweep_zero_workers_exit_one(cfg_path, tmp_path, capsys):

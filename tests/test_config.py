@@ -1,7 +1,7 @@
 import dataclasses
 import json
 import warnings
-from typing import get_args, get_type_hints
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,8 @@ from lrdsim.config import ConfigError, RunConfig, from_dict
 import loghash
 
 
-# every range and cross-field rule of `validate`, each broken on its own;
+# every allowed-value and digit-limit rule of the schema and every range and
+# cross-field rule of `validate`, each broken on its own;
 # `prefix` is how the message starts, naming the field
 RULES = [
     pytest.param({"master_seed": -1}, "master_seed", id="master_seed"),
@@ -37,7 +38,8 @@ RULES = [
     pytest.param({"problem": {"batch_size": 0}}, "problem.batch_size", id="batch_size_low"),
     pytest.param({"problem": {"batch_size": 33}}, "problem.batch_size", id="batch_size_high"),
     pytest.param({"problem": {"design_rows": 2**30}}, "problem.design_rows, problem.rows", id="array_bytes"),
-    pytest.param({"problem": {"design_rows": 10**5000 + 1}}, "problem.design_rows, problem.rows",
+    pytest.param({"problem": {"design_rows": 10**5000 + 1}},
+                 "problem.design_rows must be an integer, got an integer of more than",
                  id="design_rows_past_str_digit_limit"),
     pytest.param({"problem": {"target_rank": 13}}, "problem.target_rank", id="problem.target_rank"),
     pytest.param({"problem": {"target_rank": 2, "target_alpha": 0.0}}, "problem.target_alpha",
@@ -72,23 +74,36 @@ RULES = [
 ]
 
 
+def _schema_fields(cls, prefix=()):
+    """(key path, annotation) of every schema field, nested sections included."""
+    for name, hint in get_type_hints(cls).items():
+        if dataclasses.is_dataclass(hint):
+            yield from _schema_fields(hint, prefix + (name,))
+        else:
+            yield prefix + (name,), hint
+
+
+SCHEMA_FIELDS = list(_schema_fields(RunConfig))
+INT_FIELDS = sorted(path for path, hint in SCHEMA_FIELDS if int in (hint, *get_args(hint)))
+# the string settings; each RULES case breaking one gives the field's path as its prefix
+ENUM_FIELDS = {"problem.type", "problem.shard_policy", "projection.strategy", "projection.init", "qhm.mode",
+               "outer.kind", "flags.mu_semantics"}
+
+
 @pytest.mark.parametrize("overrides, prefix", RULES)
 def test_validate_rejects_each_rule_naming_its_field(overrides, prefix):
     with pytest.raises(ConfigError) as exc:
         from_dict(loghash.config_dict("small", **overrides))
     assert str(exc.value).startswith(prefix), str(exc.value)
+    if prefix in ENUM_FIELDS:
+        section, key = prefix.split(".")
+        assert repr(overrides[section][key]) in str(exc.value), str(exc.value)
 
 
-def _int_fields(cls, prefix=()):
-    """Key paths of the schema's integer fields, nested sections included."""
-    for name, hint in get_type_hints(cls).items():
-        if dataclasses.is_dataclass(hint):
-            yield from _int_fields(hint, prefix + (name,))
-        elif int in (hint, *get_args(hint)):
-            yield prefix + (name,)
-
-
-INT_FIELDS = sorted(_int_fields(RunConfig))
+def test_no_schema_field_is_a_plain_string():
+    # a string setting is a Literal of its allowed values, which `_check_type` enforces
+    assert [path for path, hint in SCHEMA_FIELDS if str in (hint, *get_args(hint))] == []
+    assert {".".join(path) for path, hint in SCHEMA_FIELDS if get_origin(hint) is Literal} == ENUM_FIELDS
 
 
 # validation alone, so ints of any size cost no allocation: a config that
