@@ -8,19 +8,23 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import costs as costs_mod
-from .config import ConfigError, RunConfig, load_file, validate
+from .config import ConfigError, RunConfig, from_dict, load_file
 from .distsim import Engine
 from .logio import LogFormatError, read_log, write_log
 from .optimizer import QHM_MODES
 
-SWEEP_AXES = ("rank", "K", "batch_and_workers", "omega", "sparsity")
+# axis -> (value type, label prefix, config paths the value sets); batch_and_workers is computed in _sweep_config
+SWEEP_AXES = {"rank": (int, "rank", ("rank",)),
+              "K": (int, "K", ("schedule.k_x", "schedule.k_u", "schedule.k_v")),
+              "batch_and_workers": (int, "M", ("workers", "problem.batch_size")),
+              "omega": (float, "omega", ("qhm.omega",)),
+              "sparsity": (float, "keep", ("flags.sparsify_keep",))}
 
 
 class _UsageError(Exception):
@@ -80,12 +84,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _derived(cfg: RunConfig, changes: dict) -> RunConfig:
+    """`cfg` with each dotted config path in `changes` set to its value, built and checked by `from_dict`."""
+    data = cfg.to_dict()
+    for path, value in changes.items():
+        section, _, key = path.rpartition(".")
+        (data[section] if section else data)[key] = value
+    return from_dict(data)
+
+
 def _apply_seed(cfg: RunConfig, seed) -> RunConfig:
-    if seed is None:
-        return cfg
-    cfg = dataclasses.replace(cfg, master_seed=seed)
-    validate(cfg)
-    return cfg
+    return cfg if seed is None else _derived(cfg, {"master_seed": seed})
 
 
 def _write_run(cfg: RunConfig, path: str | Path) -> dict:
@@ -116,32 +125,19 @@ def cmd_run(args) -> int:
 
 def _sweep_config(base: RunConfig, axis: str, raw_value: str) -> tuple[RunConfig, str]:
     """Resolved config for one sweep point plus a filename-safe label."""
-    kind = float if axis in ("omega", "sparsity") else int
+    kind, prefix, paths = SWEEP_AXES[axis]
     try:
         value = kind(raw_value)
     except ValueError:
-        raise ConfigError(f"sweep axis {axis} needs {'a number' if kind is float else 'an integer'}, "
-                          f"got {raw_value!r}") from None
-    if axis == "rank":
-        return dataclasses.replace(base, rank=value), f"rank{value}"
-    if axis == "K":
-        sched = dataclasses.replace(base.schedule, k_x=value, k_u=value, k_v=value)
-        return dataclasses.replace(base, schedule=sched), f"K{value}"
-    if axis == "batch_and_workers":
-        if value < 1:
-            raise ConfigError(f"workers must be >= 1, got {value}")
+        shown = raw_value if len(raw_value) <= 20 else raw_value[:20] + "..."
+        raise ConfigError(f"sweep axis {axis} needs {'a number' if kind is float else 'an integer'}, got {shown!r}") from None
+    changes = dict.fromkeys(paths, value)
+    if axis == "batch_and_workers" and value >= 1:  # below 1 worker, from_dict reports the workers rule
         global_batch = base.workers * base.problem.batch_size
         if global_batch % value != 0:
             raise ConfigError(f"global batch {global_batch} does not divide across {value} workers")
-        prob = dataclasses.replace(base.problem, batch_size=global_batch // value)
-        return dataclasses.replace(base, workers=value, problem=prob), f"M{value}"
-    if axis == "omega":
-        qhm = dataclasses.replace(base.qhm, omega=value)
-        return dataclasses.replace(base, qhm=qhm), f"omega{value}"
-    if axis == "sparsity":
-        flags = dataclasses.replace(base.flags, sparsify_keep=value)
-        return dataclasses.replace(base, flags=flags), f"keep{value}"
-    raise ConfigError(f"unknown sweep axis '{axis}'")
+        changes["problem.batch_size"] = global_batch // value
+    return _derived(base, changes), f"{prefix}{value}"
 
 
 def cmd_sweep(args) -> int:
@@ -153,7 +149,6 @@ def cmd_sweep(args) -> int:
         points = {}  # label -> (raw value, config)
         for raw in values:
             cfg, label = _sweep_config(base, args.axis, raw)
-            validate(cfg)
             if label in points:
                 raise ConfigError(f"sweep values {points[label][0]!r} and {raw!r} both name point {label}")
             points[label] = (raw, cfg)

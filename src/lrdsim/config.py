@@ -144,13 +144,17 @@ def _check_type(path: str, value: Any, hint) -> None:
         else:
             ok = isinstance(value, kind)
         expected = _TYPE_NAMES[kind]
-    try:
-        # the log header's json.dumps refuses an int that repr refuses
-        got = repr(value)
-    except ValueError:  # an int longer than the interpreter's int-to-str digit limit
-        ok, got = False, f"an integer of more than {sys.get_int_max_str_digits()} digits"
-    if not ok:
+    fits, got = _shown(value)
+    if not (ok and fits):
         raise ConfigError(f"{path} must be {expected}, got {got}")
+
+
+def _shown(value: Any, show=repr) -> tuple[bool, str]:
+    """(True, show(value)), or (False, how messages name it) for an int past the int-to-str digit limit."""
+    try:
+        return True, show(value)
+    except ValueError:  # str and repr refuse such an int, and so would the log header's json.dumps
+        return False, f"an integer of more than {sys.get_int_max_str_digits()} digits"
 
 
 def _build(cls, data: Any, prefix: str = ""):
@@ -163,7 +167,7 @@ def _build(cls, data: Any, prefix: str = ""):
     if unknown:
         # str sorts keys of mixed types, which YAML allows (`1: 2` next to `foo: 3`);
         # repr keeps a key holding a newline on one line
-        raise ConfigError(f"unknown key {prefix + str(min(unknown, key=str))!r}")
+        raise ConfigError(f"unknown key {prefix + min(_shown(key, str)[1] for key in unknown)!r}")
     kwargs = {}
     for key, value in data.items():
         if is_dataclass(hints[key]):
@@ -175,9 +179,9 @@ def _build(cls, data: Any, prefix: str = ""):
 
 
 def from_dict(data: dict) -> RunConfig:
-    """Parse and validate a config mapping. Unknown keys are hard errors."""
+    """Build and check a config mapping: the schema's types, then `_validate`'s rules. Unknown keys are hard errors."""
     cfg = _build(RunConfig, data)
-    validate(cfg)
+    _validate(cfg)
     return cfg
 
 
@@ -198,8 +202,8 @@ def _array_bytes(cfg: RunConfig) -> int:
     return 8 * (shared + cfg.workers * stack)
 
 
-def validate(cfg: RunConfig) -> None:
-    """Range and cross-field validation; raises ConfigError naming the field."""
+def _validate(cfg: RunConfig) -> None:
+    """Range and cross-field rules of a config whose types `_build` checked; raises ConfigError naming the field."""
     _check(cfg.master_seed >= 0, "master_seed must be a non-negative integer")
     _check(cfg.workers >= 1, "workers must be >= 1")
     _check(cfg.steps >= 1, "steps must be >= 1")

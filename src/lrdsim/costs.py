@@ -4,9 +4,9 @@ Element counts implement the per-payload tables with unit constants per
 term. Uplink/downlink are per link (server <-> one worker). The
 simulator stamps these counts, times `distsim.ELEMENT_SIZE` bytes, on
 step records at each sync event, so summed run totals match the
-analytic formulas exactly. Names are not re-checked: `config.validate`
-owns the run-setting rules, and `CostInputs` checks the sizes that
-`lrdsim costs` reads.
+analytic formulas exactly. Names are not re-checked: the config schema
+and `config.from_dict` own the run-setting rules, and `CostInputs`
+checks the sizes that `lrdsim costs` reads.
 """
 
 from __future__ import annotations

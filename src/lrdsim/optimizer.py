@@ -11,13 +11,13 @@ and forms updates in one of three quasi-hyperbolic flavors:
 where hats are bias-corrected moments and mu() averages the denominator
 over the r rows (per column by default, or a single scalar).
 
-The kernels take plain arrays; the caller owns the moments and passes
-the count t >= 1 of moment updates so far, for the bias correction
-1 - beta^t. Hyperparameters come as a `config.HyperConfig`, with QHM's
-omega beside them. Arguments are not re-checked: `config.validate` owns
-the run-setting rules and the engine fixes the shapes. The textbook
-full-rank Adam step that the exact-degeneracy checks compare against is
-a test oracle (`tests/oracles.py`), not part of the simulator.
+The kernels take plain arrays; the caller owns the moments and passes the
+count t >= 1 of moment updates so far, for the bias correction 1 - beta^t.
+Hyperparameters come as a `config.HyperConfig`, with QHM's omega beside
+them. Arguments are not re-checked: the config schema and
+`config.from_dict` own the run-setting rules, the engine fixes the shapes.
+The textbook full-rank Adam step that the exact-degeneracy checks compare
+against is a test oracle (`tests/oracles.py`), not part of the simulator.
 """
 
 from __future__ import annotations

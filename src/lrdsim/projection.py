@@ -1,11 +1,11 @@
 """Truncated projection bases, moment rotation, and subspace diagnostics.
 
-A basis is a column-orthonormal (p, r) array Q mapping full-rank
-gradients into a rank-r subspace (g = Q^T G) and back (Q g). New bases
-come from the thin SVD of a signal matrix; moments are re-expressed in
-the new basis through the rotation R = Q_new^T Q_old, and the subspace
-diagnostics (MSSV, sin-theta) of a refresh derive from that same R.
-Arguments and bases are not re-checked: `config.validate` owns the
+A basis is a column-orthonormal (p, r) array Q mapping full-rank gradients
+into a rank-r subspace (g = Q^T G) and back (Q g). New bases come from the
+thin SVD of a signal matrix; moments are re-expressed in the new basis
+through the rotation R = Q_new^T Q_old, and the subspace diagnostics
+(MSSV, sin-theta) of a refresh derive from that same R. Arguments and
+bases are not re-checked: the config schema and `config.from_dict` own the
 run-setting rules, the engine fixes the shapes, and orthonormality is a
 tested property of gesdd and of twice-applied Gram-Schmidt.
 """

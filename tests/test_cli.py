@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrdsim.cli import main
-from lrdsim.config import RunConfig
+from lrdsim.config import RunConfig, from_dict
 from lrdsim.logio import read_log
 
 from loghash import config_dict
@@ -353,11 +353,41 @@ def test_sweep_invalid_point_aborts_before_running(cfg_path, tmp_path, capsys):
     # a value that does not parse names its axis
     cfg = cfg_path({"qhm": {"mode": "low_rank", "omega": 0.9}})
     for axis, values, message in [("K", "2,2.5", "sweep axis K needs an integer, got '2.5'"),
-                                  ("omega", "0.5,abc", "sweep axis omega needs a number, got 'abc'")]:
+                                  ("omega", "0.5,abc", "sweep axis omega needs a number, got 'abc'"),
+                                  # past the int-from-str digit limit, echoed as a prefix
+                                  ("rank", "2," + "9" * 5000, f"sweep axis rank needs an integer, got '{'9' * 20}...'")]:
         capsys.readouterr()
         assert main(["sweep", "--config", cfg, "--axis", axis, "--values", values, "--out-dir", str(out_dir)]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out_dir.exists() or not list(out_dir.glob("*.log"))
+
+
+QHM_ON = {"qhm": {"mode": "low_rank", "omega": 0.9}}
+
+
+# label -> the fields each point sets, by hand; the small config's global batch is 2 workers x 8
+@pytest.mark.parametrize(
+    "axis, values, points",
+    [
+        ("rank", "2,3", {"rank2": {"rank": 2}, "rank3": {"rank": 3}}),
+        ("K", "2,8", {f"K{k}": {"schedule": {"k_x": k, "k_u": k, "k_v": k}} for k in (2, 8)}),
+        ("batch_and_workers", "1,4", {"M1": {"workers": 1, "problem": {"batch_size": 16}},
+                                      "M4": {"workers": 4, "problem": {"batch_size": 4}}}),
+        ("omega", "0.5,1", {"omega0.5": {"qhm": {"mode": "low_rank", "omega": 0.5}},
+                            "omega1.0": {"qhm": {"mode": "low_rank", "omega": 1.0}}}),
+        ("sparsity", "0.5,1", {"keep0.5": {"flags": {"sparsify_keep": 0.5}},
+                               "keep1.0": {"flags": {"sparsify_keep": 1.0}}}),
+    ],
+    ids=["rank", "K", "batch_and_workers", "omega", "sparsity"],
+)
+def test_sweep_axis_sets_its_fields_and_label(cfg_path, tmp_path, axis, values, points):
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg_path(QHM_ON), "--axis", axis, "--values", values,
+                 "--out-dir", str(out_dir)]) == 0
+    assert sorted(p.name for p in out_dir.glob("*.log")) == sorted(f"{label}.log" for label in points)
+    for label, fields in points.items():
+        header, _ = read_log(str(out_dir / f"{label}.log"))
+        assert header["config"] == from_dict(config_dict("small", **{**QHM_ON, **fields})).to_dict()
 
 
 def test_sweep_zero_workers_exit_one(cfg_path, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 import warnings
 from typing import Literal, get_args, get_origin, get_type_hints
 
@@ -104,6 +105,16 @@ def test_no_schema_field_is_a_plain_string():
     # a string setting is a Literal of its allowed values, which `_check_type` enforces
     assert [path for path, hint in SCHEMA_FIELDS if str in (hint, *get_args(hint))] == []
     assert {".".join(path) for path, hint in SCHEMA_FIELDS if get_origin(hint) is Literal} == ENUM_FIELDS
+
+
+@pytest.mark.parametrize("section", [None, "problem"], ids=["top_level", "in_section"])
+def test_unknown_key_past_str_digit_limit_is_named_by_its_length(section):
+    cfg = loghash.config_dict("small")
+    (cfg[section] if section else cfg)[10**5000] = 1
+    with pytest.raises(ConfigError) as exc:
+        from_dict(cfg)
+    where = f"{section}." if section else ""
+    assert str(exc.value) == f"unknown key '{where}an integer of more than {sys.get_int_max_str_digits()} digits'"
 
 
 # validation alone, so ints of any size cost no allocation: a config that
