@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import costs as costs_mod
-from .config import ConfigError, RunConfig, from_dict, load_file
+from .config import ConfigError, RunConfig, _shown, from_dict, load_file
 from .distsim import Engine
 from .logio import LogFormatError, read_log, write_log
 from .optimizer import QHM_MODES
@@ -39,13 +39,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str, name: str = "int value:") -> int:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid positive integer {text!r}") from None
+        return int(text)
+    except ValueError:  # argparse's own message would echo all of `text`
+        raise argparse.ArgumentTypeError(f"invalid {name} {_shown(text)[1]}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text, "positive integer")
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {_shown(value)[1]}")
     return value
 
 
@@ -60,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="YAML config path")
     p_run.add_argument("--out", required=True, help="output log path")
     p_run.add_argument("--threads", type=_positive_int, default=None, help=THREADS_HELP)
-    p_run.add_argument("--seed", type=int, default=None, help="override master_seed")
+    p_run.add_argument("--seed", type=_int, default=None, help="override master_seed")
 
     p_sweep = sub.add_parser("sweep", help="run one config across an axis of values")
     p_sweep.add_argument("--config", required=True, help="base YAML config path")
@@ -68,16 +72,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
     p_sweep.add_argument("--out-dir", required=True, help="directory for per-point logs and summary.csv")
     p_sweep.add_argument("--threads", type=_positive_int, default=None, help=THREADS_HELP)
-    p_sweep.add_argument("--seed", type=int, default=None, help="override master_seed for every point")
+    p_sweep.add_argument("--seed", type=_int, default=None, help="override master_seed for every point")
 
     p_costs = sub.add_parser("costs", help="print per-variant payload/memory counts and reduction ratios")
-    p_costs.add_argument("--p", type=int, required=True)
-    p_costs.add_argument("--q", type=int, required=True)
-    p_costs.add_argument("--r", type=int, required=True)
-    p_costs.add_argument("--k", type=int, default=None, help="sets k-x, k-u and k-v together")
-    p_costs.add_argument("--k-x", type=int, default=None)
-    p_costs.add_argument("--k-u", type=int, default=None)
-    p_costs.add_argument("--k-v", type=int, default=None)
+    p_costs.add_argument("--p", type=_int, required=True)
+    p_costs.add_argument("--q", type=_int, required=True)
+    p_costs.add_argument("--r", type=_int, required=True)
+    p_costs.add_argument("--k", type=_int, default=None, help="sets k-x, k-u and k-v together")
+    p_costs.add_argument("--k-x", type=_int, default=None)
+    p_costs.add_argument("--k-u", type=_int, default=None)
+    p_costs.add_argument("--k-v", type=_int, default=None)
 
     p_an = sub.add_parser("analyze", help="summarize a metric log")
     p_an.add_argument("log", help="metric log path")
@@ -129,13 +133,13 @@ def _sweep_config(base: RunConfig, axis: str, raw_value: str) -> tuple[RunConfig
     try:
         value = kind(raw_value)
     except ValueError:
-        shown = raw_value if len(raw_value) <= 20 else raw_value[:20] + "..."
-        raise ConfigError(f"sweep axis {axis} needs {'a number' if kind is float else 'an integer'}, got {shown!r}") from None
+        kind_name = "a number" if kind is float else "an integer"
+        raise ConfigError(f"sweep axis {axis} needs {kind_name}, got {_shown(raw_value)[1]}") from None
     changes = dict.fromkeys(paths, value)
     if axis == "batch_and_workers" and value >= 1:  # below 1 worker, from_dict reports the workers rule
         global_batch = base.workers * base.problem.batch_size
         if global_batch % value != 0:
-            raise ConfigError(f"global batch {global_batch} does not divide across {value} workers")
+            raise ConfigError(f"global batch {global_batch} does not divide across {_shown(value)[1]} workers")
         changes["problem.batch_size"] = global_batch // value
     return _derived(base, changes), f"{prefix}{value}"
 
@@ -150,7 +154,8 @@ def cmd_sweep(args) -> int:
         for raw in values:
             cfg, label = _sweep_config(base, args.axis, raw)
             if label in points:
-                raise ConfigError(f"sweep values {points[label][0]!r} and {raw!r} both name point {label}")
+                raise ConfigError(f"sweep values {_shown(points[label][0])[1]} and {_shown(raw)[1]} both name point "
+                                  f"{_shown(label, str)[1]}")
             points[label] = (raw, cfg)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

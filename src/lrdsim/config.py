@@ -13,15 +13,12 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Any, Literal, Optional, get_args, get_origin, get_type_hints
 
 from .costs import STRATEGY_GLOBAL, STRATEGY_LOCAL
-from .optimizer import MU_PER_COLUMN, MU_SCALAR, QHM_FULL_RANK, QHM_LOW_RANK, QHM_NONE
+from .optimizer import QHM_FULL_RANK, QHM_LOW_RANK, QHM_NONE
 from .problems import SHARD_FEATURE_BLOCKS, SHARD_IID
 
 PROJECTION_INIT_DEFAULT = "default"
 PROJECTION_INIT_RANDOM = "random"
 PROJECTION_INIT_IDENTITY = "identity"
-
-OUTER_AVERAGE = "average"
-OUTER_NESTEROV = "nesterov"
 
 # Cap on the arrays `_array_bytes` counts. Set-up holds exactly these, plus
 # one `problems.NOISE_BLOCK_ROWS`-row block of label noise and small temporaries for x_star.
@@ -84,18 +81,10 @@ class HyperConfig:
 
 
 @dataclass(frozen=True)
-class OuterConfig:
-    kind: Literal[OUTER_AVERAGE, OUTER_NESTEROV] = OUTER_AVERAGE
-    outer_lr: float = 1.0
-    outer_momentum: float = 0.9
-
-
-@dataclass(frozen=True)
 class FlagsConfig:
     rotate_moments: bool = True
     error_feedback: bool = True
     sparsify_keep: float = 1.0
-    mu_semantics: Literal[MU_PER_COLUMN, MU_SCALAR] = MU_PER_COLUMN
 
 
 @dataclass(frozen=True)
@@ -109,7 +98,6 @@ class RunConfig:
     projection: ProjectionConfig = field(default_factory=ProjectionConfig)
     qhm: QhmConfig = field(default_factory=QhmConfig)
     hyperparams: HyperConfig = field(default_factory=HyperConfig)
-    outer: OuterConfig = field(default_factory=OuterConfig)
     flags: FlagsConfig = field(default_factory=FlagsConfig)
 
     def projection_init(self) -> str:
@@ -150,11 +138,14 @@ def _check_type(path: str, value: Any, hint) -> None:
 
 
 def _shown(value: Any, show=repr) -> tuple[bool, str]:
-    """(True, show(value)), or (False, how messages name it) for an int past the int-to-str digit limit."""
+    """(True, show(value)) cut to its first 20 characters plus '...', a string cut before `show` quotes it;
+    or (False, how messages name it) for an int past the int-to-str digit limit."""
+    cut = isinstance(value, str) and len(value) > 20
     try:
-        return True, show(value)
+        text = show(value[:20] + "..." if cut else value)
     except ValueError:  # str and repr refuse such an int, and so would the log header's json.dumps
         return False, f"an integer of more than {sys.get_int_max_str_digits()} digits"
+    return True, text if cut or len(text) <= 20 else text[:20] + "..."
 
 
 def _build(cls, data: Any, prefix: str = ""):
@@ -191,10 +182,10 @@ def _check(cond: bool, message: str) -> None:
 
 
 def _array_bytes(cfg: RunConfig) -> int:
-    """Bytes of the problem's arrays, the shared anchor and outer velocity, the worker stack and its batch indices."""
+    """Bytes of the problem's arrays, the shared anchor, the worker stack and its batch indices."""
     p = cfg.problem
-    # design, labels; x_star, the anchor and the outer velocity
-    shared = p.design_rows * (p.rows + p.cols) + 3 * p.rows * p.cols
+    # design, labels; x_star and the anchor
+    shared = p.design_rows * (p.rows + p.cols) + 2 * p.rows * p.cols
     # x, error and the gradient buffer; u and v; the bases
     stack = 3 * p.rows * p.cols + 2 * cfg.rank * p.cols + p.rows * cfg.rank
     # a block's int64 training and eval indices; a batch past its shard is rejected below, by name
@@ -250,9 +241,6 @@ def _validate(cfg: RunConfig) -> None:
     _check(h.clip_radius > 0.0, "hyperparams.clip_radius must be positive")
     _check(h.lr > 0.0, "hyperparams.lr must be positive")
     _check(0 <= h.warmup_steps < cfg.steps, "hyperparams.warmup_steps must lie in [0, steps)")
-    o = cfg.outer
-    _check(o.outer_lr > 0.0, "outer.outer_lr must be positive")
-    _check(0.0 <= o.outer_momentum < 1.0, "outer.outer_momentum must lie in [0, 1)")
     f = cfg.flags
     _check(0.0 < f.sparsify_keep <= 1.0, "flags.sparsify_keep must lie in (0, 1]")
 

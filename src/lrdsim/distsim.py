@@ -4,8 +4,8 @@ Workers run local low-rank Adam steps between barriers. At step t
 (0-based), the first moment syncs when (t+1) % K_u == 0, the second when
 (t+1) % K_v == 0, and parameters when (t+1) % K_x == 0. A parameter
 sync averages pseudo-gradients (optionally Top-K sparsified per worker),
-applies the outer optimizer on the shared anchor, and, for the global
-strategy, refreshes the shared basis from the aggregated
+moves the shared anchor by their mean, and, for the global strategy,
+refreshes the shared basis from that mean, the aggregated
 pseudo-gradient. The local strategy instead refreshes each worker's own
 basis from its clipped gradient plus error buffer at steps with
 (t-1) % K_x == 0. Both go through one routine, `Engine._refresh`, on a
@@ -67,7 +67,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import costs
-from .config import BLOCK_STEPS, OUTER_NESTEROV, PROJECTION_INIT_IDENTITY, RunConfig
+from .config import BLOCK_STEPS, PROJECTION_INIT_IDENTITY, RunConfig
 from .costs import STRATEGY_GLOBAL, STRATEGY_LOCAL, CostInputs
 from .linalg import NonFiniteError, clip_frobenius
 from .optimizer import QHM_NONE, compress_gradient, compute_update, update_moments
@@ -150,7 +150,6 @@ class Engine:
                 for m in range(m_count)
             ],
         )
-        self.outer_velocity = np.zeros((pc.rows, pc.cols))
         self._payload = costs.per_payload(
             config.projection.strategy,
             config.qhm.mode,
@@ -182,9 +181,7 @@ class Engine:
             g[m], _ = compress_gradient(grad[m], s.error[m], s.basis[m], out=s.error[m] if ef else None)
         update_moments(s.u, s.v, g, hp.beta1, hp.beta2)
         mode = QHM_NONE if t < cfg.qhm.start_step else cfg.qhm.mode
-        upd = compute_update(
-            s.u, s.v, s.basis, t + 1, grad, g, mode, hp, cfg.qhm.omega, cfg.flags.mu_semantics, out=grad
-        )
+        upd = compute_update(s.u, s.v, s.basis, t + 1, grad, g, mode, hp, cfg.qhm.omega, out=grad)
         upd *= hp.lr_at(t)
         s.x -= upd
         return entry
@@ -242,23 +239,16 @@ class Engine:
             uplink += pay.up_second
             downlink += pay.down_second
         if (t + 1) % sched.k_x == 0:
-            # the pseudo-gradients overwrite x, which receives x_new below
+            # the pseudo-gradients overwrite x, which receives the new anchor below
             deltas = np.subtract(s.x, self.anchor, out=s.x)
             if cfg.flags.sparsify_keep < 1.0:
                 for m in range(cfg.workers):
                     deltas[m] = sparsify_topk(deltas[m], cfg.flags.sparsify_keep)
             delta = np.add.reduce(deltas, axis=0) / cfg.workers
-            if cfg.outer.kind == OUTER_NESTEROV:
-                self.outer_velocity = cfg.outer.outer_momentum * self.outer_velocity + delta
-                x_new = self.anchor + cfg.outer.outer_lr * (
-                    delta + cfg.outer.outer_momentum * self.outer_velocity
-                )
-            else:
-                x_new = self.anchor + delta
             if cfg.projection.strategy == STRATEGY_GLOBAL and cfg.projection.refresh:
                 entry = self._refresh(delta[None], t + 1)  # after step t's moment update
-            s.x[:] = x_new
-            self.anchor = x_new
+            self.anchor += delta
+            s.x[:] = self.anchor
             uplink += pay.up_params + pay.up_projection
             downlink += pay.down_params + pay.down_projection
         return uplink * ELEMENT_SIZE, downlink * ELEMENT_SIZE, entry

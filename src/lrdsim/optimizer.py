@@ -9,7 +9,7 @@ and forms updates in one of three quasi-hyperbolic flavors:
   full_rank (1-omega) G / mu(sqrt(vh) + eps) + omega Q (uh / (sqrt(vh) + eps))
 
 where hats are bias-corrected moments and mu() averages the denominator
-over the r rows (per column by default, or a single scalar).
+over the r rows, one mean per column.
 
 The kernels take plain arrays; the caller owns the moments and passes the
 count t >= 1 of moment updates so far, for the bias correction 1 - beta^t.
@@ -37,9 +37,6 @@ QHM_NONE = "none"
 QHM_LOW_RANK = "low_rank"
 QHM_FULL_RANK = "full_rank"
 QHM_MODES = (QHM_NONE, QHM_LOW_RANK, QHM_FULL_RANK)
-
-MU_PER_COLUMN = "per_column"
-MU_SCALAR = "scalar"
 
 
 def compress_gradient(
@@ -77,7 +74,6 @@ def compute_update(
     mode: str,
     hp: HyperConfig,
     omega: Optional[float] = None,
-    mu_semantics: str = MU_PER_COLUMN,
     out=None,
 ) -> np.ndarray:
     """Full-rank update direction for the current step (caller applies -lr).
@@ -96,10 +92,9 @@ def compute_update(
     uh /= denom
     if mode in (QHM_NONE, QHM_LOW_RANK):
         return np.matmul(basis, uh, out=out)
-    # mu: denom's sum over the r rows (per column) or all entries, divided by the count, as np.mean does
-    axis = -2 if mu_semantics == MU_PER_COLUMN else (-2, -1)
-    scale = np.add.reduce(denom, axis=axis, keepdims=True)
-    scale /= denom.size // scale.size
+    # mu: each column's sum of denom over the r rows, divided by r, as np.mean does
+    scale = np.add.reduce(denom, axis=-2, keepdims=True)
+    scale /= denom.shape[-2]
     # (1 - omega) G / mu + omega Q (uh / denom), in place on the full-size arrays
     full = np.multiply(grad, 1.0 - omega, out=out)
     full /= scale

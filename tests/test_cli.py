@@ -51,6 +51,16 @@ def test_run_threads_must_be_positive(cfg_path, tmp_path, capsys, threads):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, message", [("--seed", "invalid int value:"), ("--threads", "invalid positive integer")])
+def test_unparsable_int_option_is_echoed_cut(cfg_path, tmp_path, capsys, flag, message):
+    out = tmp_path / "x.log"
+    assert main(["run", "--config", cfg_path(), "--out", str(out), flag, "x" * 5000]) == 1
+    *usage, error = capsys.readouterr().err.splitlines()
+    assert usage[0].startswith("usage: ")
+    assert error == f"error: argument {flag}: {message} '{'x' * 20}...'"
+    assert not out.exists()
+
+
 def test_negative_seed_override_exit_one(cfg_path, tmp_path, capsys):
     assert main(["run", "--config", cfg_path(), "--out", str(tmp_path / "x.log"), "--seed", "-1"]) == 1
     assert "master_seed" in capsys.readouterr().err
@@ -65,6 +75,8 @@ def test_negative_seed_override_exit_one(cfg_path, tmp_path, capsys):
         ({"hyperparams": {"clip_radius": float("inf")}}, "hyperparams.clip_radius"),
         ({"problem": {"rows": "64"}}, "problem.rows"),
         ({"hyperparams": {"lr": "fast"}}, "hyperparams.lr"),
+        # echoed as its first 20 characters
+        ({"problem": {"shard_policy": "x" * 5000}}, "problem.shard_policy"),
     ],
 )
 def test_mistyped_config_value_exit_one_naming_key(cfg_path, tmp_path, capsys, overrides, key):
@@ -73,6 +85,7 @@ def test_mistyped_config_value_exit_one_naming_key(cfg_path, tmp_path, capsys, o
     assert main(["run", "--config", bad, "--out", str(out)]) == 1
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
+    assert len(err.encode()) < 200
     assert err.startswith(f"config error: {key} must be ")
     assert not out.exists()
 
@@ -355,7 +368,9 @@ def test_sweep_invalid_point_aborts_before_running(cfg_path, tmp_path, capsys):
     for axis, values, message in [("K", "2,2.5", "sweep axis K needs an integer, got '2.5'"),
                                   ("omega", "0.5,abc", "sweep axis omega needs a number, got 'abc'"),
                                   # past the int-from-str digit limit, echoed as a prefix
-                                  ("rank", "2," + "9" * 5000, f"sweep axis rank needs an integer, got '{'9' * 20}...'")]:
+                                  ("rank", "2," + "9" * 5000, f"sweep axis rank needs an integer, got '{'9' * 20}...'"),
+                                  ("batch_and_workers", "1" + "0" * 4000,
+                                   f"global batch 16 does not divide across 1{'0' * 19}... workers")]:
         capsys.readouterr()
         assert main(["sweep", "--config", cfg, "--axis", axis, "--values", values, "--out-dir", str(out_dir)]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
@@ -468,8 +483,11 @@ def test_over_budget_sizes_exit_one_without_allocating(cfg_path, tmp_path, capsy
 
 @pytest.mark.parametrize(
     "axis, values, label",
-    [("K", "4,04", "K4"), ("omega", "0.5,.5", "omega0.5")],
-    ids=["K", "omega"],
+    [("K", "4,04", "K4"), ("omega", "0.5,.5", "omega0.5"),
+     # each raw value and the label echoed as its first 20 characters
+     ("omega", "0.5,0.5" + "0" * 10000, "omega0.5"),
+     ("K", f"1{'0' * 4000},01{'0' * 4000}", f"K1{'0' * 18}...")],
+    ids=["K", "omega", "omega_long", "K_long"],
 )
 def test_sweep_colliding_labels_exit_one(cfg_path, tmp_path, capsys, no_engine, axis, values, label):
     out_dir = tmp_path / "sweepdup"
@@ -478,8 +496,9 @@ def test_sweep_colliding_labels_exit_one(cfg_path, tmp_path, capsys, no_engine, 
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: sweep values ")
-    assert f"both name point {label}" in err
+    assert err.endswith(f"both name point {label}\n")
     assert err.count("\n") == 1
+    assert len(err.encode()) < 200
     assert not out_dir.exists()
 
 

@@ -66,12 +66,8 @@ RULES = [
     pytest.param({"hyperparams": {"lr": 10**5000}}, "hyperparams.lr", id="lr_past_str_digit_limit"),
     pytest.param({"hyperparams": {"warmup_steps": -1}}, "hyperparams.warmup_steps", id="warmup_steps_low"),
     pytest.param({"hyperparams": {"warmup_steps": 8}}, "hyperparams.warmup_steps", id="warmup_steps_high"),
-    pytest.param({"outer": {"kind": "adam"}}, "outer.kind", id="outer.kind"),
-    pytest.param({"outer": {"outer_lr": 0.0}}, "outer.outer_lr", id="outer.outer_lr"),
-    pytest.param({"outer": {"outer_momentum": 1.0}}, "outer.outer_momentum", id="outer.outer_momentum"),
     pytest.param({"flags": {"sparsify_keep": 0.0}}, "flags.sparsify_keep", id="sparsify_keep_low"),
     pytest.param({"flags": {"sparsify_keep": 1.5}}, "flags.sparsify_keep", id="sparsify_keep_high"),
-    pytest.param({"flags": {"mu_semantics": "median"}}, "flags.mu_semantics", id="flags.mu_semantics"),
 ]
 
 
@@ -87,8 +83,7 @@ def _schema_fields(cls, prefix=()):
 SCHEMA_FIELDS = list(_schema_fields(RunConfig))
 INT_FIELDS = sorted(path for path, hint in SCHEMA_FIELDS if int in (hint, *get_args(hint)))
 # the string settings; each RULES case breaking one gives the field's path as its prefix
-ENUM_FIELDS = {"problem.type", "problem.shard_policy", "projection.strategy", "projection.init", "qhm.mode",
-               "outer.kind", "flags.mu_semantics"}
+ENUM_FIELDS = {"problem.type", "problem.shard_policy", "projection.strategy", "projection.init", "qhm.mode"}
 
 
 @pytest.mark.parametrize("overrides, prefix", RULES)
@@ -140,6 +135,19 @@ def test_from_dict_raises_only_config_error_on_huge_ints(data):
 def test_loghash_variant_builds(name):
     base, overrides = loghash.VARIANTS[name]
     from_dict(loghash.config_dict(base, **overrides))
+
+
+def test_loghash_compare_says_when_only_the_header_differs():
+    recorded = {"sha256": "h0", "steps_sha256": "s0", "exit": 0, "stderr_lines": 0}
+    want = {"header_only": recorded, "steps_too": recorded, "no_steps_hash": dict(recorded, steps_sha256=None)}
+    got = {"header_only": dict(recorded, sha256="h1"), "steps_too": dict(recorded, sha256="h1", steps_sha256="s1"),
+           "no_steps_hash": dict(recorded, sha256="h1")}
+    assert loghash.compare(got, want) == [
+        "header_only: sha256 'h1', recorded 'h0'; its step records match, so only the header differs",
+        "steps_too: sha256 'h1', recorded 'h0'",
+        "steps_too: steps_sha256 's1', recorded 's0'",
+        "no_steps_hash: sha256 'h1', recorded 'h0'",
+    ]
 
 
 def test_readme_byte_gate_names_newest_bench_file():

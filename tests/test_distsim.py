@@ -86,19 +86,16 @@ def test_local_refresh_every_step_when_k1():
 # ---- exact sync semantics ----------------------------------------------------
 
 
-def engine_for_sync_tests(workers=2, kind="average", **outer_kw):
-    outer = {"kind": kind}
-    outer.update(outer_kw)
+def engine_for_sync_tests():
     cfg = from_dict(
         config_dict(
             "small",
-            workers=workers,
+            workers=2,
             steps=4,
             rank=1,
-            problem={"rows": 1, "cols": 1, "design_rows": workers * 4, "batch_size": 2},
+            problem={"rows": 1, "cols": 1, "design_rows": 8, "batch_size": 2},
             schedule={"k_x": 1, "k_u": 1, "k_v": 1},
             projection={"strategy": "global", "refresh": False, "init": "identity"},
-            outer=outer,
         )
     )
     return Engine(cfg)
@@ -127,31 +124,6 @@ def test_sync_params_cancellation():
         np.testing.assert_array_equal(s.x[m], [[1.0]])
 
 
-def test_nesterov_degenerates_to_average():
-    eng = engine_for_sync_tests(kind="nesterov", outer_lr=1.0, outer_momentum=0.0)
-    s = eng.stack
-    s.x[0] = np.array([[2.0]])
-    s.x[1] = np.array([[4.0]])
-    eng.anchor = np.array([[1.0]])
-    eng._sync_phase(0, None)
-    np.testing.assert_allclose(s.x[0], [[3.0]])
-
-
-def test_nesterov_two_step_hand_trace():
-    # velocity m <- mu m + delta; x <- anchor + lr (delta + mu m)
-    # mu=0.9, lr=0.5: delta 1.0 -> x = 0.95; then delta 2.0 ->
-    # m = 2.9, x = 0.95 + 0.5 (2 + 2.61) = 3.255 (worked by hand)
-    eng = engine_for_sync_tests(workers=1, kind="nesterov", outer_lr=0.5, outer_momentum=0.9)
-    s = eng.stack
-    eng.anchor = np.array([[0.0]])
-    s.x[0] = np.array([[1.0]])
-    eng._sync_phase(0, None)
-    np.testing.assert_allclose(s.x[0], [[0.95]], atol=1e-15)
-    s.x[0] = eng.anchor + 2.0
-    eng._sync_phase(0, None)
-    np.testing.assert_allclose(s.x[0], [[3.255]], atol=1e-12)
-
-
 def test_sync_moment_mean_and_cancellation():
     eng = engine_for_sync_tests()
     u = np.random.default_rng(0).standard_normal((1, 1))
@@ -173,8 +145,7 @@ def test_array_bytes_counts_what_the_engine_holds():
         cfg = from_dict(config_dict("small", workers=workers, problem={"design_rows": 48, "shard_policy": policy}))
         engine = Engine(cfg)
         s, prob = engine.stack, engine.problem
-        held = [prob.design, prob.labels, prob.x_star, s.x, s.error, s.u, s.v, s.basis, engine.anchor,
-                engine.outer_velocity]
+        held = [prob.design, prob.labels, prob.x_star, s.x, s.error, s.u, s.v, s.basis, engine.anchor]
         # the block of batch indices the engine draws at its first step
         records = engine.records()
         next(records)
@@ -387,11 +358,9 @@ def small_run_configs(draw):
                        "init": draw(st.sampled_from(["default", "random", "identity"])),
                        "refresh": draw(st.sampled_from([True, True, False]))},
         "qhm": {"mode": mode, "omega": None if mode == "none" else 0.5},
-        "outer": {"kind": draw(st.sampled_from(["average", "nesterov"]))},
         "flags": {"error_feedback": draw(st.sampled_from([True, True, False])),
                   "rotate_moments": draw(st.booleans()),
-                  "sparsify_keep": draw(st.sampled_from([0.5, 1.0])),
-                  "mu_semantics": draw(st.sampled_from(["per_column", "scalar"]))},
+                  "sparsify_keep": draw(st.sampled_from([0.5, 1.0]))},
     }
 
 

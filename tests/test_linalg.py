@@ -158,14 +158,6 @@ def test_norm_inequalities_random():
         assert frob <= np.sqrt(min(p, q)) * spec + 1e-10
 
 
-def test_numerical_rank():
-    assert np.linalg.matrix_rank(np.zeros((3, 3)), rtol=1e-10) == 0
-    assert np.linalg.matrix_rank(np.eye(5), rtol=1e-10) == 5
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((10, 3)) @ rng.standard_normal((3, 10))
-    assert np.linalg.matrix_rank(a, rtol=1e-10) == 3
-
-
 def test_as_matrix_validation():
     with pytest.raises(ValueError):
         linalg.as_matrix(np.ones(3))

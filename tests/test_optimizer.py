@@ -7,8 +7,6 @@ from lrdsim.optimizer import (
     QHM_FULL_RANK,
     QHM_LOW_RANK,
     QHM_NONE,
-    MU_PER_COLUMN,
-    MU_SCALAR,
     compress_gradient,
     compute_update,
     update_moments,
@@ -85,7 +83,7 @@ def test_update_moments_bitwise_in_place(lead):
     assert v.tobytes() == (beta2 * v_prev + (1.0 - beta2) * (g * g)).tobytes()
 
 
-def _update_by_mean(u, v, basis, t, grad, g, mode, hp, omega, mu_semantics):
+def _update_by_mean(u, v, basis, t, grad, g, mode, hp, omega):
     """compute_update's arithmetic written out with np.mean for mu."""
     uh = u / (1.0 - hp.beta1**t)
     vh = v / (1.0 - hp.beta2**t)
@@ -94,16 +92,14 @@ def _update_by_mean(u, v, basis, t, grad, g, mode, hp, omega, mu_semantics):
         return basis @ (uh / denom)
     if mode == QHM_LOW_RANK:
         return basis @ ((omega * uh + (1.0 - omega) * g) / denom)
-    axis = -2 if mu_semantics == MU_PER_COLUMN else (-2, -1)
-    mu = denom.mean(axis=axis, keepdims=True)
+    mu = denom.mean(axis=-2, keepdims=True)
     return (1.0 - omega) * grad / mu + omega * (basis @ (uh / denom))
 
 
-# r = 3 and q = 5 make both of mu's counts (3 and 15) other than powers of two
+# r = 3 makes the count of mu's mean other than a power of two
 @pytest.mark.parametrize("lead", [(), (4,)])
-@pytest.mark.parametrize("mu_semantics", [MU_PER_COLUMN, MU_SCALAR])
 @pytest.mark.parametrize("mode", [QHM_NONE, QHM_LOW_RANK, QHM_FULL_RANK])
-def test_compute_update_bitwise_equals_mean_form(mode, mu_semantics, lead):
+def test_compute_update_bitwise_equals_mean_form(mode, lead):
     rng = np.random.default_rng(17)
     hp, omega = HyperConfig(beta1=0.9, beta2=0.999, eps=1e-8), 0.95
     p, q, r = 7, 5, 3
@@ -112,10 +108,10 @@ def test_compute_update_bitwise_equals_mean_form(mode, mu_semantics, lead):
     u, v = rng.standard_normal(lead + (r, q)), rng.random(lead + (r, q))
     moments = u.tobytes() + v.tobytes()
     grad, g = rng.standard_normal(lead + (p, q)), rng.standard_normal(lead + (r, q))
-    want = _update_by_mean(u, v, basis, 5, grad, g, mode, hp, omega, mu_semantics)
-    assert compute_update(u, v, basis, 5, grad, g, mode, hp, omega, mu_semantics).tobytes() == want.tobytes()
+    want = _update_by_mean(u, v, basis, 5, grad, g, mode, hp, omega)
+    assert compute_update(u, v, basis, 5, grad, g, mode, hp, omega).tobytes() == want.tobytes()
     buf = grad.copy()
-    assert compute_update(u, v, basis, 5, buf, g, mode, hp, omega, mu_semantics, out=buf) is buf
+    assert compute_update(u, v, basis, 5, buf, g, mode, hp, omega, out=buf) is buf
     assert buf.tobytes() == want.tobytes()
     assert u.tobytes() + v.tobytes() == moments
 
