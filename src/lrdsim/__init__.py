@@ -1,6 +1,6 @@
 """Distributed low-rank adaptive optimization, simulated at desk scale."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .config import RunConfig, from_dict, load_file  # noqa: F401
 from .distsim import Engine, sparsify_topk  # noqa: F401

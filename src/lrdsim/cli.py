@@ -25,6 +25,7 @@ SWEEP_AXES = {"rank": (int, "rank", ("rank",)),
               "batch_and_workers": (int, "M", ("workers", "problem.batch_size")),
               "omega": (float, "omega", ("qhm.omega",)),
               "sparsity": (float, "keep", ("flags.sparsify_keep",))}
+NAME_MAX = 255  # bytes in a file name on common file systems; a point's log is "<label>.log"
 
 
 class _UsageError(Exception):
@@ -34,20 +35,24 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad usage; the CLI contract reserves
     # 2 for divergence, so usage problems are remapped to exit 1
+    def parse_known_args(self, args=None, namespace=None):
+        self._args = sys.argv[1:] if args is None else list(args)  # each subparser records its own share
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
+        # argparse echoes an argument, or the part after its '=', as given or as its repr: cut each as `_shown` does
+        texts = {part for arg in self._args for part in (arg, arg.partition("=")[2]) if len(part) > 20}
+        for text in sorted(texts, key=len, reverse=True):  # an argument before the part after its '='
+            message = message.replace(repr(text), _shown(text)[1]).replace(text, _shown(text, str)[1])
         self.print_usage(sys.stderr)
         raise _UsageError(message)
 
 
-def _int(text: str, name: str = "int value:") -> int:
-    try:
-        return int(text)
-    except ValueError:  # argparse's own message would echo all of `text`
-        raise argparse.ArgumentTypeError(f"invalid {name} {_shown(text)[1]}") from None
-
-
 def _positive_int(text: str) -> int:
-    value = _int(text, "positive integer")
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid positive integer {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {_shown(value)[1]}")
     return value
@@ -64,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="YAML config path")
     p_run.add_argument("--out", required=True, help="output log path")
     p_run.add_argument("--threads", type=_positive_int, default=None, help=THREADS_HELP)
-    p_run.add_argument("--seed", type=_int, default=None, help="override master_seed")
+    p_run.add_argument("--seed", type=int, default=None, help="override master_seed")
 
     p_sweep = sub.add_parser("sweep", help="run one config across an axis of values")
     p_sweep.add_argument("--config", required=True, help="base YAML config path")
@@ -72,16 +77,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
     p_sweep.add_argument("--out-dir", required=True, help="directory for per-point logs and summary.csv")
     p_sweep.add_argument("--threads", type=_positive_int, default=None, help=THREADS_HELP)
-    p_sweep.add_argument("--seed", type=_int, default=None, help="override master_seed for every point")
+    p_sweep.add_argument("--seed", type=int, default=None, help="override master_seed for every point")
 
     p_costs = sub.add_parser("costs", help="print per-variant payload/memory counts and reduction ratios")
-    p_costs.add_argument("--p", type=_int, required=True)
-    p_costs.add_argument("--q", type=_int, required=True)
-    p_costs.add_argument("--r", type=_int, required=True)
-    p_costs.add_argument("--k", type=_int, default=None, help="sets k-x, k-u and k-v together")
-    p_costs.add_argument("--k-x", type=_int, default=None)
-    p_costs.add_argument("--k-u", type=_int, default=None)
-    p_costs.add_argument("--k-v", type=_int, default=None)
+    p_costs.add_argument("--p", type=int, required=True)
+    p_costs.add_argument("--q", type=int, required=True)
+    p_costs.add_argument("--r", type=int, required=True)
+    p_costs.add_argument("--k", type=int, default=None, help="sets k-x, k-u and k-v together")
+    p_costs.add_argument("--k-x", type=int, default=None)
+    p_costs.add_argument("--k-u", type=int, default=None)
+    p_costs.add_argument("--k-v", type=int, default=None)
 
     p_an = sub.add_parser("analyze", help="summarize a metric log")
     p_an.add_argument("log", help="metric log path")
@@ -157,6 +162,9 @@ def cmd_sweep(args) -> int:
                 raise ConfigError(f"sweep values {_shown(points[label][0])[1]} and {_shown(raw)[1]} both name point "
                                   f"{_shown(label, str)[1]}")
             points[label] = (raw, cfg)
+        longest = max(points, key=len)
+        if len(longest) + len(".log") > NAME_MAX:
+            raise ConfigError(f"sweep point {_shown(longest, str)[1]} needs a file name of over {NAME_MAX} bytes")
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -16,10 +16,6 @@ from .costs import STRATEGY_GLOBAL, STRATEGY_LOCAL
 from .optimizer import QHM_FULL_RANK, QHM_LOW_RANK, QHM_NONE
 from .problems import SHARD_FEATURE_BLOCKS, SHARD_IID
 
-PROJECTION_INIT_DEFAULT = "default"
-PROJECTION_INIT_RANDOM = "random"
-PROJECTION_INIT_IDENTITY = "identity"
-
 # Cap on the arrays `_array_bytes` counts. Set-up holds exactly these, plus
 # one `problems.NOISE_BLOCK_ROWS`-row block of label noise and small temporaries for x_star.
 MAX_ARRAY_BYTES = 1 << 30
@@ -53,7 +49,6 @@ class SyncSchedule:
 @dataclass(frozen=True)
 class ProjectionConfig:
     strategy: Literal[STRATEGY_GLOBAL, STRATEGY_LOCAL] = STRATEGY_GLOBAL
-    init: Literal[PROJECTION_INIT_DEFAULT, PROJECTION_INIT_RANDOM, PROJECTION_INIT_IDENTITY] = PROJECTION_INIT_DEFAULT
     refresh: bool = True
 
 
@@ -99,13 +94,6 @@ class RunConfig:
     qhm: QhmConfig = field(default_factory=QhmConfig)
     hyperparams: HyperConfig = field(default_factory=HyperConfig)
     flags: FlagsConfig = field(default_factory=FlagsConfig)
-
-    def projection_init(self) -> str:
-        if self.projection.init != PROJECTION_INIT_DEFAULT:
-            return self.projection.init
-        if self.projection.strategy == STRATEGY_GLOBAL:
-            return PROJECTION_INIT_RANDOM
-        return PROJECTION_INIT_IDENTITY
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -8,7 +8,9 @@ moves the shared anchor by their mean, and, for the global strategy,
 refreshes the shared basis from that mean, the aggregated
 pseudo-gradient. The local strategy instead refreshes each worker's own
 basis from its clipped gradient plus error buffer at steps with
-(t-1) % K_x == 0. Both go through one routine, `Engine._refresh`, on a
+(t-1) % K_x == 0. The strategy fixes the starting basis: one seeded
+random basis that every worker shares for global, np.eye(p, r) for
+local. Both refreshes go through one routine, `Engine._refresh`, on a
 stack of signals: the global signal's rotation turns every worker's
 moments, a local signal's only its own worker's. Each refresh forms the
 rotation R = Q_new^T Q_old once, rotates the moments with it, and
@@ -67,7 +69,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import costs
-from .config import BLOCK_STEPS, PROJECTION_INIT_IDENTITY, RunConfig
+from .config import BLOCK_STEPS, RunConfig
 from .costs import STRATEGY_GLOBAL, STRATEGY_LOCAL, CostInputs
 from .linalg import NonFiniteError, clip_frobenius
 from .optimizer import QHM_NONE, compress_gradient, compute_update, update_moments
@@ -132,7 +134,7 @@ class Engine:
         )
         rank = config.rank
         m_count = config.workers
-        if config.projection_init() == PROJECTION_INIT_IDENTITY:
+        if config.projection.strategy == STRATEGY_LOCAL:
             basis = np.eye(pc.rows, rank)
         else:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=config.master_seed, spawn_key=(2, 0)))

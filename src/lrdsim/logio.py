@@ -23,12 +23,13 @@ class LogFormatError(ValueError):
 
 
 def header_record(config: RunConfig) -> dict:
-    """`basis_inconsistent` marks runs whose workers average moments across their own bases."""
+    """`basis_inconsistent` marks runs whose workers average moments across bases that refresh apart."""
+    proj = config.projection
     return {
         "kind": "header",
         "version": __version__,
         "config": config.to_dict(),
-        "basis_inconsistent": config.projection.strategy == STRATEGY_LOCAL and config.workers > 1,
+        "basis_inconsistent": proj.strategy == STRATEGY_LOCAL and proj.refresh and config.workers > 1,
     }
 
 

@@ -2,7 +2,7 @@
 
     python3 tests/loghash.py                            # this checkout's src
     python3 tests/loghash.py --tree ../parent           # another checkout's src
-    python3 tests/loghash.py --compare BENCH_30.json    # exit 1 on any difference
+    python3 tests/loghash.py --compare BENCH_31.json    # exit 1 on any difference
 
 Each variant is a base config file plus a dict of overrides, named as in
 the `log_hashes` of the BENCH_<n>.json files; `config_dict` merges them, and
@@ -65,7 +65,9 @@ VARIANTS = {
     "rot_off": ("reference_global", {"flags": {"rotate_moments": False}}),
     "local_full": ("reference_global", {"projection": {"strategy": "local"}}),
     "feature_blocks": ("reference_global", {"problem": {"shard_policy": "feature_blocks"}}),
-    "identity_norefresh": ("reference_global", {"projection": {"init": "identity", "refresh": False}}),
+    # the two starting bases, never refreshed: the local identity and the global seeded random basis
+    "identity_norefresh": ("reference_global", {"projection": {"strategy": "local", "refresh": False}}),
+    "random_norefresh": ("reference_global", {"projection": {"refresh": False}}),
     "clip_small": ("reference_global", {"hyperparams": {"clip_radius": 0.01}}),
     "local_ef_off": ("reference_global", {"projection": {"strategy": "local"}, "flags": {"error_feedback": False}}),
     "local_m1": ("reference_global", {"projection": {"strategy": "local"}, "workers": 1}),

@@ -38,8 +38,9 @@ def proj_from_columns(u_mat, rank):
 
 
 def test_criterion_01_adam_degeneracy():
-    # M=1, K=1, r=p, projection frozen at identity: the distributed loop
-    # degenerates to textbook Adam within 1e-10 per entry over 200 steps.
+    # M=1, K=1, r=p, projection frozen at identity (the local strategy's start,
+    # never refreshed): the distributed loop degenerates to textbook Adam
+    # within 1e-10 per entry over 200 steps.
     started = time.perf_counter()
     p = q = 32
     steps = 200
@@ -51,7 +52,7 @@ def test_criterion_01_adam_degeneracy():
             "rank": p,
             "problem": {"rows": p, "cols": q, "design_rows": 512, "batch_size": 32, "noise_std": 0.1},
             "schedule": {"k_x": 1, "k_u": 1, "k_v": 1},
-            "projection": {"strategy": "global", "init": "identity", "refresh": False},
+            "projection": {"strategy": "local", "refresh": False},
             "hyperparams": {"beta1": 0.9, "beta2": 0.999, "lr": 0.01, "warmup_steps": 0, "clip_radius": 1.0},
         }
     )

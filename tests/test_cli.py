@@ -61,6 +61,39 @@ def test_unparsable_int_option_is_echoed_cut(cfg_path, tmp_path, capsys, flag, m
     assert not out.exists()
 
 
+LONG = "x" * 5000
+CUT = "x" * 20 + "..."
+AXES = "'rank', 'K', 'batch_and_workers', 'omega', 'sparsity'"
+
+
+# argparse's own messages, each echoing an argument, or the part after its '=', cut as config values are
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["sweep", "--axis", LONG], f"argument --axis: invalid choice: '{CUT}' (choose from {AXES})"),
+        (["sweep", f"--axis={LONG}"], f"argument --axis: invalid choice: '{CUT}' (choose from {AXES})"),
+        (["run", LONG], f"unrecognized arguments: {CUT}"),
+        (["run", f"--seed={LONG}"], f"argument --seed: invalid int value: '{CUT}'"),
+        (["run", f"--help={LONG}"], f"argument -h/--help: ignored explicit argument '{CUT}'"),
+        (["costs", f"--k-={LONG}"], f"ambiguous option: --k-={'x' * 15}... could match --k-x, --k-u, --k-v"),
+        ([LONG], f"argument command: invalid choice: '{CUT}' (choose from 'run', 'sweep', 'costs', 'analyze')"),
+    ],
+    ids=["invalid_choice", "invalid_choice_after_equals", "unrecognized", "seed_after_equals", "explicit_argument",
+         "ambiguous_option", "invalid_command"],
+)
+def test_usage_error_echoes_long_argument_cut(cfg_path, tmp_path, capsys, no_engine, args, error):
+    out, out_dir = tmp_path / "x.log", tmp_path / "sweep"
+    given = {"run": ["--config", cfg_path(), "--out", str(out)],
+             "sweep": ["--config", cfg_path(), "--values", "2", "--out-dir", str(out_dir)],
+             "costs": ["--p", "8", "--q", "8", "--r", "2"]}
+    assert main(args[:1] + given.get(args[0], []) + args[1:]) == 1
+    *usage, last = capsys.readouterr().err.splitlines()
+    assert usage[0].startswith("usage: lrdsim")
+    assert last == f"error: {error}"
+    assert all(len(line.encode()) < 200 for line in usage + [last])
+    assert not out.exists() and not out_dir.exists()
+
+
 def test_negative_seed_override_exit_one(cfg_path, tmp_path, capsys):
     assert main(["run", "--config", cfg_path(), "--out", str(tmp_path / "x.log"), "--seed", "-1"]) == 1
     assert "master_seed" in capsys.readouterr().err
@@ -156,6 +189,14 @@ def test_unknown_key_is_hard_error(cfg_path, tmp_path, capsys):
     code = main(["run", "--config", bad, "--out", str(tmp_path / "x.log")])
     assert code == 1
     assert "learning_rate_typo" in capsys.readouterr().err
+
+
+def test_projection_init_is_an_unknown_key(cfg_path, tmp_path, capsys):
+    # the strategy alone fixes the starting basis
+    out = tmp_path / "x.log"
+    assert main(["run", "--config", cfg_path({"projection": {"init": "identity"}}), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: unknown key 'projection.init'\n"
+    assert not out.exists()
 
 
 def test_unknown_nested_key_is_hard_error(cfg_path, tmp_path, capsys):
@@ -502,6 +543,25 @@ def test_sweep_colliding_labels_exit_one(cfg_path, tmp_path, capsys, no_engine, 
     assert not out_dir.exists()
 
 
+# any positive K is a valid period, but a point's log "K<digits>.log" must fit in a 255-byte file name
+@pytest.mark.parametrize("digits", [251, 4001], ids=["one_past_the_limit", "4001_digits"])
+def test_sweep_label_too_long_for_a_file_name_exit_one(cfg_path, tmp_path, capsys, no_engine, digits):
+    out_dir = tmp_path / "sweep"
+    values = "2," + "1" + "0" * (digits - 1)
+    assert main(["sweep", "--config", cfg_path(), "--axis", "K", "--values", values, "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: sweep point K1{'0' * 18}... needs a file name of over 255 bytes\n"
+    assert len(err.encode()) < 200
+    assert not out_dir.exists()
+
+
+def test_sweep_label_at_the_file_name_limit_runs(cfg_path, tmp_path):
+    out_dir = tmp_path / "sweep"
+    value = "1" + "0" * 249
+    assert main(["sweep", "--config", cfg_path(), "--axis", "K", "--values", value, "--out-dir", str(out_dir)]) == 0
+    assert len(f"K{value}.log") == 255 and (out_dir / f"K{value}.log").exists()
+
+
 def test_sweep_threads_do_not_change_bytes(cfg_path, tmp_path):
     seq_dir = tmp_path / "seq"
     thr_dir = tmp_path / "thr"
@@ -582,6 +642,20 @@ def test_analyze_local_run_reports_refresh(cfg_path, tmp_path, capsys):
     value = float(mssv_line.split(":")[-1].split("(")[0])
     assert value < 1.0
     assert "inconsistent" in text  # local with M > 1 averages across bases
+
+
+# without refresh every local worker keeps the identity start; one worker has no other basis to average with
+@pytest.mark.parametrize("workers, refresh, inconsistent", [(2, True, True), (2, False, False), (1, True, False)],
+                         ids=["refresh", "no_refresh", "one_worker"])
+def test_basis_inconsistent_only_when_local_bases_refresh_apart(cfg_path, tmp_path, capsys, workers, refresh,
+                                                                inconsistent):
+    out = tmp_path / "l.log"
+    cfg = cfg_path({"workers": workers, "projection": {"strategy": "local", "refresh": refresh}}, name="local.yaml")
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    header, _ = read_log(str(out))
+    assert header["basis_inconsistent"] is inconsistent
+    assert main(["analyze", str(out)]) == 0
+    assert ("note: moments averaged across inconsistent worker bases" in capsys.readouterr().out) is inconsistent
 
 
 def test_analyze_empty_file_exit_one(tmp_path, capsys):

@@ -49,7 +49,6 @@ RULES = [
     pytest.param({"schedule": {"k_u": 0}}, "schedule periods", id="schedule.k_u"),
     pytest.param({"schedule": {"k_v": 0}}, "schedule periods", id="schedule.k_v"),
     pytest.param({"projection": {"strategy": "mixed"}}, "projection.strategy", id="projection.strategy"),
-    pytest.param({"projection": {"init": "zeros"}}, "projection.init", id="projection.init"),
     pytest.param({"qhm": {"mode": "full"}}, "qhm.mode", id="qhm.mode"),
     pytest.param({"qhm": {"omega": 0.5}}, "qhm.omega must be omitted", id="omega_without_mode"),
     pytest.param({"qhm": {"mode": "low_rank"}}, "qhm.omega is required", id="omega_missing"),
@@ -83,7 +82,7 @@ def _schema_fields(cls, prefix=()):
 SCHEMA_FIELDS = list(_schema_fields(RunConfig))
 INT_FIELDS = sorted(path for path, hint in SCHEMA_FIELDS if int in (hint, *get_args(hint)))
 # the string settings; each RULES case breaking one gives the field's path as its prefix
-ENUM_FIELDS = {"problem.type", "problem.shard_policy", "projection.strategy", "projection.init", "qhm.mode"}
+ENUM_FIELDS = {"problem.type", "problem.shard_policy", "projection.strategy", "qhm.mode"}
 
 
 @pytest.mark.parametrize("overrides, prefix", RULES)

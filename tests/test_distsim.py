@@ -95,7 +95,7 @@ def engine_for_sync_tests():
             rank=1,
             problem={"rows": 1, "cols": 1, "design_rows": 8, "batch_size": 2},
             schedule={"k_x": 1, "k_u": 1, "k_v": 1},
-            projection={"strategy": "global", "refresh": False, "init": "identity"},
+            projection={"strategy": "local", "refresh": False},
         )
     )
     return Engine(cfg)
@@ -355,7 +355,6 @@ def small_run_configs(draw):
                     "shard_policy": draw(st.sampled_from(["iid", "feature_blocks"]))},
         "schedule": {key: draw(st.integers(1, 8)) for key in ("k_x", "k_u", "k_v")},
         "projection": {"strategy": draw(st.sampled_from(["global", "global", "local"])),
-                       "init": draw(st.sampled_from(["default", "random", "identity"])),
                        "refresh": draw(st.sampled_from([True, True, False]))},
         "qhm": {"mode": mode, "omega": None if mode == "none" else 0.5},
         "flags": {"error_feedback": draw(st.sampled_from([True, True, False])),
