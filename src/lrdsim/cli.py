@@ -23,8 +23,7 @@ from .optimizer import QHM_MODES
 SWEEP_AXES = {"rank": (int, "rank", ("rank",)),
               "K": (int, "K", ("schedule.k_x", "schedule.k_u", "schedule.k_v")),
               "batch_and_workers": (int, "M", ("workers", "problem.batch_size")),
-              "omega": (float, "omega", ("qhm.omega",)),
-              "sparsity": (float, "keep", ("flags.sparsify_keep",))}
+              "omega": (float, "omega", ("qhm.omega",))}
 NAME_MAX = 255  # bytes in a file name on common file systems; a point's log is "<label>.log"
 
 
@@ -41,9 +40,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         # argparse echoes an argument, or the part after its '=', as given or as its repr: cut each as `_shown` does
-        texts = {part for arg in self._args for part in (arg, arg.partition("=")[2]) if len(part) > 20}
+        texts = {part for arg in self._args for part in (arg, arg.partition("=")[2])
+                 if len(part) > 20 or not part.isprintable()}
         for text in sorted(texts, key=len, reverse=True):  # an argument before the part after its '='
-            message = message.replace(repr(text), _shown(text)[1]).replace(text, _shown(text, str)[1])
+            show = str if text.isprintable() else repr  # a raw newline would split the one-line message
+            message = message.replace(repr(text), _shown(text)[1]).replace(text, _shown(text, show)[1])
         self.print_usage(sys.stderr)
         raise _UsageError(message)
 
@@ -106,6 +107,12 @@ def _apply_seed(cfg: RunConfig, seed) -> RunConfig:
     return cfg if seed is None else _derived(cfg, {"master_seed": seed})
 
 
+def _error_text(exc: Exception) -> str:
+    """`exc`'s message; an OSError's path is cut as `_shown` cuts an echoed value, its errno text kept."""
+    path = exc.filename if isinstance(exc, OSError) else None
+    return str(exc) if path is None else f"[Errno {exc.errno}] {exc.strerror}: {_shown(path)[1]}"
+
+
 def _write_run(cfg: RunConfig, path: str | Path) -> dict:
     """Run `cfg`, streaming its log to `path`; returns `write_log`'s summary."""
     # the log opens first, so an unwritable path fails before any allocation;
@@ -118,12 +125,12 @@ def cmd_run(args) -> int:
     try:
         cfg = _apply_seed(load_file(args.config), args.seed)
     except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_error_text(exc)}", file=sys.stderr)
         return 1
     try:
         summary = _write_run(cfg, args.out)
     except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
+        print(f"output error: {_error_text(exc)}", file=sys.stderr)
         return 1
     if summary["diverged"]:
         print(f"run diverged after {summary['steps']} steps; log at {args.out}", file=sys.stderr)
@@ -166,7 +173,7 @@ def cmd_sweep(args) -> int:
         if len(longest) + len(".log") > NAME_MAX:
             raise ConfigError(f"sweep point {_shown(longest, str)[1]} needs a file name of over {NAME_MAX} bytes")
     except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_error_text(exc)}", file=sys.stderr)
         return 1
     out_dir = Path(args.out_dir)
     summary_path = out_dir / "summary.csv"
@@ -185,7 +192,7 @@ def cmd_sweep(args) -> int:
             for raw, path, final, diverged in rows:
                 out.writerow((args.axis, raw, "" if final is None else repr(final), str(diverged).lower(), path))
     except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
+        print(f"output error: {_error_text(exc)}", file=sys.stderr)
         return 1
     print(f"wrote {len(rows)} runs and {summary_path}")
     return 2 if any(r[3] for r in rows) else 0
@@ -227,9 +234,7 @@ def _costs_lines(inputs: costs_mod.CostInputs) -> list:
 
 
 def cmd_costs(args) -> int:
-    k_x = args.k_x if args.k_x is not None else args.k
-    k_u = args.k_u if args.k_u is not None else args.k
-    k_v = args.k_v if args.k_v is not None else args.k
+    k_x, k_u, k_v = (args.k if k is None else k for k in (args.k_x, args.k_u, args.k_v))
     if None in (k_x, k_u, k_v):
         print("costs: provide --k or all of --k-x/--k-u/--k-v", file=sys.stderr)
         return 1

@@ -79,7 +79,6 @@ class HyperConfig:
 class FlagsConfig:
     rotate_moments: bool = True
     error_feedback: bool = True
-    sparsify_keep: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -229,8 +228,6 @@ def _validate(cfg: RunConfig) -> None:
     _check(h.clip_radius > 0.0, "hyperparams.clip_radius must be positive")
     _check(h.lr > 0.0, "hyperparams.lr must be positive")
     _check(0 <= h.warmup_steps < cfg.steps, "hyperparams.warmup_steps must lie in [0, steps)")
-    f = cfg.flags
-    _check(0.0 < f.sparsify_keep <= 1.0, "flags.sparsify_keep must lie in (0, 1]")
 
 
 def load_file(path: str) -> RunConfig:

@@ -3,7 +3,7 @@
 Workers run local low-rank Adam steps between barriers. At step t
 (0-based), the first moment syncs when (t+1) % K_u == 0, the second when
 (t+1) % K_v == 0, and parameters when (t+1) % K_x == 0. A parameter
-sync averages pseudo-gradients (optionally Top-K sparsified per worker),
+sync averages the M workers' dense (p, q) pseudo-gradients,
 moves the shared anchor by their mean, and, for the global strategy,
 refreshes the shared basis from that mean, the aggregated
 pseudo-gradient. The local strategy instead refreshes each worker's own
@@ -99,6 +99,7 @@ class WorkerStack:
     rngs: list
 
 
+# uncalled, but kept: the benchmark's tracer targets it, and tests/test_bench_tracer.py asserts no target is absent
 def sparsify_topk(delta: np.ndarray, keep_fraction: float) -> np.ndarray:
     """Keep the ceil(keep_fraction * size) largest-|.| entries, zero the rest.
 
@@ -242,11 +243,7 @@ class Engine:
             downlink += pay.down_second
         if (t + 1) % sched.k_x == 0:
             # the pseudo-gradients overwrite x, which receives the new anchor below
-            deltas = np.subtract(s.x, self.anchor, out=s.x)
-            if cfg.flags.sparsify_keep < 1.0:
-                for m in range(cfg.workers):
-                    deltas[m] = sparsify_topk(deltas[m], cfg.flags.sparsify_keep)
-            delta = np.add.reduce(deltas, axis=0) / cfg.workers
+            delta = np.add.reduce(np.subtract(s.x, self.anchor, out=s.x), axis=0) / cfg.workers
             if cfg.projection.strategy == STRATEGY_GLOBAL and cfg.projection.refresh:
                 entry = self._refresh(delta[None], t + 1)  # after step t's moment update
             self.anchor += delta

@@ -2,7 +2,7 @@
 
     python3 tests/loghash.py                            # this checkout's src
     python3 tests/loghash.py --tree ../parent           # another checkout's src
-    python3 tests/loghash.py --compare BENCH_31.json    # exit 1 on any difference
+    python3 tests/loghash.py --compare BENCH_32.json    # exit 1 on any difference
 
 Each variant is a base config file plus a dict of overrides, named as in
 the `log_hashes` of the BENCH_<n>.json files; `config_dict` merges them, and
@@ -60,7 +60,6 @@ VARIANTS = {
     "reference_local": ("reference_local", {}),
     "stagnation_demo": ("stagnation_demo", {}),
     "low_rank": ("reference_global", {"qhm": {"mode": "low_rank", "omega": 0.95}}),
-    "sparsify": ("reference_global", {"flags": {"sparsify_keep": 0.25}}),
     "ef_off": ("reference_global", {"flags": {"error_feedback": False}}),
     "rot_off": ("reference_global", {"flags": {"rotate_moments": False}}),
     "local_full": ("reference_global", {"projection": {"strategy": "local"}}),

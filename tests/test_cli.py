@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -63,7 +64,7 @@ def test_unparsable_int_option_is_echoed_cut(cfg_path, tmp_path, capsys, flag, m
 
 LONG = "x" * 5000
 CUT = "x" * 20 + "..."
-AXES = "'rank', 'K', 'batch_and_workers', 'omega', 'sparsity'"
+AXES = "'rank', 'K', 'batch_and_workers', 'omega'"
 
 
 # argparse's own messages, each echoing an argument, or the part after its '=', cut as config values are
@@ -191,12 +192,25 @@ def test_unknown_key_is_hard_error(cfg_path, tmp_path, capsys):
     assert "learning_rate_typo" in capsys.readouterr().err
 
 
-def test_projection_init_is_an_unknown_key(cfg_path, tmp_path, capsys):
-    # the strategy alone fixes the starting basis
+# deleted settings: the strategy alone fixes the starting basis, and a sync averages dense pseudo-gradients
+@pytest.mark.parametrize("overrides, key", [({"projection": {"init": "identity"}}, "projection.init"),
+                                            ({"flags": {"sparsify_keep": 0.25}}, "flags.sparsify_keep")],
+                         ids=["projection.init", "flags.sparsify_keep"])
+def test_deleted_key_is_an_unknown_key(cfg_path, tmp_path, capsys, overrides, key):
     out = tmp_path / "x.log"
-    assert main(["run", "--config", cfg_path({"projection": {"init": "identity"}}), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "config error: unknown key 'projection.init'\n"
+    assert main(["run", "--config", cfg_path(overrides), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: unknown key '{key}'\n"
     assert not out.exists()
+
+
+def test_deleted_sparsity_axis_is_an_invalid_choice(cfg_path, tmp_path, capsys, no_engine):
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--config", cfg_path(), "--axis", "sparsity", "--values", "0.5", "--out-dir", str(out_dir)]
+    assert main(argv) == 1
+    *usage, error = capsys.readouterr().err.splitlines()
+    assert usage[0].startswith("usage: lrdsim")
+    assert error == f"error: argument --axis: invalid choice: 'sparsity' (choose from {AXES})"
+    assert not out_dir.exists()
 
 
 def test_unknown_nested_key_is_hard_error(cfg_path, tmp_path, capsys):
@@ -431,10 +445,8 @@ QHM_ON = {"qhm": {"mode": "low_rank", "omega": 0.9}}
                                       "M4": {"workers": 4, "problem": {"batch_size": 4}}}),
         ("omega", "0.5,1", {"omega0.5": {"qhm": {"mode": "low_rank", "omega": 0.5}},
                             "omega1.0": {"qhm": {"mode": "low_rank", "omega": 1.0}}}),
-        ("sparsity", "0.5,1", {"keep0.5": {"flags": {"sparsify_keep": 0.5}},
-                               "keep1.0": {"flags": {"sparsify_keep": 1.0}}}),
     ],
-    ids=["rank", "K", "batch_and_workers", "omega", "sparsity"],
+    ids=["rank", "K", "batch_and_workers", "omega"],
 )
 def test_sweep_axis_sets_its_fields_and_label(cfg_path, tmp_path, axis, values, points):
     out_dir = tmp_path / "sweep"
@@ -582,6 +594,29 @@ def test_sweep_parallel_is_a_usage_error(cfg_path, tmp_path, capsys):
     assert main(argv + ["--parallel", "3"]) == 1
     usage, error = capsys.readouterr().err.splitlines()
     assert usage.startswith("usage: lrdsim") and error == "error: unrecognized arguments: --parallel 3"
+
+
+def test_stray_argument_holding_a_newline_is_shown_as_its_repr(cfg_path, tmp_path, capsys, no_engine):
+    out = tmp_path / "x.log"
+    assert main(["run", "--config", cfg_path(), "--out", str(out), "a\nb"]) == 1
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: lrdsim") and error == "error: unrecognized arguments: 'a\\nb'"
+    assert not out.exists()
+
+
+# a path the file system refuses is echoed cut, as config values are, after the errno text
+@pytest.mark.parametrize("command, flag, prefix", [("run", "--out", "output error"), ("run", "--config", "config error"),
+                                                   ("sweep", "--out-dir", "output error")],
+                         ids=["run_out", "run_config", "sweep_out_dir"])
+def test_os_error_echoes_long_path_cut(cfg_path, tmp_path, capsys, command, flag, prefix):
+    given = {"run": {"--config": cfg_path(), "--out": str(tmp_path / "x.log")},
+             "sweep": {"--config": cfg_path(), "--axis": "K", "--values": "2", "--out-dir": str(tmp_path / "sweep")}}
+    args = dict(given[command], **{flag: str(tmp_path / ("y" * 5000))})
+    assert main([command] + [part for pair in args.items() for part in pair]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{prefix}: [Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: '")
+    assert err.endswith("...'\n") and err.count("\n") == 1 and len(err.encode()) < 200
+    assert not any(tmp_path.glob("*.log")) and not (tmp_path / "sweep").exists()
 
 
 def test_costs_table_contains_headline_numbers(capsys):

@@ -65,8 +65,6 @@ RULES = [
     pytest.param({"hyperparams": {"lr": 10**5000}}, "hyperparams.lr", id="lr_past_str_digit_limit"),
     pytest.param({"hyperparams": {"warmup_steps": -1}}, "hyperparams.warmup_steps", id="warmup_steps_low"),
     pytest.param({"hyperparams": {"warmup_steps": 8}}, "hyperparams.warmup_steps", id="warmup_steps_high"),
-    pytest.param({"flags": {"sparsify_keep": 0.0}}, "flags.sparsify_keep", id="sparsify_keep_low"),
-    pytest.param({"flags": {"sparsify_keep": 1.5}}, "flags.sparsify_keep", id="sparsify_keep_high"),
 ]
 
 
