@@ -8,6 +8,7 @@ echoed into a log header re-validates and reproduces the run exactly.
 
 from __future__ import annotations
 
+import io
 import sys
 from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Any, Literal, Optional, get_args, get_origin, get_type_hints
@@ -125,8 +126,11 @@ def _check_type(path: str, value: Any, hint) -> None:
 
 
 def _shown(value: Any, show=repr) -> tuple[bool, str]:
-    """(True, show(value)) cut to its first 20 characters plus '...', a string cut before `show` quotes it;
-    or (False, how messages name it) for an int past the int-to-str digit limit."""
+    """(True, show(value)) cut to its first 20 characters plus '...', a string cut before `show` quotes it,
+    a container named by its type; or (False, how messages name it) for an int past the int-to-str digit limit."""
+    if isinstance(value, (list, tuple, dict, set, frozenset)):
+        # not its repr: YAML aliases nest a few bytes into a list whose repr outgrows memory
+        return True, f"a {type(value).__name__}"
     cut = isinstance(value, str) and len(value) > 20
     try:
         text = show(value[:20] + "..." if cut else value)
@@ -242,13 +246,14 @@ def load_file(path: str) -> RunConfig:
                 for key_node, _ in node.value:
                     key = self.construct_object(key_node)
                     if key in seen:
-                        raise yaml.constructor.ConstructorError(None, None, f"repeated key {key!r}", key_node.start_mark)
+                        raise yaml.constructor.ConstructorError(None, None, f"repeated key {_shown(key)[1]}", key_node.start_mark)
                     seen.add(key)
             return mapping
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = yaml.load(fh, Loader=StrictLoader)
+            # from an unnamed stream, so that PyYAML's marks give a line and column but not the path
+            data = yaml.load(io.StringIO(fh.read()), Loader=StrictLoader)
         # ValueError: an int longer than the interpreter's int-from-str digit limit
         except (yaml.YAMLError, UnicodeDecodeError, RecursionError, ValueError) as exc:
             # YAML messages span several lines; the CLI reports errors on one

@@ -122,17 +122,7 @@ class Engine:
     def __init__(self, config: RunConfig):
         self.cfg = config
         pc = config.problem
-        self.problem = MatrixRegression(
-            p=pc.rows,
-            q=pc.cols,
-            n_rows=pc.design_rows,
-            workers=config.workers,
-            noise_std=pc.noise_std,
-            seed=config.master_seed,
-            shard_policy=pc.shard_policy,
-            target_rank=pc.target_rank,
-            target_alpha=pc.target_alpha,
-        )
+        self.problem = MatrixRegression(config)
         rank = config.rank
         m_count = config.workers
         if config.projection.strategy == STRATEGY_LOCAL:
@@ -258,13 +248,12 @@ class Engine:
         s = self.stack
         prob = self.problem
         steps = self.cfg.steps
-        batch_size = self.cfg.problem.batch_size
         for t in range(steps):
             row = 2 * (t % BLOCK_STEPS)
             if row == 0:
                 # (M, 2 x the block's steps, B): the block's step i trains on row 2i, evaluates on row 2i+1
                 count = 2 * min(BLOCK_STEPS, steps - t)
-                block = np.stack([prob.sample_batch(batch_size, rng, count) for rng in s.rngs])
+                block = np.stack([prob.sample_batch(rng, count) for rng in s.rngs])
                 block += prob.shard_starts[:, None, None]  # shard rows -> design rows
             uplink, downlink, entry = self._sync_phase(t, self._local_step(t, block[:, row]))
             # held-out evaluation: a fresh batch from each worker's stream,

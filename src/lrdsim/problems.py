@@ -8,15 +8,22 @@ once; `shard_starts` turns them into design rows, which are what `loss`
 and `stoch_gradient` read. The ground truth X* is either dense
 Gaussian or a seeded low-rank matrix with a power-law spectrum (rank
 phenomena need a low-rank target at desk scale).
+
+The problem is built from a `config.RunConfig`, whose `from_dict` owns
+every problem default and range rule; nothing here re-checks them.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:  # config imports this module's constants
+    from .config import RunConfig
 
 SHARD_IID = "iid"
 SHARD_FEATURE_BLOCKS = "feature_blocks"
-SHARD_POLICIES = (SHARD_IID, SHARD_FEATURE_BLOCKS)
 
 # Batch sizes up to this draw a block of batches in one `integers` call
 # (`draw_rows`); above it a loop of `choice` calls is faster.
@@ -26,12 +33,14 @@ NOISE_BLOCK_ROWS = 256
 
 
 class MatrixRegression:
-    """Sharded matrix least squares with label noise.
+    """Sharded matrix least squares with label noise, sized by `config.problem` and `config.workers`.
 
-    The global design has `n_rows` standard-Gaussian rows split into
+    The global design has `n_rows` (`problem.design_rows`)
+    standard-Gaussian rows of width p (`problem.rows`) split into
     `workers` equal consecutive blocks; shard m starts at design row
-    `shard_starts[m]`. With the feature_blocks policy, shard m
-    additionally zeroes all design columns outside its own p/workers
+    `shard_starts[m]`. The design, X* and the label noise come from one
+    stream seeded by `master_seed`. With the feature_blocks policy, shard
+    m additionally zeroes all design columns outside its own p/workers
     feature block, which confines worker gradients to disjoint coordinate
     rows (used for the orthogonal-subspace constructions).
 
@@ -43,46 +52,26 @@ class MatrixRegression:
     raises IndexError.
     """
 
-    def __init__(
-        self,
-        p: int,
-        q: int,
-        n_rows: int,
-        workers: int,
-        noise_std: float = 0.0,
-        seed: int = 0,
-        shard_policy: str = SHARD_IID,
-        target_rank: int | None = None,
-        target_alpha: float = 0.5,
-    ):
-        if n_rows % workers != 0:
-            raise ValueError(f"n_rows={n_rows} must divide evenly across {workers} workers")
-        if noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {noise_std}")
-        if shard_policy not in SHARD_POLICIES:
-            raise ValueError(f"unknown shard policy {shard_policy!r}")
-        if shard_policy == SHARD_FEATURE_BLOCKS and p % workers != 0:
-            raise ValueError(f"feature_blocks policy needs p={p} divisible by workers={workers}")
-        if target_rank is not None and not (1 <= target_rank <= min(p, q)):
-            raise ValueError(f"target_rank {target_rank} out of range for {p}x{q}")
-        self.p = p
-        self.q = q
-        self.n_rows = n_rows
-        self.workers = workers
-        self.noise_std = noise_std
+    def __init__(self, config: RunConfig):
+        pc = config.problem
+        self.p = p = pc.rows
+        self.q = q = pc.cols
+        self.n_rows = n_rows = pc.design_rows
+        self.workers = workers = config.workers
+        self.batch_size = pc.batch_size
         self.rows_per_shard = n_rows // workers
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.master_seed, spawn_key=(0,)))
         self.design = design = rng.standard_normal((n_rows, p))
-        if shard_policy == SHARD_FEATURE_BLOCKS:
+        if pc.shard_policy == SHARD_FEATURE_BLOCKS:
             # row m of the mask keeps worker m's own p/workers columns
             design_shards = design.reshape(workers, self.rows_per_shard, p)
             design_shards *= np.repeat(np.eye(workers), p // workers, axis=1)[:, None, :]
-        if target_rank is None:
+        if pc.target_rank is None:
             self.x_star = rng.standard_normal((p, q)) / np.sqrt(p)
         else:
-            left, _ = np.linalg.qr(rng.standard_normal((p, target_rank)))
-            right, _ = np.linalg.qr(rng.standard_normal((q, target_rank)))
-            spectrum = np.arange(1, target_rank + 1, dtype=np.float64) ** -target_alpha
+            left, _ = np.linalg.qr(rng.standard_normal((p, pc.target_rank)))
+            right, _ = np.linalg.qr(rng.standard_normal((q, pc.target_rank)))
+            spectrum = np.arange(1, pc.target_rank + 1, dtype=np.float64) ** -pc.target_alpha
             self.x_star = (left * spectrum) @ right.T
         self.labels = labels = design @ self.x_star
         # the noise a block of rows at a time: the same draws and generator
@@ -91,16 +80,14 @@ class MatrixRegression:
         for start in range(0, n_rows, NOISE_BLOCK_ROWS):
             block = noise[:n_rows - start]
             rng.standard_normal(out=block)
-            block *= noise_std
+            block *= pc.noise_std
             labels[start:start + len(block)] += block
         # (M,): the design row each shard starts at
         self.shard_starts = np.arange(0, n_rows, self.rows_per_shard)
 
-    def sample_batch(self, batch_size: int, rng: np.random.Generator, count: int) -> np.ndarray:
-        """(count, B) shard rows: `count` successive batches of B distinct rows (`draw_rows`)."""
-        if not (1 <= batch_size <= self.rows_per_shard):
-            raise ValueError(f"batch_size {batch_size} out of range for shard of {self.rows_per_shard}")
-        return draw_rows(rng, self.rows_per_shard, batch_size, count)
+    def sample_batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """(count, B) shard rows: `count` successive batches of the config's B distinct rows (`draw_rows`)."""
+        return draw_rows(rng, self.rows_per_shard, self.batch_size, count)
 
     def loss(self, x: np.ndarray, rows: np.ndarray) -> np.floating | np.ndarray:
         """(1/2B)||A_b X - Y_b||_F^2 for each set of B design rows on the last axis of `rows`."""

@@ -61,17 +61,17 @@ def test_criterion_01_adam_degeneracy():
         pass
     x_engine = engine.stack.x[0]
 
-    prob = MatrixRegression(p=p, q=q, n_rows=512, workers=1, noise_std=0.1, seed=0)
+    prob = MatrixRegression(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(1, 0)))
     hp = cfg.hyperparams
     x = np.zeros((p, q))
     u = np.zeros((p, q))
     v = np.zeros((p, q))
     for t in range(steps):
-        rows = prob.sample_batch(32, rng, 1)[0]
+        rows = prob.sample_batch(rng, 1)[0]
         grad = clip_frobenius(prob.stoch_gradient(x, rows), hp.clip_radius)
         x, u, v = adam_reference_step(x, grad, u, v, hp, t)
-        prob.sample_batch(32, rng, 1)  # the engine draws a held-out eval batch per step
+        prob.sample_batch(rng, 1)  # the engine draws a held-out eval batch per step
     elapsed = time.perf_counter() - started
     assert np.max(np.abs(x_engine - x)) < 1e-10
     assert elapsed < 5.0, f"runtime {elapsed:.2f}s exceeds 5s"
@@ -354,9 +354,11 @@ def test_criterion_12_determinism(tmp_path):
 def test_criterion_13_gradient_correctness():
     rng = np.random.default_rng(77)
     for inst in range(10):
-        prob = MatrixRegression(p=8, q=6, n_rows=48, workers=2, noise_std=0.3, seed=inst)
+        cfg = config_dict("small", master_seed=inst,
+                          problem={"rows": 8, "cols": 6, "design_rows": 48, "batch_size": 12, "noise_std": 0.3})
+        prob = MatrixRegression(from_dict(cfg))
         x = rng.standard_normal((8, 6))
-        rows = prob.sample_batch(12, rng, 1)[0]
+        rows = prob.sample_batch(rng, 1)[0]
         grad = prob.stoch_gradient(x, rows + prob.shard_starts[inst % 2])
         scale = max(1.0, float(np.linalg.norm(grad)))
         for _ in range(20):

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -225,8 +226,10 @@ def test_unknown_nested_key_is_hard_error(cfg_path, tmp_path, capsys):
     [
         ("steps: 4\nrank: 8\nrank: 4\n", "rank", 3),
         ("steps: 4\nproblem:\n  rows: 16\n  cols: 12\n  rows: 32\n", "rows", 5),
+        # echoed as its first 20 characters
+        (f"? {'k' * 3000}\n: 1\n? {'k' * 3000}\n: 2\n", "k" * 20 + "...", 3),
     ],
-    ids=["top_level", "nested"],
+    ids=["top_level", "nested", "long_key"],
 )
 def test_repeated_config_key_exit_one_naming_key_and_line(tmp_path, capsys, text, key, lineno):
     # safe_load would keep the last value and run
@@ -236,7 +239,33 @@ def test_repeated_config_key_exit_one_naming_key_and_line(tmp_path, capsys, text
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot parse config file: repeated key '{key}'")
     assert f"line {lineno}," in err
-    assert err.count("\n") == 1
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
+def test_yaml_parse_error_names_no_path(tmp_path, capsys):
+    # PyYAML's marks name the stream they read; a config deep in the file system must not lengthen the line
+    deep = tmp_path.joinpath(*["d" * 200] * 14)
+    deep.mkdir(parents=True)
+    bad = deep / "bad.yaml"
+    bad.write_text("a: [")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x.log")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot parse config file: ") and "line 1, column 5" in err
+    assert "d" * 200 not in err
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
+def test_value_nested_by_yaml_aliases_is_rejected_at_once(tmp_path, capsys):
+    # 8 levels of 9 aliases each: a 404-byte file whose value's repr would take hundreds of MiB
+    levels = ["&l0 [" + ", ".join("a" * 9) + "]"]
+    levels += [f"&l{i} [" + ", ".join([f"*l{i - 1}"] * 9) + "]" for i in range(1, 8)]
+    bad = tmp_path / "alias.yaml"
+    bad.write_text(f"master_seed: [{', '.join(levels)}]\n")
+    started = time.perf_counter()
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x.log")]) == 1
+    elapsed = time.perf_counter() - started
+    assert capsys.readouterr().err == "config error: master_seed must be an integer, got a list\n"
+    assert elapsed < 1.0, f"rejecting took {elapsed:.2f}s"
 
 
 def test_omega_required_with_qhm(cfg_path, tmp_path, capsys):

@@ -171,7 +171,7 @@ def test_engine_matches_straightline_low_rank_reference():
     engine_records = list(engine.records())
     engine_final = engine.stack.x[0].copy()
 
-    prob = MatrixRegression(p=10, q=8, n_rows=40, workers=1, noise_std=0.05, seed=seed)
+    prob = MatrixRegression(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, 0)))
     proj_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2, 0)))
     proj = random_projection(10, rank, proj_rng)
@@ -181,7 +181,7 @@ def test_engine_matches_straightline_low_rank_reference():
     anchor = x.copy()
     losses = []
     for t in range(steps):
-        rows = prob.sample_batch(5, rng, 1)[0]
+        rows = prob.sample_batch(rng, 1)[0]
         grad = clip_frobenius(prob.stoch_gradient(x, rows), hp.clip_radius)
         g, state.error = compress_gradient(grad, state.error, state.basis)
         update_moments(state.u, state.v, g, hp.beta1, hp.beta2)
@@ -195,7 +195,7 @@ def test_engine_matches_straightline_low_rank_reference():
         state.u = rotate_first_moment(r_mat, state.u)
         state.basis = new_proj
         anchor = x.copy()
-        eval_rows = prob.sample_batch(5, rng, 1)[0]
+        eval_rows = prob.sample_batch(rng, 1)[0]
         losses.append(prob.loss(x, eval_rows))
     np.testing.assert_allclose(engine_final, x, atol=1e-12)
     np.testing.assert_allclose([r["mean_loss"] for r in engine_records], losses, atol=1e-12)
@@ -233,10 +233,10 @@ def test_engine_stacked_eval_equals_per_worker_loss_exactly():
         record = next(records)
         expected = []
         for m, rng in enumerate(rngs):
-            rows = prob.sample_batch(8, rng, 1)[0]  # the step's training batch
+            rows = prob.sample_batch(rng, 1)[0]  # the step's training batch
             assert trained[m].tolist() == (rows + prob.shard_starts[m]).tolist()
             assert np.all((m * n <= trained[m]) & (trained[m] < (m + 1) * n))
-            rows = prob.sample_batch(8, rng, 1)[0]
+            rows = prob.sample_batch(rng, 1)[0]
             expected.append(prob.loss(engine.stack.x[m], rows + prob.shard_starts[m]))
         assert len(trained) == cfg.workers
         trained.clear()

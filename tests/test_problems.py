@@ -6,17 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrdsim.config import from_dict
 from lrdsim.linalg import svd
 from lrdsim.problems import BLOCK_DRAW_MAX_BATCH, NOISE_BLOCK_ROWS, MatrixRegression, draw_rows
 from lrdsim.projection import projection_with_spectrum, spectral_gap, stable_rank
 
+from loghash import config_dict
 from oracles import PowerLawOracle, gen_powerlaw_matrix, naive_regression_loss, subspace_sin_theta
 
 
-def small_problem(**kw):
-    defaults = dict(p=6, q=4, n_rows=40, workers=2, noise_std=0.1, seed=3)
-    defaults.update(kw)
-    return MatrixRegression(**defaults)
+def small_config(workers=2, master_seed=3, **problem):
+    """A full-rank config of a 6 x 4 problem on 40 design rows in batches of 1, unless `problem` says otherwise."""
+    problem = dict({"rows": 6, "cols": 4, "design_rows": 40, "noise_std": 0.1, "batch_size": 1}, **problem)
+    rank = min(problem["rows"], problem["cols"])
+    return from_dict(config_dict("small", workers=workers, master_seed=master_seed, rank=rank, problem=problem))
+
+
+def small_problem(**settings):
+    return MatrixRegression(small_config(**settings))
 
 
 def test_loss_zero_at_truth_without_noise():
@@ -26,17 +33,17 @@ def test_loss_zero_at_truth_without_noise():
 
 
 def test_loss_matches_naive_double_loop():
-    prob = small_problem(seed=3)
+    prob = small_problem(batch_size=7)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((6, 4))
-    rows = prob.sample_batch(7, rng, 1)[0] + prob.shard_starts[1]
+    rows = prob.sample_batch(rng, 1)[0] + prob.shard_starts[1]
     expected = naive_regression_loss(prob.design[rows], prob.labels[rows], x)
     assert prob.loss(x, rows) == pytest.approx(expected, rel=1e-12)
 
 
 def test_loss_identity_design_quadratic():
     # A = I rows, Y = 0: loss is 0.5 ||X||^2 per row-normalized batch
-    prob = small_problem(p=4, q=3, n_rows=8, workers=2, noise_std=0.0)
+    prob = small_problem(rows=4, cols=3, design_rows=8, noise_std=0.0)
     prob.design[:] = 0.0
     prob.design[:4, :4] = np.eye(4)
     prob.labels[:] = 0.0
@@ -59,7 +66,7 @@ def test_full_batch_gradient_is_mean_of_halves():
 
 
 def test_global_gradient_is_mean_of_shard_gradients():
-    prob = small_problem(workers=4, n_rows=40, noise_std=0.15)
+    prob = small_problem(workers=4, noise_std=0.15)
     x = np.random.default_rng(8).standard_normal((prob.p, prob.q))
     shard_grads = [prob.stoch_gradient(x, np.arange(prob.rows_per_shard) + prob.shard_starts[m]) for m in range(4)]
     resid = prob.design @ x - prob.labels
@@ -68,16 +75,15 @@ def test_global_gradient_is_mean_of_shard_gradients():
 
 
 def test_loss_at_truth_near_noise_floor():
-    prob = MatrixRegression(p=8, q=16, n_rows=1024, workers=2, noise_std=0.5, seed=1)
+    noise_std = 0.5
+    prob = small_problem(rows=8, cols=16, design_rows=1024, noise_std=noise_std, master_seed=1)
     rows = np.arange(prob.rows_per_shard)
-    floor = 0.5 * prob.q * prob.noise_std**2
+    floor = 0.5 * prob.q * noise_std**2
     assert prob.loss(prob.x_star, rows) == pytest.approx(floor, rel=0.15)
 
 
 def test_feature_blocks_give_disjoint_gradient_support():
-    prob = small_problem(
-        p=8, q=4, n_rows=16, workers=2, noise_std=0.0, shard_policy="feature_blocks"
-    )
+    prob = small_problem(rows=8, cols=4, design_rows=16, noise_std=0.0, shard_policy="feature_blocks")
     x = np.zeros((8, 4))
     g0 = prob.stoch_gradient(x, np.arange(prob.rows_per_shard))
     g1 = prob.stoch_gradient(x, np.arange(prob.rows_per_shard) + prob.shard_starts[1])
@@ -95,10 +101,10 @@ def test_non_finite_parameter_makes_its_worker_loss_non_finite(policy, value):
     # non-finite entry of worker m's parameters must reach worker m's loss
     # even where m's design columns are zero (0 * inf = NaN), and no other's
     workers, p, q = 4, 8, 5
-    prob = small_problem(p=p, q=q, n_rows=48, workers=workers, shard_policy=policy)
+    prob = small_problem(rows=p, cols=q, design_rows=48, workers=workers, shard_policy=policy, batch_size=4)
     block = p // workers
     rng = np.random.default_rng(2)
-    rows = np.stack([prob.sample_batch(4, rng, 1)[0] for _ in range(workers)]) + prob.shard_starts[:, None]
+    rows = np.stack([prob.sample_batch(rng, 1)[0] for _ in range(workers)]) + prob.shard_starts[:, None]
     for m in range(workers):
         # a row inside the next worker's feature block, so outside m's own
         outside = ((m + 1) % workers) * block
@@ -113,7 +119,7 @@ def test_non_finite_parameter_makes_its_worker_loss_non_finite(policy, value):
 @pytest.mark.parametrize("n_rows", [40, 600])
 def test_labels_equal_one_noise_draw(n_rows):
     # the blockwise noise equals labels = A X* + sigma * Z with Z drawn at once, bit for bit
-    prob = small_problem(n_rows=n_rows, noise_std=0.7, seed=5)
+    prob = small_problem(design_rows=n_rows, noise_std=0.7, master_seed=5)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(0,)))
     design = rng.standard_normal((n_rows, prob.p))
     x_star = rng.standard_normal((prob.p, prob.q)) / np.sqrt(prob.p)
@@ -125,11 +131,11 @@ def test_labels_equal_one_noise_draw(n_rows):
 @pytest.mark.parametrize("n_rows", [4096, 4100])
 @pytest.mark.parametrize("policy", ["iid", "feature_blocks"])
 def test_set_up_holds_the_problem_arrays_and_one_noise_block(policy, n_rows):
-    kw = dict(p=64, q=64, n_rows=n_rows, workers=4, noise_std=0.5, seed=0, shard_policy=policy,
-              target_rank=32, target_alpha=0.25)
+    cfg = small_config(workers=4, master_seed=0, rows=64, cols=64, design_rows=n_rows, noise_std=0.5,
+                       shard_policy=policy, target_rank=32, target_alpha=0.25)
     tracemalloc.start()
     try:
-        prob = MatrixRegression(**kw)
+        prob = MatrixRegression(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -149,10 +155,6 @@ def test_batch_validation():
             prob.loss(params, rows)
         with pytest.raises(ValueError, match="at least one row"):
             prob.stoch_gradient(params, rows)
-    with pytest.raises(ValueError):
-        prob.sample_batch(0, np.random.default_rng(0), 1)
-    with pytest.raises(ValueError):
-        prob.sample_batch(10_000, np.random.default_rng(0), 1)
 
 
 def _assert_stacked_equals_per_worker_calls(prob, x, rows):
@@ -169,7 +171,7 @@ def test_stacked_gather_stays_inside_each_shard(policy, workers):
     # the stacked form gathers from the whole design with one `take` per
     # array: each shard's edge rows read exactly what their own calls read,
     # and a row past the design raises
-    prob = small_problem(p=12, q=5, n_rows=48, workers=workers, shard_policy=policy, noise_std=0.3)
+    prob = small_problem(rows=12, cols=5, design_rows=48, workers=workers, shard_policy=policy, noise_std=0.3)
     n = prob.rows_per_shard
     rng = np.random.default_rng(11)
     x = rng.standard_normal((workers, prob.p, prob.q))
@@ -195,11 +197,12 @@ def test_stacked_gather_stays_inside_each_shard(policy, workers):
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("full_shard", [False, True])
 def test_stacked_loss_and_gradient_bitwise_equal_per_worker_calls(policy, workers, full_shard):
-    prob = small_problem(p=8, q=5, n_rows=48, workers=workers, shard_policy=policy, noise_std=0.3)
-    b = prob.rows_per_shard if full_shard else 1
+    b = 48 // workers if full_shard else 1
+    prob = small_problem(rows=8, cols=5, design_rows=48, workers=workers, shard_policy=policy, noise_std=0.3,
+                         batch_size=b)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((workers, prob.p, prob.q))
-    singles = [prob.sample_batch(b, rng, 1)[0] for _ in range(workers)]
+    singles = [prob.sample_batch(rng, 1)[0] for _ in range(workers)]
     stacked = np.stack(singles) + prob.shard_starts[:, None]
     assert stacked.shape[-1] == b
     assert prob.loss(x, stacked).shape == (workers,)
@@ -247,14 +250,12 @@ def test_draw_rows_matches_choice_calls_on_any_small_block(seed, n, size_fractio
 
 
 def test_sample_batch_count_draws_successive_batches():
-    prob = small_problem(n_rows=80, workers=2)
+    prob = small_problem(design_rows=80, batch_size=30)
     block_rng, batch_rng = np.random.default_rng(4), np.random.default_rng(4)
-    block = prob.sample_batch(30, block_rng, count=64)
+    block = prob.sample_batch(block_rng, count=64)
     assert block.shape == (64, 30)
     assert block.tolist() == [batch_rng.choice(prob.rows_per_shard, 30, replace=False).tolist() for _ in range(64)]
     assert block_rng.bit_generator.state == batch_rng.bit_generator.state
-    with pytest.raises(ValueError):
-        prob.sample_batch(41, block_rng, count=2)
 
 
 def test_powerlaw_matrix_spectrum():
@@ -309,15 +310,15 @@ def test_projection_noise_non_increasing_in_batch():
 
 
 def test_problem_determinism():
-    a = small_problem(seed=11)
-    b = small_problem(seed=11)
+    a = small_problem(master_seed=11)
+    b = small_problem(master_seed=11)
     assert a.design.tobytes() == b.design.tobytes()
     assert a.labels.tobytes() == b.labels.tobytes()
     assert a.x_star.tobytes() == b.x_star.tobytes()
 
 
 def test_low_rank_target_construction():
-    prob = small_problem(p=8, q=8, target_rank=3, target_alpha=1.0, noise_std=0.0)
+    prob = small_problem(rows=8, cols=8, target_rank=3, target_alpha=1.0, noise_std=0.0)
     s = svd(prob.x_star)[1]
     assert s[2] > 1e-12
     assert s[3] < 1e-12
