@@ -156,7 +156,8 @@ def _build(cls, data: Any, prefix: str = ""):
             kwargs[key] = _build(hints[key], value, f"{prefix}{key}.")
         else:
             _check_type(prefix + key, value, hints[key])
-            kwargs[key] = value
+            # 1 and 1.0 are one float setting, so the log header echoes both as 1.0
+            kwargs[key] = float(value) if value is not None and float in (hints[key], *get_args(hints[key])) else value
     return cls(**kwargs)
 
 
@@ -173,12 +174,12 @@ def _check(cond: bool, message: str) -> None:
 
 
 def _array_bytes(cfg: RunConfig) -> int:
-    """Bytes of the problem's arrays, the shared anchor, the worker stack and its batch indices."""
+    """Bytes of the problem's arrays, the shared anchor, the engine's per-worker arrays and its batch indices."""
     p = cfg.problem
     # design, labels; x_star and the anchor
     shared = p.design_rows * (p.rows + p.cols) + 2 * p.rows * p.cols
-    # x, error and the gradient buffer; u and v; the bases
-    stack = 3 * p.rows * p.cols + 2 * cfg.rank * p.cols + p.rows * cfg.rank
+    # x, error and the gradient buffer; u and v; the bases; the shard's int64 start row
+    stack = 3 * p.rows * p.cols + 2 * cfg.rank * p.cols + p.rows * cfg.rank + 1
     # a block's int64 training and eval indices; a batch past its shard is rejected below, by name
     stack += 2 * min(BLOCK_STEPS, cfg.steps) * min(p.batch_size, p.design_rows // cfg.workers)
     return 8 * (shared + cfg.workers * stack)

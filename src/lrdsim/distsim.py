@@ -26,9 +26,10 @@ reaches the compressed gradient; only the local strategy reads it, in
 its refresh signal. Under the global strategy `error_feedback: true`
 therefore equals EF off, up to rounding.
 
-The M workers are stacked: parameters and error buffers are one
-(M, p, q) array, moments one (M, r, q) array and bases one (M, p, r)
-array, and the optimizer kernels run once per step over the whole stack.
+The M workers are stacked on axis 0 of the `Engine`'s arrays: the
+parameters `x` and error buffers `error` are (M, p, q), the moments `u`
+and `v` (M, r, q) and the bases `basis` (M, p, r), and the optimizer
+kernels run once per step over the whole stack.
 Every worker restarts each sync window from the one (p, q) anchor.
 Execution is serial and deterministic on a given machine and BLAS build:
 per-worker RNG streams derive from (master_seed, worker_id) and never
@@ -63,7 +64,6 @@ tested property of gesdd and Gram-Schmidt, not a run-time check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -85,18 +85,6 @@ from .projection import (
 )
 
 ELEMENT_SIZE = 8  # bytes per float64 scalar on the wire
-
-
-@dataclass
-class WorkerStack:
-    """Everything the M workers own between barriers, stacked on axis 0."""
-
-    x: np.ndarray  # (M, p, q) parameters
-    error: np.ndarray  # (M, p, q) error-feedback buffers
-    u: np.ndarray  # (M, r, q) first moments
-    v: np.ndarray  # (M, r, q) second moments
-    basis: np.ndarray  # (M, p, r) column-orthonormal bases
-    rngs: list
 
 
 # uncalled, but kept: the benchmark's tracer targets it, and tests/test_bench_tracer.py asserts no target is absent
@@ -131,18 +119,15 @@ class Engine:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=config.master_seed, spawn_key=(2, 0)))
             basis = random_projection(pc.rows, rank, rng)
         self.anchor = np.zeros((pc.rows, pc.cols))  # (p, q) parameters at the last sync
-        x = np.stack([self.anchor] * m_count)
-        self.stack = WorkerStack(
-            x=x,
-            error=np.zeros_like(x),
-            u=np.zeros((m_count, rank, pc.cols)),
-            v=np.zeros((m_count, rank, pc.cols)),
-            basis=np.stack([basis] * m_count),
-            rngs=[
-                np.random.default_rng(np.random.SeedSequence(entropy=config.master_seed, spawn_key=(1, m)))
-                for m in range(m_count)
-            ],
-        )
+        self.x = np.stack([self.anchor] * m_count)  # (M, p, q) parameters
+        self.error = np.zeros_like(self.x)  # (M, p, q) error-feedback buffers
+        self.u = np.zeros((m_count, rank, pc.cols))  # (M, r, q) first moments
+        self.v = np.zeros((m_count, rank, pc.cols))  # (M, r, q) second moments
+        self.basis = np.stack([basis] * m_count)  # (M, p, r) column-orthonormal bases
+        self.rngs = [  # worker m's batch stream
+            np.random.default_rng(np.random.SeedSequence(entropy=config.master_seed, spawn_key=(1, m)))
+            for m in range(m_count)
+        ]
         self._payload = costs.per_payload(
             config.projection.strategy,
             config.qhm.mode,
@@ -155,12 +140,11 @@ class Engine:
         """One step on every worker's (M, B) training design `rows`; returns this step's local-refresh subspace entry."""
         cfg = self.cfg
         hp = cfg.hyperparams
-        s = self.stack
         ef = cfg.flags.error_feedback
         # one full-size buffer carries the gradients, their clipped form and the update
-        grad = np.empty_like(s.x)
+        grad = np.empty_like(self.x)
         for m in range(cfg.workers):
-            self.problem.stoch_gradient(s.x[m], rows[m], out=grad[m])
+            self.problem.stoch_gradient(self.x[m], rows[m], out=grad[m])
         clip_frobenius(grad, hp.clip_radius, out=grad)
         entry = None
         if (
@@ -168,15 +152,15 @@ class Engine:
             and cfg.projection.refresh
             and (t - 1) % cfg.schedule.k_x == 0
         ):
-            entry = self._refresh(grad + s.error if ef else grad, t)  # before step t's moment update
-        g = np.empty_like(s.u)
+            entry = self._refresh(grad + self.error if ef else grad, t)  # before step t's moment update
+        g = np.empty_like(self.u)
         for m in range(cfg.workers):
-            g[m], _ = compress_gradient(grad[m], s.error[m], s.basis[m], out=s.error[m] if ef else None)
-        update_moments(s.u, s.v, g, hp.beta1, hp.beta2)
+            g[m], _ = compress_gradient(grad[m], self.error[m], self.basis[m], out=self.error[m] if ef else None)
+        update_moments(self.u, self.v, g, hp.beta1, hp.beta2)
         mode = QHM_NONE if t < cfg.qhm.start_step else cfg.qhm.mode
-        upd = compute_update(s.u, s.v, s.basis, t + 1, grad, g, mode, hp, cfg.qhm.omega, out=grad)
+        upd = compute_update(self.u, self.v, self.basis, t + 1, grad, g, mode, hp, cfg.qhm.omega, out=grad)
         upd *= hp.lr_at(t)
-        s.x -= upd
+        self.x -= upd
         return entry
 
     def _refresh(self, signals: np.ndarray, t: int) -> Optional[dict]:
@@ -194,7 +178,6 @@ class Engine:
         None when none moved. `t` counts the moment updates taken so far;
         with t = 0 there are no moments to rotate.
         """
-        s = self.stack
         hp = self.cfg.hyperparams
         moved = []
         for j, signal in enumerate(signals):
@@ -203,15 +186,15 @@ class Engine:
             except (DegenerateSignalError, NonFiniteError):
                 continue
             rows = slice(None) if len(signals) == 1 else slice(j, j + 1)
-            old = s.basis[j]
+            old = self.basis[j]
             r_mat = rotation_matrix(new, old)
             if self.cfg.flags.rotate_moments and t > 0:
-                s.v[rows] = rotate_second_moment(r_mat, s.u[rows], s.v[rows], hp.beta1, hp.beta2, t)
-                s.u[rows] = rotate_first_moment(r_mat, s.u[rows])
-            # `old` is a view into the stack: measure before the new basis overwrites it
+                self.v[rows] = rotate_second_moment(r_mat, self.u[rows], self.v[rows], hp.beta1, hp.beta2, t)
+                self.u[rows] = rotate_first_moment(r_mat, self.u[rows])
+            # `old` is a view into `self.basis`: measure before the new basis overwrites it
             moved.append(subspace_metrics_from_update(new, old, r_mat, sig_s))
-            s.basis[rows] = new
-            s.error[rows] = 0.0
+            self.basis[rows] = new
+            self.error[rows] = 0.0
         if not moved:
             return None
         return {key: float(np.add.reduce([m[key] for m in moved]) / len(moved)) for key in moved[0]}
@@ -220,24 +203,23 @@ class Engine:
         """Fire the syncs due after step t; `entry` is the step's local-refresh subspace entry."""
         cfg = self.cfg
         sched = cfg.schedule
-        s = self.stack
         pay = self._payload
         uplink = downlink = 0
         if (t + 1) % sched.k_u == 0:
-            s.u[:] = np.add.reduce(s.u, axis=0) / cfg.workers
+            self.u[:] = np.add.reduce(self.u, axis=0) / cfg.workers
             uplink += pay.up_first
             downlink += pay.down_first
         if (t + 1) % sched.k_v == 0:
-            s.v[:] = np.add.reduce(s.v, axis=0) / cfg.workers
+            self.v[:] = np.add.reduce(self.v, axis=0) / cfg.workers
             uplink += pay.up_second
             downlink += pay.down_second
         if (t + 1) % sched.k_x == 0:
             # the pseudo-gradients overwrite x, which receives the new anchor below
-            delta = np.add.reduce(np.subtract(s.x, self.anchor, out=s.x), axis=0) / cfg.workers
+            delta = np.add.reduce(np.subtract(self.x, self.anchor, out=self.x), axis=0) / cfg.workers
             if cfg.projection.strategy == STRATEGY_GLOBAL and cfg.projection.refresh:
                 entry = self._refresh(delta[None], t + 1)  # after step t's moment update
             self.anchor += delta
-            s.x[:] = self.anchor
+            self.x[:] = self.anchor
             uplink += pay.up_params + pay.up_projection
             downlink += pay.down_params + pay.down_projection
         return uplink * ELEMENT_SIZE, downlink * ELEMENT_SIZE, entry
@@ -245,7 +227,6 @@ class Engine:
     # ---- main loop ---------------------------------------------------------
 
     def records(self) -> Iterator[dict]:
-        s = self.stack
         prob = self.problem
         steps = self.cfg.steps
         for t in range(steps):
@@ -253,12 +234,12 @@ class Engine:
             if row == 0:
                 # (M, 2 x the block's steps, B): the block's step i trains on row 2i, evaluates on row 2i+1
                 count = 2 * min(BLOCK_STEPS, steps - t)
-                block = np.stack([prob.sample_batch(rng, count) for rng in s.rngs])
+                block = np.stack([prob.sample_batch(rng, count) for rng in self.rngs])
                 block += prob.shard_starts[:, None, None]  # shard rows -> design rows
             uplink, downlink, entry = self._sync_phase(t, self._local_step(t, block[:, row]))
             # held-out evaluation: a fresh batch from each worker's stream,
             # drawn after the step's training batch, scored in one stacked call
-            losses = prob.loss(s.x, block[:, row + 1])
+            losses = prob.loss(self.x, block[:, row + 1])
             worker_losses = [x if math.isfinite(x) else None for x in losses.tolist()]
             diverged = None in worker_losses
             yield {

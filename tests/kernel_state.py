@@ -1,8 +1,8 @@
 """Single-tensor optimizer state for the kernel tests.
 
 The optimizer kernels take plain arrays; this bundles one tensor's `u`,
-`v`, `error` and `basis`, of which the engine's `WorkerStack` is the
-stacked form. The tests count the moment updates themselves.
+`v`, `error` and `basis`, which the engine holds stacked over its
+workers. The tests count the moment updates themselves.
 """
 
 from types import SimpleNamespace

@@ -2,7 +2,7 @@
 
     python3 tests/loghash.py                            # this checkout's src
     python3 tests/loghash.py --tree ../parent           # another checkout's src
-    python3 tests/loghash.py --compare BENCH_33.json    # exit 1 on any difference
+    python3 tests/loghash.py --compare BENCH_35.json    # exit 1 on any difference
 
 Each variant is a base config file plus a dict of overrides, named as in
 the `log_hashes` of the BENCH_<n>.json files; `config_dict` merges them, and
@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -53,7 +55,6 @@ SMALL = {
 }
 
 # name -> (base, overrides); an override mapping merges into the base's section.
-# Write 0.0, not 0, for a float: the log header echoes the config as given.
 _DIVERGE = {"lr": 1e200, "clip_radius": 1e9, "beta1": 0.0, "beta2": 0.0}
 VARIANTS = {
     "reference_global": ("reference_global", {}),
@@ -139,6 +140,12 @@ def _log_digests(path: Path) -> dict:
     return {"sha256": _sha256(data), "steps_sha256": _sha256(data.partition(b"\n")[2])}
 
 
+def summary_sha256(text: str) -> str:
+    """sha256 of a sweep's summary.csv without its last column, the log's path, which differs between checkouts."""
+    # a path holding a comma is a quoted field, which only a CSV reader splits whole
+    return _sha256("\n".join(",".join(row[:-1]) for row in csv.reader(io.StringIO(text))).encode())
+
+
 def _cli(src: Path, args: list) -> tuple[int, int]:
     """Run `lrdsim.cli.main(args)` from `src` in a fresh process; (exit code, stderr lines)."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -167,10 +174,7 @@ def run_all(tree: Path) -> dict:
         for fname in SWEEP_FILES:
             path = out_dir / fname
             if fname == "summary.csv" and path.exists():
-                # the last column is the log's path, which differs between checkouts
-                rows = path.read_text(encoding="utf-8").splitlines()
-                digests = {"sha256": _sha256("\n".join(row.rsplit(",", 1)[0] for row in rows).encode()),
-                           "steps_sha256": None}
+                digests = {"sha256": summary_sha256(path.read_text(encoding="utf-8")), "steps_sha256": None}
             else:
                 digests = _log_digests(path)
             results[f"sweep/{fname}"] = dict(digests, exit=code, stderr_lines=lines)

@@ -59,7 +59,7 @@ def test_criterion_01_adam_degeneracy():
     engine = Engine(cfg)
     for _ in engine.records():
         pass
-    x_engine = engine.stack.x[0]
+    x_engine = engine.x[0]
 
     prob = MatrixRegression(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(1, 0)))
@@ -84,7 +84,7 @@ def test_criterion_02_qhm_endpoints_bitwise():
                         qhm={"mode": mode, "omega": omega})
         engine = Engine(from_dict(d))
         recs = list(engine.records())
-        return recs, engine.stack.x[0]
+        return recs, engine.x[0]
 
     base, x_base = run_mode("none", None)
     low, x_low = run_mode("low_rank", 1.0)
@@ -223,8 +223,8 @@ def test_criterion_07_local_full_rank_recovery():
     bound = min(4 * 8, 64) - 1
     assert rank >= bound, f"rank {rank} below {bound}"
     # the per-worker bases really are mutually orthogonal
-    q0 = engine.stack.basis[0]
-    q1 = engine.stack.basis[1]
+    q0 = engine.basis[0]
+    q1 = engine.basis[1]
     assert subspace_sin_theta(q0, q1) == pytest.approx(np.sqrt(8.0), abs=1e-8)
     report(7, f"orthogonal-block construction recovers pseudo-gradient rank {rank} >= {bound}")
 

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import sys
 import warnings
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 
 import lrdsim
 from lrdsim.config import ConfigError, RunConfig, from_dict
+from lrdsim.distsim import Engine
+from lrdsim.logio import write_log
 
 import loghash
 
@@ -79,6 +83,7 @@ def _schema_fields(cls, prefix=()):
 
 SCHEMA_FIELDS = list(_schema_fields(RunConfig))
 INT_FIELDS = sorted(path for path, hint in SCHEMA_FIELDS if int in (hint, *get_args(hint)))
+FLOAT_FIELDS = sorted(path for path, hint in SCHEMA_FIELDS if float in (hint, *get_args(hint)))
 # the string settings; each RULES case breaking one gives the field's path as its prefix
 ENUM_FIELDS = {"problem.type", "problem.shard_policy", "projection.strategy", "qhm.mode"}
 
@@ -107,6 +112,24 @@ def test_unknown_key_past_str_digit_limit_is_named_by_its_length(section):
         from_dict(cfg)
     where = f"{section}." if section else ""
     assert str(exc.value) == f"unknown key '{where}an integer of more than {sys.get_int_max_str_digits()} digits'"
+
+
+def test_float_field_written_as_an_integer_is_the_same_run():
+    # every float field written as an integer: the config and the log match its float twin byte for byte
+    ints = {("problem", "noise_std"): 1, ("problem", "target_alpha"): 1, ("qhm", "omega"): 1,
+            ("hyperparams", "beta1"): 0, ("hyperparams", "beta2"): 0, ("hyperparams", "eps"): 1,
+            ("hyperparams", "clip_radius"): 1, ("hyperparams", "lr"): 1}
+    assert sorted(ints) == FLOAT_FIELDS
+    twins = []
+    for kind in (int, float):
+        sections = {"problem": {"target_rank": 2}, "qhm": {"mode": "low_rank"}, "hyperparams": {}}
+        for (section, key), value in ints.items():
+            sections[section][key] = kind(value)
+        cfg = from_dict(loghash.config_dict("small", **sections))
+        log = io.StringIO()
+        write_log(log, cfg, Engine(cfg).records())
+        twins.append((json.dumps(cfg.to_dict()), log.getvalue()))
+    assert twins[0] == twins[1]
 
 
 # validation alone, so ints of any size cost no allocation: a config that
@@ -145,6 +168,18 @@ def test_loghash_compare_says_when_only_the_header_differs():
         "steps_too: steps_sha256 's1', recorded 's0'",
         "no_steps_hash: sha256 'h1', recorded 'h0'",
     ]
+
+
+def test_loghash_summary_digest_ignores_a_log_path_holding_a_comma():
+    # the CSV writer quotes such a path; cutting the raw line at its last comma would cut inside it
+    def digest(path):
+        text = io.StringIO()
+        out = csv.writer(text, lineterminator="\n")
+        out.writerow(("axis", "value", "final_loss", "diverged", "log"))
+        out.writerow(("batch_and_workers", "1", "0.5", "false", path))
+        return loghash.summary_sha256(text.getvalue())
+
+    assert digest("/tmp/t,mp/sweep/M1.log") == digest("/tmp/tmp/sweep/M1.log")
 
 
 def test_readme_byte_gate_names_newest_bench_file():

@@ -98,40 +98,37 @@ def engine_for_sync_tests():
 
 def test_sync_params_identical_workers_noop():
     eng = engine_for_sync_tests()
-    s = eng.stack
     eng.anchor = np.array([[1.0]])
     for m in range(2):
-        s.x[m] = np.array([[3.25]])
+        eng.x[m] = np.array([[3.25]])
     eng._sync_phase(0, None)
     for m in range(2):
-        np.testing.assert_array_equal(s.x[m], [[3.25]])
+        np.testing.assert_array_equal(eng.x[m], [[3.25]])
         np.testing.assert_array_equal(eng.anchor, [[3.25]])
 
 
 def test_sync_params_cancellation():
     eng = engine_for_sync_tests()
-    s = eng.stack
-    s.x[0] = np.array([[1.0 + 0.5]])
-    s.x[1] = np.array([[1.0 - 0.5]])
+    eng.x[0] = np.array([[1.0 + 0.5]])
+    eng.x[1] = np.array([[1.0 - 0.5]])
     eng.anchor = np.array([[1.0]])
     eng._sync_phase(0, None)
     for m in range(2):
-        np.testing.assert_array_equal(s.x[m], [[1.0]])
+        np.testing.assert_array_equal(eng.x[m], [[1.0]])
 
 
 def test_sync_moment_mean_and_cancellation():
     eng = engine_for_sync_tests()
     u = np.random.default_rng(0).standard_normal((1, 1))
-    s = eng.stack
-    s.u[0] = u.copy()
-    s.u[1] = -u.copy()
-    s.v[0] = np.array([[0.4]])
-    s.v[1] = np.array([[0.2]])
+    eng.u[0] = u.copy()
+    eng.u[1] = -u.copy()
+    eng.v[0] = np.array([[0.4]])
+    eng.v[1] = np.array([[0.2]])
     eng._sync_phase(0, None)  # k_u = k_v = 1
     for m in range(2):
-        np.testing.assert_allclose(s.u[m], np.zeros((1, 1)), atol=1e-18)
-        np.testing.assert_allclose(s.v[m], [[0.3]], atol=1e-18)
-        assert np.all(s.v[m] >= 0)
+        np.testing.assert_allclose(eng.u[m], np.zeros((1, 1)), atol=1e-18)
+        np.testing.assert_allclose(eng.v[m], [[0.3]], atol=1e-18)
+        assert np.all(eng.v[m] >= 0)
 
 
 def test_array_bytes_counts_what_the_engine_holds():
@@ -139,14 +136,14 @@ def test_array_bytes_counts_what_the_engine_holds():
     for policy, workers in (("iid", 3), ("feature_blocks", 4)):
         cfg = from_dict(config_dict("small", workers=workers, problem={"design_rows": 48, "shard_policy": policy}))
         engine = Engine(cfg)
-        s, prob = engine.stack, engine.problem
-        held = [prob.design, prob.labels, prob.x_star, s.x, s.error, s.u, s.v, s.basis, engine.anchor]
+        # every array the engine and its problem hold, so that a new one cannot escape the cap
+        held = [a for obj in (engine, engine.problem) for a in vars(obj).values() if isinstance(a, np.ndarray)]
         # the block of batch indices the engine draws at its first step
         records = engine.records()
         next(records)
         block = records.gi_frame.f_locals["block"]
         # plus the one (M, p, q) buffer each local step carries its gradients in
-        assert _array_bytes(cfg) == sum(a.nbytes for a in held) + s.x.nbytes + block.nbytes, policy
+        assert _array_bytes(cfg) == sum(a.nbytes for a in held) + engine.x.nbytes + block.nbytes, policy
 
 
 # ---- degeneracy against a straight-line reference ----------------------------
@@ -169,7 +166,7 @@ def test_engine_matches_straightline_low_rank_reference():
     )
     engine = Engine(cfg)
     engine_records = list(engine.records())
-    engine_final = engine.stack.x[0].copy()
+    engine_final = engine.x[0].copy()
 
     prob = MatrixRegression(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, 0)))
@@ -228,7 +225,7 @@ def test_engine_stacked_eval_equals_per_worker_loss_exactly():
 
     prob.stoch_gradient = recording_gradient
     records = engine.records()
-    rngs = copy.deepcopy(engine.stack.rngs)
+    rngs = copy.deepcopy(engine.rngs)
     for _ in range(cfg.steps):
         record = next(records)
         expected = []
@@ -237,7 +234,7 @@ def test_engine_stacked_eval_equals_per_worker_loss_exactly():
             assert trained[m].tolist() == (rows + prob.shard_starts[m]).tolist()
             assert np.all((m * n <= trained[m]) & (trained[m] < (m + 1) * n))
             rows = prob.sample_batch(rng, 1)[0]
-            expected.append(prob.loss(engine.stack.x[m], rows + prob.shard_starts[m]))
+            expected.append(prob.loss(engine.x[m], rows + prob.shard_starts[m]))
         assert len(trained) == cfg.workers
         trained.clear()
         assert record["worker_losses"] == expected
@@ -251,21 +248,20 @@ def test_engine_refresh_rotates_zero_variance_second_moment_exactly(strategy):
     # the old-basis first moment.
     cfg = from_dict(config_dict("small", workers=1, projection={"strategy": strategy}))
     engine = Engine(cfg)
-    state = engine.stack
     hp = engine.cfg.hyperparams
     t = 5
     rng = np.random.default_rng(23)
-    state.u = rng.standard_normal(state.u.shape)
-    uh = state.u / (1.0 - hp.beta1**t)
-    state.v = (1.0 - hp.beta2**t) * uh * uh
-    old_basis, old_u = state.basis[0].copy(), state.u.copy()
+    engine.u = rng.standard_normal(engine.u.shape)
+    uh = engine.u / (1.0 - hp.beta1**t)
+    engine.v = (1.0 - hp.beta2**t) * uh * uh
+    old_basis, old_u = engine.basis[0].copy(), engine.u.copy()
     signal = rng.standard_normal((16, 12))
     metrics = engine._refresh(signal[None], t)
-    new_basis = state.basis[0]
+    new_basis = engine.basis[0]
     assert subspace_sin_theta(new_basis, old_basis) > 0.1
     r_mat = rotation_matrix(new_basis, old_basis)
-    np.testing.assert_allclose(state.v, (1.0 - hp.beta2**t) * (r_mat @ uh) ** 2, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(state.u, r_mat @ old_u, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(engine.v, (1.0 - hp.beta2**t) * (r_mat @ uh) ** 2, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(engine.u, r_mat @ old_u, rtol=0, atol=1e-14)
     # the logged diagnostics compare the basis held before the refresh with the one after it
     assert np.linalg.norm(new_basis.T @ new_basis - np.eye(new_basis.shape[1])) < 1e-12
     assert metrics["mssv"] == pytest.approx(mssv(r_mat), rel=0, abs=1e-14)
@@ -277,30 +273,29 @@ def test_engine_refresh_skips_degenerate_signal_and_logs_the_moved_bases():
     # and the logged entry averages only the bases that moved.
     cfg = from_dict(config_dict("small", workers=2, projection={"strategy": "local"}))
     engine = Engine(cfg)
-    s = engine.stack
     hp = cfg.hyperparams
     t = 3
     rng = np.random.default_rng(5)
-    s.u = rng.standard_normal(s.u.shape)
-    s.v = rng.random(s.v.shape)
-    before = {name: getattr(s, name).copy() for name in ("basis", "u", "v")}
+    engine.u = rng.standard_normal(engine.u.shape)
+    engine.v = rng.random(engine.v.shape)
+    before = {name: getattr(engine, name).copy() for name in ("basis", "u", "v")}
     signals = np.stack([rng.standard_normal((16, 12)), np.zeros((16, 12))])
     entry = engine._refresh(signals, t)
     for name in ("basis", "u", "v"):
-        assert np.array_equal(getattr(s, name)[1], before[name][1]), name
+        assert np.array_equal(getattr(engine, name)[1], before[name][1]), name
     new, sig_s = projection_with_spectrum(signals[0], cfg.rank)
     r_mat = rotation_matrix(new, before["basis"][0])
-    assert np.array_equal(s.basis[0], new)
+    assert np.array_equal(engine.basis[0], new)
     assert subspace_sin_theta(new, before["basis"][0]) > 0.1
     v0 = rotate_second_moment(r_mat, before["u"][:1], before["v"][:1], hp.beta1, hp.beta2, t)
-    np.testing.assert_array_equal(s.v[:1], v0)
-    np.testing.assert_array_equal(s.u[:1], rotate_first_moment(r_mat, before["u"][:1]))
+    np.testing.assert_array_equal(engine.v[:1], v0)
+    np.testing.assert_array_equal(engine.u[:1], rotate_first_moment(r_mat, before["u"][:1]))
     assert entry == subspace_metrics_from_update(new, before["basis"][0], r_mat, sig_s)
-    # no basis moves: no entry, and the stack is untouched
-    after = {name: getattr(s, name).copy() for name in ("basis", "u", "v")}
+    # no basis moves: no entry, and the bases and moments are untouched
+    after = {name: getattr(engine, name).copy() for name in ("basis", "u", "v")}
     assert engine._refresh(np.zeros_like(signals), t) is None
     for name in ("basis", "u", "v"):
-        assert np.array_equal(getattr(s, name), after[name]), name
+        assert np.array_equal(getattr(engine, name), after[name]), name
 
 
 @pytest.mark.parametrize("strategy", ["global", "local"])
@@ -312,23 +307,22 @@ def test_engine_error_buffer_bounded_by_compressions_since_basis_moved(strategy)
     # after every step, and the buffers must carry a real residual.
     cfg = from_dict(config_dict(f"reference_{strategy}"))
     engine = Engine(cfg)
-    s = engine.stack
     # the local strategy refreshes before the step's compression, the global one after it
     after_move = 1 if strategy == "local" else 0
     since = np.zeros(cfg.workers)
-    before = s.basis.copy()
+    before = engine.basis.copy()
     steps = 0
     peak = 0.0
     for rec in engine.records():
         assert not rec["diverged"]
-        moved = np.array([not np.array_equal(s.basis[m], before[m]) for m in range(cfg.workers)])
+        moved = np.array([not np.array_equal(engine.basis[m], before[m]) for m in range(cfg.workers)])
         since = np.where(moved, after_move, since + 1)
-        norms = np.linalg.norm(s.error, axis=(1, 2))
+        norms = np.linalg.norm(engine.error, axis=(1, 2))
         bound = since * cfg.hyperparams.clip_radius
         assert np.all(norms <= bound * (1.0 + 1e-12)), (rec["step"], norms, bound)
-        assert np.max(np.abs(np.swapaxes(s.basis, -1, -2) @ s.error)) < 1e-12, rec["step"]
-        peak = max(peak, np.max(np.abs(s.error)))
-        before = s.basis.copy()
+        assert np.max(np.abs(np.swapaxes(engine.basis, -1, -2) @ engine.error)) < 1e-12, rec["step"]
+        peak = max(peak, np.max(np.abs(engine.error)))
+        before = engine.basis.copy()
         steps += 1
     assert steps == cfg.steps == 640
     assert peak > 1e-3
@@ -372,7 +366,7 @@ def test_engine_invariants_hold_over_small_valid_configs(raw):
     except ConfigError:
         reject()
     engine = Engine(cfg)
-    s, sched = engine.stack, cfg.schedule
+    sched = cfg.schedule
     fired = np.zeros(3, dtype=np.int64)  # u, v and parameter syncs
     uplink = downlink = 0
     for rec in engine.records():
@@ -381,16 +375,16 @@ def test_engine_invariants_hold_over_small_valid_configs(raw):
         fired += due
         uplink += rec["bytes_uplink"]
         downlink += rec["bytes_downlink"]
-        qt = np.swapaxes(s.basis, -1, -2)
-        assert np.max(np.abs(qt @ s.basis - np.eye(cfg.rank))) <= 1e-10, t
-        assert np.all(s.v >= 0.0), t
+        qt = np.swapaxes(engine.basis, -1, -2)
+        assert np.max(np.abs(qt @ engine.basis - np.eye(cfg.rank))) <= 1e-10, t
+        assert np.all(engine.v >= 0.0), t
         if cfg.flags.error_feedback:
-            assert np.max(np.abs(qt @ s.error)) <= 1e-9 * max(1.0, np.max(np.abs(s.error))), t
+            assert np.max(np.abs(qt @ engine.error)) <= 1e-9 * max(1.0, np.max(np.abs(engine.error))), t
         if due[2]:
-            assert all(x.tobytes() == engine.anchor.tobytes() for x in s.x), t
+            assert all(x.tobytes() == engine.anchor.tobytes() for x in engine.x), t
             assert np.any(engine.anchor != 0.0), t  # the anchor moved off its zero start
         if cfg.projection.strategy == "global":
-            assert all(b.tobytes() == s.basis[0].tobytes() for b in s.basis), t
+            assert all(b.tobytes() == engine.basis[0].tobytes() for b in engine.basis), t
     sizes = costs.CostInputs(p=cfg.problem.rows, q=cfg.problem.cols, r=cfg.rank)
     pay = costs.per_payload(cfg.projection.strategy, cfg.qhm.mode, sizes)
     up = np.array([pay.up_first, pay.up_second, pay.up_params + pay.up_projection])
