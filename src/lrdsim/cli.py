@@ -14,10 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from . import costs as costs_mod
-from .config import ConfigError, RunConfig, _shown, from_dict, load_file
+from .config import QHM_MODES, STRATEGY_GLOBAL, STRATEGY_LOCAL, ConfigError, RunConfig, _shown, from_dict, load_file
 from .distsim import Engine
 from .logio import LogFormatError, read_log, write_log
-from .optimizer import QHM_MODES
 
 # axis -> (value type, label prefix, config paths the value sets); batch_and_workers is computed in _sweep_config
 SWEEP_AXES = {"rank": (int, "rank", ("rank",)),
@@ -205,7 +204,7 @@ def _fmt_ratio(value: float) -> str:
 
 def _costs_lines(inputs: costs_mod.CostInputs) -> list:
     """The `costs` report; raises OverflowError when a ratio falls outside the float range."""
-    strategies = (costs_mod.STRATEGY_GLOBAL, costs_mod.STRATEGY_LOCAL)
+    strategies = (STRATEGY_GLOBAL, STRATEGY_LOCAL)
     rows = [(variant, mode) for variant in strategies for mode in QHM_MODES]
     rows += [(costs_mod.BASELINE_LOCAL_ADAM, None), (costs_mod.BASELINE_DDP, None)]
     lines = [
@@ -227,8 +226,8 @@ def _costs_lines(inputs: costs_mod.CostInputs) -> list:
         "",
         f"reduction vs low-rank DDP:   {_fmt_ratio(costs_mod.reduction_vs_lowrank_ddp(inputs))}",
         f"reduction vs full-rank DDP:  {_fmt_ratio(costs_mod.reduction_vs_fullrank_ddp(inputs))}",
-        f"reduction vs full-rank local (global): {_fmt_ratio(costs_mod.reduction_vs_fullrank_local(inputs, 'global'))}",
-        f"reduction vs full-rank local (local):  {_fmt_ratio(costs_mod.reduction_vs_fullrank_local(inputs, 'local'))}",
+        f"reduction vs full-rank local (global): {_fmt_ratio(costs_mod.reduction_vs_fullrank_local(inputs, STRATEGY_GLOBAL))}",
+        f"reduction vs full-rank local (local):  {_fmt_ratio(costs_mod.reduction_vs_fullrank_local(inputs, STRATEGY_LOCAL))}",
         f"optimizer-state memory ratio p/r: {costs_mod.optimizer_state_memory_ratio(inputs):.2f}",
     ]
 

@@ -13,9 +13,15 @@ import sys
 from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Any, Literal, Optional, get_args, get_origin, get_type_hints
 
-from .costs import STRATEGY_GLOBAL, STRATEGY_LOCAL
-from .optimizer import QHM_FULL_RANK, QHM_LOW_RANK, QHM_NONE
-from .problems import SHARD_FEATURE_BLOCKS, SHARD_IID
+# the values of the string settings, which the modules that branch on them import from here
+STRATEGY_GLOBAL = "global"
+STRATEGY_LOCAL = "local"
+QHM_NONE = "none"
+QHM_LOW_RANK = "low_rank"
+QHM_FULL_RANK = "full_rank"
+QHM_MODES = (QHM_NONE, QHM_LOW_RANK, QHM_FULL_RANK)
+SHARD_IID = "iid"
+SHARD_FEATURE_BLOCKS = "feature_blocks"
 
 # Cap on the arrays `_array_bytes` counts. Set-up holds exactly these, plus
 # one `problems.NOISE_BLOCK_ROWS`-row block of label noise and small temporaries for x_star.

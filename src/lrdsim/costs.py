@@ -4,19 +4,17 @@ Element counts implement the per-payload tables with unit constants per
 term. Uplink/downlink are per link (server <-> one worker). The
 simulator stamps these counts, times `distsim.ELEMENT_SIZE` bytes, on
 step records at each sync event, so summed run totals match the
-analytic formulas exactly. Names are not re-checked: the config schema
-and `config.from_dict` own the run-setting rules, and `CostInputs`
-checks the sizes that `lrdsim costs` reads.
+analytic formulas exactly. Names are not re-checked: `config` defines
+the strategy and QHM names and owns the run-setting rules, and
+`CostInputs` checks the sizes that `lrdsim costs` reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .optimizer import QHM_FULL_RANK
+from .config import QHM_FULL_RANK, STRATEGY_GLOBAL, STRATEGY_LOCAL
 
-STRATEGY_GLOBAL = "global"
-STRATEGY_LOCAL = "local"
 BASELINE_LOCAL_ADAM = "local_adam"
 BASELINE_DDP = "ddp"
 

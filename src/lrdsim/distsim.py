@@ -69,10 +69,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import costs
-from .config import BLOCK_STEPS, RunConfig
-from .costs import STRATEGY_GLOBAL, STRATEGY_LOCAL, CostInputs
+from .config import BLOCK_STEPS, QHM_NONE, STRATEGY_GLOBAL, STRATEGY_LOCAL, RunConfig
 from .linalg import NonFiniteError, clip_frobenius
-from .optimizer import QHM_NONE, compress_gradient, compute_update, update_moments
+from .optimizer import compress_gradient, compute_update, update_moments
 from .problems import MatrixRegression
 from .projection import (
     DegenerateSignalError,
@@ -131,7 +130,7 @@ class Engine:
         self._payload = costs.per_payload(
             config.projection.strategy,
             config.qhm.mode,
-            CostInputs(p=pc.rows, q=pc.cols, r=rank),
+            costs.CostInputs(p=pc.rows, q=pc.cols, r=rank),
         )
 
     # ---- per-step phases -------------------------------------------------

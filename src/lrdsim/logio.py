@@ -14,8 +14,7 @@ import math
 from typing import Iterable, TextIO
 
 from . import __version__
-from .config import RunConfig
-from .costs import STRATEGY_LOCAL
+from .config import STRATEGY_LOCAL, RunConfig
 
 
 class LogFormatError(ValueError):

@@ -22,21 +22,14 @@ against is a test oracle (`tests/oracles.py`), not part of the simulator.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
+from .config import QHM_LOW_RANK, QHM_NONE, HyperConfig
 # unused here, but kept: the benchmark's tracer rebinds `lrdsim.optimizer.as_matrix`,
 # and its self-test and tests/test_bench_tracer.py read that binding
 from .linalg import as_matrix  # noqa: F401
-
-if TYPE_CHECKING:  # config imports this module's constants
-    from .config import HyperConfig
-
-QHM_NONE = "none"
-QHM_LOW_RANK = "low_rank"
-QHM_FULL_RANK = "full_rank"
-QHM_MODES = (QHM_NONE, QHM_LOW_RANK, QHM_FULL_RANK)
 
 
 def compress_gradient(

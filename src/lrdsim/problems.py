@@ -15,15 +15,9 @@ every problem default and range rule; nothing here re-checks them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-if TYPE_CHECKING:  # config imports this module's constants
-    from .config import RunConfig
-
-SHARD_IID = "iid"
-SHARD_FEATURE_BLOCKS = "feature_blocks"
+from .config import SHARD_FEATURE_BLOCKS, RunConfig
 
 # Batch sizes up to this draw a block of batches in one `integers` call
 # (`draw_rows`); above it a loop of `choice` calls is faster.

@@ -2,7 +2,7 @@
 
     python3 tests/loghash.py                            # this checkout's src
     python3 tests/loghash.py --tree ../parent           # another checkout's src
-    python3 tests/loghash.py --compare BENCH_35.json    # exit 1 on any difference
+    python3 tests/loghash.py --compare BENCH_36.json    # exit 1 on any difference
 
 Each variant is a base config file plus a dict of overrides, named as in
 the `log_hashes` of the BENCH_<n>.json files; `config_dict` merges them, and

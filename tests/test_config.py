@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import io
@@ -102,6 +103,14 @@ def test_no_schema_field_is_a_plain_string():
     # a string setting is a Literal of its allowed values, which `_check_type` enforces
     assert [path for path, hint in SCHEMA_FIELDS if str in (hint, *get_args(hint))] == []
     assert {".".join(path) for path, hint in SCHEMA_FIELDS if get_origin(hint) is Literal} == ENUM_FIELDS
+
+
+def test_config_imports_no_other_lrdsim_module():
+    # config defines the string settings' values, so every module that branches on one imports config, never the reverse
+    src = loghash.ROOT / "src" / "lrdsim"
+    tree = ast.parse((src / "config.py").read_text(encoding="utf-8"))
+    assert [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level > 0] == []
+    assert [path.name for path in sorted(src.glob("*.py")) if "TYPE_CHECKING" in path.read_text(encoding="utf-8")] == []
 
 
 @pytest.mark.parametrize("section", [None, "problem"], ids=["top_level", "in_section"])

@@ -6,15 +6,10 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from lrdsim import costs
-from lrdsim.config import ConfigError, _array_bytes, from_dict
+from lrdsim.config import QHM_NONE, ConfigError, _array_bytes, from_dict
 from lrdsim.distsim import ELEMENT_SIZE, Engine, sparsify_topk
 from lrdsim.linalg import clip_frobenius
-from lrdsim.optimizer import (
-    QHM_NONE,
-    compress_gradient,
-    compute_update,
-    update_moments,
-)
+from lrdsim.optimizer import compress_gradient, compute_update, update_moments
 from lrdsim.problems import MatrixRegression
 from lrdsim.projection import (
     mssv,
@@ -149,7 +144,15 @@ def test_array_bytes_counts_what_the_engine_holds():
 # ---- degeneracy against a straight-line reference ----------------------------
 
 
-def test_engine_matches_straightline_low_rank_reference():
+# warmup and a full-rank QHM branch that starts after step 0 pin which step
+# index the learning rate and the QHM mode read; full-rank QHM also moves the
+# basis off its span, so the emptied error buffer matters
+@pytest.mark.parametrize(
+    "over",
+    [{}, {"qhm": {"mode": "full_rank", "omega": 0.5, "start_step": 4}, "hyperparams": {"warmup_steps": 5}}],
+    ids=["plain", "warmup_late_full_rank_qhm"],
+)
+def test_engine_matches_straightline_low_rank_reference(over):
     # M=1, K=1, global: the engine must reproduce the per-step synchronous
     # low-rank optimizer (per-step projection recompute + rotations) exactly.
     seed, steps, rank = 3, 12, 3
@@ -162,6 +165,7 @@ def test_engine_matches_straightline_low_rank_reference():
             rank=rank,
             problem={"rows": 10, "cols": 8, "design_rows": 40, "batch_size": 5, "noise_std": 0.05},
             schedule={"k_x": 1, "k_u": 1, "k_v": 1},
+            **over,
         )
     )
     engine = Engine(cfg)
@@ -182,7 +186,8 @@ def test_engine_matches_straightline_low_rank_reference():
         grad = clip_frobenius(prob.stoch_gradient(x, rows), hp.clip_radius)
         g, state.error = compress_gradient(grad, state.error, state.basis)
         update_moments(state.u, state.v, g, hp.beta1, hp.beta2)
-        upd = compute_update(state.u, state.v, state.basis, t + 1, grad, g, QHM_NONE, hp)
+        mode = QHM_NONE if t < cfg.qhm.start_step else cfg.qhm.mode
+        upd = compute_update(state.u, state.v, state.basis, t + 1, grad, g, mode, hp, cfg.qhm.omega)
         x = x - hp.lr_at(t) * upd
         delta = x - anchor
         x = anchor + delta
@@ -191,11 +196,34 @@ def test_engine_matches_straightline_low_rank_reference():
         state.v = rotate_second_moment(r_mat, state.u, state.v, hp.beta1, hp.beta2, t + 1)
         state.u = rotate_first_moment(r_mat, state.u)
         state.basis = new_proj
+        state.error = np.zeros_like(state.error)  # a new basis empties the error buffer
         anchor = x.copy()
         eval_rows = prob.sample_batch(rng, 1)[0]
         losses.append(prob.loss(x, eval_rows))
     np.testing.assert_allclose(engine_final, x, atol=1e-12)
     np.testing.assert_allclose([r["mean_loss"] for r in engine_records], losses, atol=1e-12)
+
+
+def test_engine_error_buffer_keeps_each_workers_whole_residual():
+    # Under the local strategy E_m crosses steps: after a step it must equal
+    # the clipped gradient plus E_m before compression (emptied when a local
+    # refresh moved the basis) minus Q_m g_m, with g_m = Q_m^T of that sum.
+    cfg = from_dict(config_dict("small", workers=2, projection={"strategy": "local"}, schedule={"k_x": 3}))
+    engine = Engine(cfg)
+    prob = engine.problem
+    carried = 0
+    for t in range(6):
+        rows = np.stack([prob.sample_batch(rng, 1)[0] for rng in engine.rngs]) + prob.shard_starts[:, None]
+        x, error, basis = engine.x.copy(), engine.error.copy(), engine.basis.copy()
+        engine._local_step(t, rows)
+        for m in range(cfg.workers):
+            if not np.array_equal(engine.basis[m], basis[m]):
+                error[m] = 0.0
+            carried += bool(np.any(error[m]))
+            total = clip_frobenius(prob.stoch_gradient(x[m], rows[m]), cfg.hyperparams.clip_radius) + error[m]
+            q = engine.basis[m]
+            np.testing.assert_allclose(engine.error[m], total - q @ (q.T @ total), rtol=0, atol=1e-12)
+    assert carried == 6  # steps 2, 3 and 5 start from a nonzero buffer on each worker
 
 
 def test_engine_stacked_eval_equals_per_worker_loss_exactly():

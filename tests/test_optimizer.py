@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from lrdsim.config import HyperConfig
+from lrdsim.config import QHM_FULL_RANK, QHM_LOW_RANK, QHM_NONE, HyperConfig
 from lrdsim.linalg import clip_frobenius
-from lrdsim.optimizer import (
-    QHM_FULL_RANK,
-    QHM_LOW_RANK,
-    QHM_NONE,
-    compress_gradient,
-    compute_update,
-    update_moments,
-)
+from lrdsim.optimizer import compress_gradient, compute_update, update_moments
 from lrdsim.projection import (
     projection_with_spectrum,
     random_projection,
